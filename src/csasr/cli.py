@@ -188,6 +188,11 @@ def cmd_evaluate(args) -> None:
         raise UsageError(
             f"line counts differ: {len(refs)} references vs {len(hyps)} hypotheses"
         )
+    if not refs:
+        raise UsageError(f"no references in {args.ref}")
+    for n, ref in enumerate(refs, 1):
+        if not ref.strip():
+            raise UsageError(f"{args.ref}: line {n}: reference is empty")
     cer_report = metrics.corpus_cer(refs, hyps)
     wer_report = metrics.corpus_wer(refs, hyps)
     points = [metrics.switch_point_score(r, h) for r, h in zip(refs, hyps)]

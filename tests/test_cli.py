@@ -140,6 +140,23 @@ def test_evaluate_reports_metrics(pipeline, capsys):
     assert 0.0 <= cer_value <= 100.0
 
 
+def _evaluate(tmp_path, refs: str, hyps: str) -> int:
+    ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
+    ref.write_text(refs, encoding="utf-8")
+    hyp.write_text(hyps, encoding="utf-8")
+    return main(["evaluate", "--ref", str(ref), "--hyp", str(hyp)])
+
+
+def test_evaluate_empty_files_exit_2(tmp_path, capsys):
+    assert _evaluate(tmp_path, "", "") == 2
+    assert "no references" in capsys.readouterr().err
+
+
+def test_evaluate_empty_reference_line_exits_2_naming_it(tmp_path, capsys):
+    assert _evaluate(tmp_path, "ab 你\n\nba\n", "ab\nab\nba\n") == 2
+    assert "line 2: reference is empty" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code = main([
         "decode", "--vocab", str(tmp_path / "nope.txt"), "--grid", str(tmp_path / "g")

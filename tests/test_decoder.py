@@ -173,6 +173,26 @@ def test_trailing_latin_word_completes_at_utterance_end():
     assert best.score == pytest.approx(fused_score("ab", ctc_logp, model, cfg), abs=1e-9)
 
 
+def test_lm_cache_scores_each_context_token_pair_once(monkeypatch):
+    corpus = [
+        lm_mod.tokenize_lm(s)
+        for s in ("ab a 你", "a 你 你", "ba ab", "你 a", "ab ab 你 a", "b 你 ab")
+    ]
+    model = lm_mod.train_kn(corpus, order=5)
+    calls = []
+    real_score = lm_mod.score
+
+    def recording(model, state, token):
+        calls.append((state.context, token))
+        return real_score(model, state, token)
+
+    monkeypatch.setattr(lm_mod, "score", recording)
+    grid = random_grid(np.random.default_rng(8), 12, len(TINY))
+    beam_decode(grid, TINY, FusionConfig(0.2, 1.0, 100), model)
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_beam_matches_exhaustive_on_random_small_instances(data):

@@ -193,6 +193,12 @@ def cmd_evaluate(args) -> None:
     for n, ref in enumerate(refs, 1):
         if not ref.strip():
             raise UsageError(f"{args.ref}: line {n}: reference is empty")
+    for path, lines in ((args.ref, refs), (args.hyp, hyps)):
+        for n, line in enumerate(lines, 1):
+            try:
+                lm.tokenize_lm(line)
+            except ValueError as e:
+                raise UsageError(f"{path}: line {n}: {e}") from None
     cer_report = metrics.corpus_cer(refs, hyps)
     wer_report = metrics.corpus_wer(refs, hyps)
     points = [metrics.switch_point_score(r, h) for r, h in zip(refs, hyps)]

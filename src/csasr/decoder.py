@@ -22,6 +22,16 @@ and only those are sorted by (-score, prefix) and turned into tuples and
 LM states. LM transitions are memoized per decode, so each (context,
 token) pair is scored once.
 
+A context's CJK row comes from one `lm.log10_row` call over every CJK
+unit (out-of-vocabulary ones as `<unk>`) rather than one `lm.score` per
+unit. The row is the row of the context's suffix plus the context's
+backoff weight, overwritten where the n-gram is stored; suffix rows are
+memoized per decode, so a 4-token context reuses the rows of its 3-, 2-
+and 1-token suffixes. The values stay exact: each element is the same
+`bow + lower` float64 sum, in the same association, that the per-word
+backoff walk of `lm.score` computes for that unit. A CJK survivor's next
+context is `lm.advance`; Latin words still go through `lm.score`.
+
 This is bit-identical to scoring each candidate separately in Python:
 numpy only adds, multiplies and compares float64, which rounds exactly
 as Python floats do, with the same operands in the same association;
@@ -104,7 +114,8 @@ def fused_score(
 
 class _LmCache:
     """Per-decode memo of LM transitions, so each (context, token) pair
-    costs one `lm.score` call per decode however many beams reach it.
+    costs one `lm.score` call per decode however many beams reach it, and
+    each context's CJK row (with the rows of its suffixes) is built once.
 
     Without a model every token scores 0.0 and the context stays None,
     which leaves the log10 sums exactly at 0.0 as if no LM were applied.
@@ -112,10 +123,16 @@ class _LmCache:
 
     def __init__(self, model, units, cjk_cols):
         self.model = model
-        self.units = units
         self.cjk_cols = cjk_cols  # boolean mask over ids 1..V-1
         self.steps: dict = {}
         self.rows: dict = {}
+        self.suffix_rows: dict = {}
+        vocabulary = model.vocabulary if model is not None else ()
+        cols = np.flatnonzero(cjk_cols).tolist()
+        self.cjk_words = tuple(
+            units[c + 1] if units[c + 1] in vocabulary else lm_mod.UNK for c in cols
+        )
+        self.cjk_word_at = dict(zip(cols, self.cjk_words))
 
     def step(self, context, surface: str):
         """(log10 p(surface | context), next context)."""
@@ -127,6 +144,12 @@ class _LmCache:
             lp, state = lm_mod.score(self.model, lm_mod.LmState(context), surface)
             hit = self.steps[key] = (lp, state.context)
         return hit
+
+    def advance(self, context, c: int):
+        """The context after the CJK unit at column c."""
+        if self.model is None:
+            return None
+        return lm_mod.advance(self.model, context, self.cjk_word_at[c])
 
     def complete(self, context, log10: float, words: int, pending: str):
         """(context, log10 sum, word count) once the pending Latin run is
@@ -141,8 +164,10 @@ class _LmCache:
         row = self.rows.get(context)
         if row is None:
             row = self.rows[context] = np.zeros(len(self.cjk_cols))
-            for c in np.flatnonzero(self.cjk_cols):
-                row[c] = self.step(context, self.units[c + 1])[0]
+            if self.model is not None:
+                row[self.cjk_cols] = lm_mod.log10_row(
+                    self.model, context, self.cjk_words, self.suffix_rows
+                )
         return row
 
 
@@ -250,7 +275,7 @@ def beam_decode(
                 ctx, log10, n, word = fields[k]
                 token_fields = ctx, log10, n, word + unit
             elif cjk_cols[c]:
-                ctx = cache.step(done[k][0], unit)[1]
+                ctx = cache.advance(done[k][0], c)
                 token_fields = ctx, float(ext_log10[k, c]), done[k][2] + 1, ""
             else:
                 token_fields = *done[k], ""

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .vocab import is_cjk
+from .vocab import LATIN_RUN, is_cjk
 
 BOS = "<s>"
 EOS = "</s>"
@@ -49,9 +49,6 @@ class Token:
     kind: str
 
 
-_LATIN_RUN = re.compile(r"[a-z']+")
-
-
 def tokenize_lm(text: str) -> list[Token]:
     """Split normalized text into Latin-word and CJK-char tokens."""
     tokens = []
@@ -65,7 +62,7 @@ def tokenize_lm(text: str) -> list[Token]:
             tokens.append(Token(ch, KIND_CJK_CHAR))
             i += 1
             continue
-        m = _LATIN_RUN.match(text, i)
+        m = LATIN_RUN.match(text, i)
         if not m:
             raise ValueError(f"unexpected character {ch!r} in normalized text")
         tokens.append(Token(m.group(0), KIND_LATIN_WORD))
@@ -189,19 +186,51 @@ def _log10_bow(b: float | None) -> float | None:
     return None if b is None else math.log10(b)
 
 
-def _cond_log10(model: NGramModel, context: tuple[str, ...], w: str) -> float:
-    entry = model.tables[len(context) + 1].get(context + (w,))
-    if entry is not None:
-        return entry[0]
-    if not context:
-        return model.tables[1][(UNK,)][0]
-    bow_entry = model.tables[len(context)].get(context)
-    bow = bow_entry[1] if bow_entry is not None and bow_entry[1] is not None else 0.0
-    return bow + _cond_log10(model, context[1:], w)
+def log10_row(
+    model: NGramModel,
+    context: tuple[str, ...],
+    words: Sequence[str],
+    memo: dict[tuple[str, ...], list[float]],
+) -> list[float]:
+    """[log10 p(w | context) for w in words] under ARPA backoff semantics.
+
+    Each word must already be in the vocabulary or be `UNK`, and the
+    context at most order-1 tokens long. A word whose n-gram is stored
+    takes its probability; any other takes this context's backoff weight
+    (0.0 when it has none) plus its element of the row of `context[1:]`,
+    and `()` falls back to the `UNK` unigram. That is the same `bow +
+    lower` sum, term by term, as a per-word backoff walk, so every element
+    is exact. `memo` maps contexts to rows of these same `words`; the
+    rows of this context and of each suffix it needs are taken from it or
+    added to it, so a caller scoring many contexts against one word list
+    walks each backoff level once.
+    """
+    row = memo.get(context)
+    if row is not None:
+        return row
+    table = model.tables[len(context) + 1]
+    entries = [table.get(context + (w,)) for w in words]
+    if None not in entries:
+        row = [e[0] for e in entries]
+    elif context:
+        lower = log10_row(model, context[1:], words, memo)
+        entry = model.tables[len(context)].get(context)
+        bow = entry[1] if entry is not None and entry[1] is not None else 0.0
+        row = [bow + lp if e is None else e[0] for e, lp in zip(entries, lower)]
+    else:
+        unk = model.tables[1][(UNK,)][0]
+        row = [unk if e is None else e[0] for e in entries]
+    memo[context] = row
+    return row
 
 
 def initial_state(model: NGramModel) -> LmState:
     return LmState((BOS,) if model.order > 1 else ())
+
+
+def advance(model: NGramModel, context: tuple[str, ...], w: str) -> tuple[str, ...]:
+    """The context after `w` (already in the vocabulary or `UNK`)."""
+    return (context + (w,))[-(model.order - 1) :] if model.order > 1 else ()
 
 
 def score(model: NGramModel, state: LmState, token) -> tuple[float, LmState]:
@@ -210,9 +239,8 @@ def score(model: NGramModel, state: LmState, token) -> tuple[float, LmState]:
     if w not in model.vocabulary:
         w = UNK
     context = state.context[-(model.order - 1) :] if model.order > 1 else ()
-    lp = _cond_log10(model, context, w)
-    new_context = (context + (w,))[-(model.order - 1) :] if model.order > 1 else ()
-    return lp, LmState(new_context, state.log10_total + lp)
+    (lp,) = log10_row(model, context, (w,), {})
+    return lp, LmState(advance(model, context, w), state.log10_total + lp)
 
 
 def sentence_log10(model: NGramModel, sentence: Sequence) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,14 @@ from .vocab import GraphemeVocab
 CHECKPOINT_FORMAT = "csasr-checkpoint"
 CHECKPOINT_VERSION = 1
 PARAM_NAMES = ("w_xh", "w_hh", "b_h", "w_hy", "b_y")
+# each parameter's axes, by the model size they must equal
+_PARAM_DIMS = {
+    "w_xh": ("hidden", "input"),
+    "w_hh": ("hidden", "hidden"),
+    "b_h": ("hidden",),
+    "w_hy": ("vocab", "hidden"),
+    "b_y": ("vocab",),
+}
 
 
 class ShapeMismatch(ValueError):
@@ -160,11 +169,31 @@ def load_checkpoint(path, vocab: GraphemeVocab | None = None) -> ToyAcousticMode
         raise ValueError(f"{path}: unsupported version {payload.get('version')}")
     if vocab is not None and payload["vocab_sha256"] != vocab_fingerprint(vocab):
         raise ValueError(f"{path}: checkpoint was trained with a different vocabulary")
+    entries = payload.get("params", {})
+    sizes: dict[str, int] = {}
     params = {}
     for name in PARAM_NAMES:
-        entry = payload["params"][name]
-        arr = np.frombuffer(
-            base64.b64decode(entry["data"]), dtype="<f8"
-        ).reshape(entry["shape"])
+        where = f"{path}: parameter {name}"
+        if name not in entries:
+            raise ValueError(f"{where} is missing")
+        shape, data = entries[name]["shape"], base64.b64decode(entries[name]["data"])
+        dims = _PARAM_DIMS[name]
+        if not (
+            isinstance(shape, list)
+            and len(shape) == len(dims)
+            and all(type(n) is int and n >= 0 for n in shape)
+        ):
+            raise ValueError(f"{where}: shape {shape!r} is not {len(dims)} sizes")
+        if 8 * math.prod(shape) != len(data):
+            raise ValueError(f"{where}: shape {shape} does not fit {len(data)} data bytes")
+        for dim, n in zip(dims, shape):
+            if sizes.setdefault(dim, n) != n:
+                raise ValueError(
+                    f"{where}: shape {shape} disagrees with the {dim} size "
+                    f"{sizes[dim]} of the other parameters"
+                )
+        arr = np.frombuffer(data, dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{where} has non-finite values")
         params[name] = arr.copy()
     return ToyAcousticModel(params)

@@ -23,7 +23,7 @@ DEFAULT_HESITATIONS = ("uh", "um", "er", "ah", "hmm")
 # CJK Unified Ideographs + Extension A
 _CJK_RANGES = ((0x4E00, 0x9FFF), (0x3400, 0x4DBF))
 
-_LATIN_RUN = re.compile(r"[a-z']+")
+LATIN_RUN = re.compile(r"[a-z']+")
 _MULTI_SPACE = re.compile(r" +")
 
 
@@ -107,7 +107,7 @@ def normalize_text(raw: str, hesitations: Sequence[str] = DEFAULT_HESITATIONS) -
             kept.append(ch)
     text = "".join(kept)
     hes = frozenset(hesitations)
-    text = _LATIN_RUN.sub(lambda m: "" if m.group(0) in hes else m.group(0), text)
+    text = LATIN_RUN.sub(lambda m: "" if m.group(0) in hes else m.group(0), text)
     return _MULTI_SPACE.sub(" ", text).strip()
 
 

@@ -157,6 +157,18 @@ def test_evaluate_empty_reference_line_exits_2_naming_it(tmp_path, capsys):
     assert "line 2: reference is empty" in capsys.readouterr().err
 
 
+def test_evaluate_reference_outside_inventory_exits_2_naming_it(tmp_path, capsys):
+    assert _evaluate(tmp_path, "ab\nHello\n", "ab\nab\n") == 2
+    err = capsys.readouterr().err
+    assert "ref.txt: line 2: unexpected character 'H'" in err
+
+
+def test_evaluate_hypothesis_outside_inventory_exits_2_naming_it(tmp_path, capsys):
+    assert _evaluate(tmp_path, "ab 你\nba\n", "X1\nba\n") == 2
+    err = capsys.readouterr().err
+    assert "hyp.txt: line 1: unexpected character 'X'" in err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code = main([
         "decode", "--vocab", str(tmp_path / "nope.txt"), "--grid", str(tmp_path / "g")

@@ -174,23 +174,38 @@ def test_trailing_latin_word_completes_at_utterance_end():
 
 
 def test_lm_cache_scores_each_context_token_pair_once(monkeypatch):
+    # 他 is outside the LM's vocabulary, so its column scores as <unk>
+    vocab = GraphemeVocab(("<blank>", "a", "b", " ", "你", "好", "他"))
     corpus = [
         lm_mod.tokenize_lm(s)
-        for s in ("ab a 你", "a 你 你", "ba ab", "你 a", "ab ab 你 a", "b 你 ab")
+        for s in ("ab a 你", "a 你 好", "ba ab", "你 a", "ab ab 你好 a", "b 好 ab")
     ]
     model = lm_mod.train_kn(corpus, order=5)
-    calls = []
-    real_score = lm_mod.score
+    calls, row_misses, memos = [], [], []
+    real_score, real_row = lm_mod.score, lm_mod.log10_row
 
-    def recording(model, state, token):
+    def recording_score(model, state, token):
         calls.append((state.context, token))
         return real_score(model, state, token)
 
-    monkeypatch.setattr(lm_mod, "score", recording)
-    grid = random_grid(np.random.default_rng(8), 12, len(TINY))
-    beam_decode(grid, TINY, FusionConfig(0.2, 1.0, 100), model)
+    def recording_row(model, context, words, memo):
+        if len(words) > 1:  # a CJK row, not a one-word `score` lookup
+            memos.append(memo)
+            if context not in memo:
+                row_misses.append(context)
+        return real_row(model, context, words, memo)
+
+    monkeypatch.setattr(lm_mod, "score", recording_score)
+    monkeypatch.setattr(lm_mod, "log10_row", recording_row)
+    grid = random_grid(np.random.default_rng(8), 12, len(vocab))
+    beam_decode(grid, vocab, FusionConfig(0.2, 1.0, 100), model)
     assert calls
     assert len(calls) == len(set(calls))
+    assert not {token for _, token in calls} & {"你", "好", "他"}
+    # one suffix memo per decode, and no context's row is built twice
+    assert len({id(m) for m in memos}) == 1
+    assert len(row_misses) == len(set(row_misses))
+    assert {len(c) for c in row_misses} == {0, 1, 2, 3, 4}
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,3 +1,6 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -123,3 +126,46 @@ def test_vocab_fingerprint_distinguishes_inventories():
     v2 = GraphemeVocab(("<blank>", "a", "b", " ", "我"))
     assert vocab_fingerprint(VOCAB) != vocab_fingerprint(v2)
     assert vocab_fingerprint(VOCAB) == vocab_fingerprint(VOCAB)
+
+
+def _corrupt_checkpoint(tmp_path, edit):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_model(4, len(VOCAB), hidden_dim=3, seed=9), path, VOCAB)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload["params"])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def _f8(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def test_checkpoint_rejects_missing_parameter(tmp_path):
+    path = _corrupt_checkpoint(tmp_path, lambda p: p.pop("w_hh"))
+    with pytest.raises(ValueError, match=r"m\.ckpt: parameter w_hh is missing"):
+        load_checkpoint(path, VOCAB)
+
+
+def test_checkpoint_rejects_shape_that_does_not_fit_data(tmp_path):
+    path = _corrupt_checkpoint(tmp_path, lambda p: p["b_h"].update(shape=[4]))
+    with pytest.raises(ValueError, match=r"m\.ckpt: parameter b_h: shape \[4\] does not fit"):
+        load_checkpoint(path, VOCAB)
+
+
+def test_checkpoint_rejects_shape_disagreeing_with_other_parameters(tmp_path):
+    def edit(p):
+        p["b_h"] = {"shape": [4], "data": _f8(np.zeros(4))}
+
+    path = _corrupt_checkpoint(tmp_path, edit)
+    with pytest.raises(ValueError, match=r"m\.ckpt: parameter b_h: .* hidden size 3"):
+        load_checkpoint(path, VOCAB)
+
+
+def test_checkpoint_rejects_non_finite_values(tmp_path):
+    def edit(p):
+        p["b_y"]["data"] = _f8([0.0, 1.0, np.nan, 0.0, 0.0])
+
+    path = _corrupt_checkpoint(tmp_path, edit)
+    with pytest.raises(ValueError, match=r"m\.ckpt: parameter b_y has non-finite"):
+        load_checkpoint(path, VOCAB)

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import ctc, decoder, lm, metrics, synth, training
 from . import model as model_mod
-from .features import extract_features, read_feat, read_wav
 from .vocab import build_vocab, load_vocab, save_vocab
 
 logger = logging.getLogger("csasr")
@@ -146,10 +145,6 @@ def cmd_finetune(args) -> None:
     print(f"wrote {args.out}")
 
 
-def _decode_grid(grid, vocab, cfg, lm_model, nbest):
-    return decoder.beam_decode(grid, vocab, cfg, lm_model, nbest=nbest)
-
-
 def cmd_decode(args) -> None:
     vocab = load_vocab(_require_file(args.vocab))
     lm_model = lm.read_arpa(_require_file(args.lm)) if args.lm else None
@@ -159,19 +154,16 @@ def cmd_decode(args) -> None:
     elif args.checkpoint and args.manifest:
         am = model_mod.load_checkpoint(_require_file(args.checkpoint), vocab)
         manifest = _require_file(args.manifest)
-        grids = []
-        for entry in training.load_manifest(manifest):
-            p = Path(entry.path)
-            if not p.is_absolute():
-                p = manifest.parent / p
-            frames = extract_features(read_wav(p)) if p.suffix == ".wav" else read_feat(p)
-            grids.append(model_mod.forward(am, frames))
+        grids = [
+            model_mod.forward(am, training.load_frames(e, manifest.parent))
+            for e in training.load_manifest(manifest)
+        ]
     else:
         raise UsageError("provide --grid or both --checkpoint and --manifest")
 
     top_texts = []
     for grid in grids:
-        hyps = _decode_grid(grid, vocab, cfg, lm_model, args.nbest)
+        hyps = decoder.beam_decode(grid, vocab, cfg, lm_model, nbest=args.nbest)
         top_texts.append(hyps[0].text)
         for h in hyps:
             print(f"{h.score:.6f}\t{h.text}")

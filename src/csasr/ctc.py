@@ -12,12 +12,12 @@ layer.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .features import read_matrix, write_matrix
 from .vocab import BLANK_ID
 
 NEG_INF = float("-inf")
@@ -192,36 +192,11 @@ def ctc_loss_bruteforce(grid: PosteriorGrid, target: Sequence[int]) -> float:
 
 
 def write_grid(grid: PosteriorGrid, path) -> None:
-    T, V = grid.logp.shape
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"CTCGRID v1 T={T} V={V}\n")
-        for row in grid.logp:
-            f.write(" ".join("%.17g" % x for x in row) + "\n")
-
-
-_GRID_HEADER = re.compile(r"^CTCGRID v1 T=(\d+) V=(\d+)$")
+    write_matrix(grid.logp, path, "CTCGRID v1", "V")
 
 
 def read_grid(path) -> PosteriorGrid:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise MalformedGrid(1, "empty file")
-    m = _GRID_HEADER.match(lines[0])
-    if not m:
-        raise MalformedGrid(1, f"bad header {lines[0]!r}")
-    T, V = int(m.group(1)), int(m.group(2))
-    if len(lines) - 1 != T:
-        raise MalformedGrid(len(lines), f"expected {T} rows, found {len(lines) - 1}")
-    rows = np.empty((T, V))
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != V:
-            raise MalformedGrid(i, f"expected {V} values, found {len(parts)}")
-        try:
-            rows[i - 2] = [float(p) for p in parts]
-        except ValueError as e:
-            raise MalformedGrid(i, str(e)) from None
+    rows = read_matrix(path, "CTCGRID v1", "V", MalformedGrid)
     try:
         return PosteriorGrid(rows)
     except ValueError as e:

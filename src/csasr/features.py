@@ -1,16 +1,14 @@
 """Log-spectrogram features over non-overlapping 20 ms windows at 8 kHz.
 
 Stride equals window width, so a waveform of N samples yields floor(N/160)
-frames of 81 magnitude bins. Mean/variance normalization is fit at dataset
-level, never per utterance.
+frames of 81 magnitude bins. The text-matrix file format shared by `.feat`
+files and CTC grid files is read and written here.
 """
 
 from __future__ import annotations
 
 import re
 import wave
-from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -45,24 +43,6 @@ def extract_features(waveform) -> np.ndarray:
     return np.log(magnitude + LOG_FLOOR)
 
 
-@dataclass(frozen=True)
-class FeatureNormalizer:
-    mean: np.ndarray
-    std: np.ndarray
-
-    def apply(self, frames: np.ndarray) -> np.ndarray:
-        return (frames - self.mean) / self.std
-
-
-def fit_normalizer(frame_arrays: Iterable[np.ndarray]) -> FeatureNormalizer:
-    """Per-feature mean and standard deviation over all frames of a dataset."""
-    stacked = np.concatenate([np.asarray(a) for a in frame_arrays], axis=0)
-    if stacked.shape[0] == 0:
-        raise ValueError("no frames to fit on")
-    std = stacked.std(axis=0)
-    return FeatureNormalizer(stacked.mean(axis=0), np.maximum(std, 1e-8))
-
-
 def read_wav(path) -> np.ndarray:
     """Mono 16-bit PCM at 8 kHz, scaled to [-1, 1)."""
     with wave.open(str(path), "rb") as f:
@@ -85,33 +65,44 @@ def write_wav(waveform: np.ndarray, path) -> None:
         f.writeframes(samples.tobytes())
 
 
-_FEAT_HEADER = re.compile(r"^FEAT v1 T=(\d+) F=(\d+)$")
-
-
-def write_feat(frames: np.ndarray, path) -> None:
-    frames = np.asarray(frames, dtype=np.float64)
-    t, f_dim = frames.shape
+def write_matrix(matrix, path, magic: str, cols: str) -> None:
+    """A `{magic} T=<rows> {cols}=<columns>` header, then one line of
+    "%.17g" values per row, so floats (and infinities) round-trip exactly."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    t, width = matrix.shape
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"FEAT v1 T={t} F={f_dim}\n")
-        for row in frames:
+        f.write(f"{magic} T={t} {cols}={width}\n")
+        for row in matrix:
             f.write(" ".join("%.17g" % x for x in row) + "\n")
 
 
-def read_feat(path) -> np.ndarray:
+def read_matrix(path, magic: str, cols: str, error: type[ValueError]) -> np.ndarray:
+    """Inverse of write_matrix; raises error(line_number, reason)."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines:
-        raise MalformedFeatures(1, "empty file")
-    m = _FEAT_HEADER.match(lines[0])
+        raise error(1, "empty file")
+    m = re.match(rf"^{re.escape(magic)} T=(\d+) {cols}=(\d+)$", lines[0])
     if not m:
-        raise MalformedFeatures(1, f"bad header {lines[0]!r}")
-    t, f_dim = int(m.group(1)), int(m.group(2))
+        raise error(1, f"bad header {lines[0]!r}")
+    t, width = int(m.group(1)), int(m.group(2))
     if len(lines) - 1 != t:
-        raise MalformedFeatures(len(lines), f"expected {t} rows, found {len(lines) - 1}")
-    out = np.empty((t, f_dim))
+        raise error(len(lines), f"expected {t} rows, found {len(lines) - 1}")
+    rows = []  # parsed before allocating, so no header alone sizes the array
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split()
-        if len(parts) != f_dim:
-            raise MalformedFeatures(i, f"expected {f_dim} values, found {len(parts)}")
-        out[i - 2] = [float(p) for p in parts]
-    return out
+        if len(parts) != width:
+            raise error(i, f"expected {width} values, found {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as e:
+            raise error(i, str(e)) from None
+    return np.array(rows, dtype=np.float64).reshape(t, width)
+
+
+def write_feat(frames: np.ndarray, path) -> None:
+    write_matrix(frames, path, "FEAT v1", "F")
+
+
+def read_feat(path) -> np.ndarray:
+    return read_matrix(path, "FEAT v1", "F", MalformedFeatures)

@@ -30,7 +30,6 @@ UNK = "<unk>"
 
 KIND_LATIN_WORD = "latin_word"
 KIND_CJK_CHAR = "cjk_char"
-KIND_BOUNDARY = "boundary"
 
 # gram -> (log10 probability, log10 backoff weight or None)
 NGramTable = dict[tuple[str, ...], tuple[float, float | None]]
@@ -292,7 +291,7 @@ def read_arpa(path) -> NGramModel:
             fail(i, f"expected \\data\\, got {lines[i]!r}")
         i += 1
     if i == len(lines):
-        fail(len(lines) - 1, "missing \\data\\ section")
+        fail(max(len(lines) - 1, 0), "missing \\data\\ section")
     i += 1
 
     declared: dict[int, int] = {}
@@ -313,6 +312,7 @@ def read_arpa(path) -> NGramModel:
     order = max(declared)
 
     tables: dict[int, NGramTable] = {k: {} for k in range(1, order + 1)}
+    unigram_line = len(lines)
     seen_end = False
     while i < len(lines):
         line = lines[i].strip()
@@ -329,6 +329,8 @@ def read_arpa(path) -> NGramModel:
         k = int(m.group(1))
         if k not in tables:
             fail(i, f"section order {k} not declared")
+        if k == 1:
+            unigram_line = i + 1
         i += 1
         while i < len(lines) and lines[i].strip() and not lines[i].startswith("\\"):
             fields = lines[i].split()
@@ -348,5 +350,7 @@ def read_arpa(path) -> NGramModel:
             raise MalformedArpa(
                 len(lines), f"declared {n} {k}-grams, found {len(tables[k])}"
             )
+    if (UNK,) not in tables[1]:
+        raise MalformedArpa(unigram_line, f"1-grams lack {UNK}")
     vocabulary = frozenset(g[0] for g in tables[1])
     return NGramModel(order, tables, vocabulary)

@@ -31,15 +31,13 @@ class ErrorRateReport:
     def errors(self) -> int:
         return self.substitutions + self.insertions + self.deletions
 
-    def formatted(self) -> str:
-        return f"{self.rate:.2f}"
 
+def align(a: Sequence, b: Sequence) -> tuple[int, int, int, int, list[tuple[int, int]]]:
+    """Unit-cost alignment of reference a to hypothesis b.
 
-def edit_distance(a: Sequence, b: Sequence) -> tuple[int, int, int, int]:
-    """Unit-cost edit distance from reference a to hypothesis b.
-
-    Returns (distance, substitutions, insertions, deletions). Ties in the
-    backtrace prefer substitution over insertion over deletion.
+    Returns (distance, substitutions, insertions, deletions, pairs), where
+    pairs are the index pairs (i, j) matched or substituted, in order. Ties
+    in the backtrace prefer substitution over insertion over deletion.
     """
     n, m = len(a), len(b)
     dist = [[0] * (m + 1) for _ in range(n + 1)]
@@ -58,11 +56,13 @@ def edit_distance(a: Sequence, b: Sequence) -> tuple[int, int, int, int]:
             )
 
     subs = ins = dels = 0
+    pairs = []
     i, j = n, m
     while i > 0 or j > 0:
         here = dist[i][j]
         if i > 0 and j > 0 and dist[i - 1][j - 1] + (a[i - 1] != b[j - 1]) == here:
             subs += a[i - 1] != b[j - 1]
+            pairs.append((i - 1, j - 1))
             i, j = i - 1, j - 1
         elif j > 0 and dist[i][j - 1] + 1 == here:
             ins += 1
@@ -70,37 +70,13 @@ def edit_distance(a: Sequence, b: Sequence) -> tuple[int, int, int, int]:
         else:
             dels += 1
             i -= 1
-    return dist[n][m], subs, ins, dels
-
-
-def align_pairs(a: Sequence, b: Sequence) -> list[tuple[int, int]]:
-    """Index pairs (i, j) matched or substituted by the minimal alignment."""
-    n, m = len(a), len(b)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-    for j in range(1, m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            dist[i][j] = min(
-                dist[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
-                dist[i][j - 1] + 1,
-                dist[i - 1][j] + 1,
-            )
-    pairs = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        here = dist[i][j]
-        if i > 0 and j > 0 and dist[i - 1][j - 1] + (a[i - 1] != b[j - 1]) == here:
-            pairs.append((i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif j > 0 and dist[i][j - 1] + 1 == here:
-            j -= 1
-        else:
-            i -= 1
     pairs.reverse()
-    return pairs
+    return dist[n][m], subs, ins, dels, pairs
+
+
+def edit_distance(a: Sequence, b: Sequence) -> tuple[int, int, int, int]:
+    """(distance, substitutions, insertions, deletions) of `align`."""
+    return align(a, b)[:4]
 
 
 def cer(reference: str, hypothesis: str) -> ErrorRateReport:
@@ -172,7 +148,7 @@ def switch_point_score(reference: str, hypothesis: str) -> tuple[float, float]:
     hyp_tokens = [t.surface for t in tokenize_lm(hypothesis)]
     ref_sw = _switch_boundaries(ref_tokens)
     hyp_sw = _switch_boundaries(hyp_tokens)
-    pairs = set(align_pairs(ref_tokens, hyp_tokens))
+    pairs = set(align(ref_tokens, hyp_tokens)[4])
     hit = sum(
         1
         for i, j in pairs

@@ -29,6 +29,14 @@ MANIFEST_FIELDS = ("path", "transcript", "language", "duration_ms")
 LANGUAGES = ("L1", "L2", "mixed")
 
 
+class MalformedManifest(ValueError):
+    def __init__(self, path, line_number: int, reason: str):
+        super().__init__(f"{path}: line {line_number}: {reason}")
+        self.path = path
+        self.line_number = line_number
+        self.reason = reason
+
+
 class EmptyBatch(ValueError):
     pass
 
@@ -79,39 +87,47 @@ def save_manifest(entries: Sequence[ManifestEntry], path) -> None:
 
 def load_manifest(path) -> list[ManifestEntry]:
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_FIELDS:
-            raise ValueError(f"{path}: expected header {','.join(MANIFEST_FIELDS)}")
-        return [
-            ManifestEntry(
-                row["path"], row["transcript"], row["language"], int(row["duration_ms"])
+        reader = csv.reader(f)
+        try:
+            header = next(reader, ())
+            rows = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as e:
+            raise MalformedManifest(path, reader.line_num, str(e)) from None
+    if tuple(header) != MANIFEST_FIELDS:
+        raise MalformedManifest(path, 1, f"expected header {','.join(MANIFEST_FIELDS)}")
+    entries = []
+    for line, row in rows:
+        if len(row) != len(MANIFEST_FIELDS):
+            raise MalformedManifest(
+                path, line, f"expected {len(MANIFEST_FIELDS)} fields, found {len(row)}"
             )
-            for row in reader
-        ]
+        try:
+            entries.append(ManifestEntry(*row[:3], int(row[3])))
+        except ValueError:
+            raise MalformedManifest(
+                path, line, f"duration_ms {row[3]!r} is not an integer"
+            ) from None
+    return entries
+
+
+def load_frames(entry: ManifestEntry, base_dir=None) -> np.ndarray:
+    """Features of one entry, its path taken relative to base_dir: .wav
+    files go through extraction, other files are read as .feat matrices."""
+    p = Path(entry.path)
+    if base_dir is not None and not p.is_absolute():
+        p = Path(base_dir) / p
+    return extract_features(read_wav(p)) if p.suffix == ".wav" else read_feat(p)
 
 
 def load_examples(
-    entries: Iterable[ManifestEntry],
-    vocab: GraphemeVocab,
-    base_dir=None,
-    normalizer=None,
+    entries: Iterable[ManifestEntry], vocab: GraphemeVocab, base_dir=None
 ) -> list[Example]:
-    """Load features per entry; .wav files go through extraction, .feat files
-    are taken as ready-made (already normalized) features."""
-    base = Path(base_dir) if base_dir is not None else Path(".")
-    out = []
-    for e in entries:
-        p = Path(e.path)
-        if not p.is_absolute():
-            p = base / p
-        if p.suffix == ".wav":
-            frames = extract_features(read_wav(p))
-            if normalizer is not None:
-                frames = normalizer.apply(frames)
-        else:
-            frames = read_feat(p)
-        out.append(Example(frames, tuple(encode(e.transcript, vocab)), e.duration_ms, e.language))
-    return out
+    return [
+        Example(
+            load_frames(e, base_dir), tuple(encode(e.transcript, vocab)), e.duration_ms, e.language
+        )
+        for e in entries
+    ]
 
 
 def make_batches(

@@ -10,7 +10,6 @@ from csasr.features import (
     MalformedFeatures,
     TooShort,
     extract_features,
-    fit_normalizer,
     read_feat,
     read_wav,
     write_feat,
@@ -62,21 +61,6 @@ def test_matches_direct_dft_definition():
     np.testing.assert_allclose(frames[0], np.log(np.abs(dft) + LOG_FLOOR), atol=1e-9)
 
 
-def test_normalizer_zero_means_unit_variance():
-    rng = np.random.default_rng(1)
-    arrays = [rng.normal(3.0, 2.0, size=(50, 4)) for _ in range(3)]
-    norm = fit_normalizer(arrays)
-    stacked = np.concatenate([norm.apply(a) for a in arrays])
-    np.testing.assert_allclose(stacked.mean(axis=0), 0.0, atol=1e-12)
-    np.testing.assert_allclose(stacked.std(axis=0), 1.0, atol=1e-12)
-
-
-def test_normalizer_floors_zero_variance():
-    norm = fit_normalizer([np.ones((10, 2))])
-    out = norm.apply(np.ones((1, 2)))
-    assert np.all(np.isfinite(out))
-
-
 def test_wav_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     wave = rng.uniform(-0.5, 0.5, size=WINDOW_SAMPLES * 2)
@@ -111,3 +95,11 @@ def test_read_feat_rejects_row_mismatch(tmp_path):
     path.write_text("FEAT v1 T=2 F=1\n0.5\n", encoding="utf-8")
     with pytest.raises(MalformedFeatures):
         read_feat(path)
+
+
+def test_read_feat_rejects_non_numeric_cell_with_its_line(tmp_path):
+    path = tmp_path / "x.feat"
+    path.write_text("FEAT v1 T=2 F=2\n0.5 abc\n1 2\n", encoding="utf-8")
+    with pytest.raises(MalformedFeatures) as info:
+        read_feat(path)
+    assert info.value.line_number == 2

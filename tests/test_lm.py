@@ -211,6 +211,26 @@ def test_read_arpa_rejects_garbage_probability(tmp_path):
     assert info.value.line_number == 5
 
 
+def test_read_arpa_rejects_unigrams_without_unk_at_their_section(tmp_path):
+    path = tmp_path / "bad.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.3 a\n-0.3 </s>\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedArpa) as info:
+        read_arpa(path)
+    assert info.value.line_number == 4
+    assert "<unk>" in info.value.reason
+
+
+def test_read_arpa_reports_line_1_for_an_empty_file(tmp_path):
+    path = tmp_path / "empty.arpa"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(MalformedArpa) as info:
+        read_arpa(path)
+    assert info.value.line_number == 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_normalization_holds_on_random_corpora(data):

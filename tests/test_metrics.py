@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from csasr.metrics import (
     EmptyReference,
-    align_pairs,
+    align,
     cer,
     corpus_cer,
     corpus_wer,
@@ -57,7 +57,7 @@ def test_edit_distance_is_symmetric_in_distance(a, b):
 
 def test_align_pairs_is_monotone_and_valid():
     a, b = "abcd", "axcd"
-    pairs = align_pairs(a, b)
+    pairs = align(a, b)[4]
     assert all(0 <= i < len(a) and 0 <= j < len(b) for i, j in pairs)
     assert pairs == sorted(pairs)
     assert (0, 0) in pairs and (3, 3) in pairs

@@ -8,6 +8,7 @@ from csasr.training import (
     AllInfeasible,
     EmptyBatch,
     Example,
+    MalformedManifest,
     ManifestEntry,
     SgdTrainer,
     TrainConfig,
@@ -54,6 +55,29 @@ def test_load_manifest_rejects_wrong_header(tmp_path):
     path.write_text("file,text\nx,y\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_manifest(path)
+
+
+def test_load_manifest_rejects_short_row_with_path_and_line(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text(
+        "path,transcript,language,duration_ms\na.feat,ab,L1,120\nb.feat,ab\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedManifest) as info:
+        load_manifest(path)
+    assert info.value.line_number == 3
+    assert str(info.value).startswith(f"{path}: line 3: ")
+
+
+def test_load_manifest_rejects_non_integer_duration_with_path_and_line(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text(
+        "path,transcript,language,duration_ms\na.feat,ab,L1,12.5\n", encoding="utf-8"
+    )
+    with pytest.raises(MalformedManifest) as info:
+        load_manifest(path)
+    assert info.value.line_number == 2
+    assert str(info.value) == f"{path}: line 2: duration_ms '12.5' is not an integer"
 
 
 def test_load_examples_reads_feat_files(tmp_path):

@@ -3,7 +3,8 @@
 One binary with subcommands sharing config/provenance handling: every
 command that owns an output directory drops a config.json snapshot with
 the seed, so a run can be reproduced from its artifacts alone. Exit
-codes: 0 ok, 1 computation error, 2 usage or config error.
+codes: 0 ok, 1 computation error, 2 usage or config error or a malformed
+input file.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import ctc, decoder, lm, metrics, synth, training
 from . import model as model_mod
-from .vocab import build_vocab, load_vocab, save_vocab
+from .vocab import MalformedFile, build_vocab, load_vocab, save_vocab
 
 logger = logging.getLogger("csasr")
 
@@ -304,13 +305,27 @@ def cmd_run_matrix(args) -> None:
     print(f"wrote {out / 'cer_matrix.csv'}")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def unit_fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
 def _add_train_flags(p: argparse.ArgumentParser, default_lr: float, default_epochs: int):
     p.add_argument("--lr", type=float, default=default_lr)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--no-nesterov", action="store_true")
-    p.add_argument("--batch-size", type=int, default=20)
-    p.add_argument("--epochs", type=int, default=default_epochs)
-    p.add_argument("--hidden", type=int, default=64)
+    p.add_argument("--batch-size", type=positive_int, default=20)
+    p.add_argument("--epochs", type=positive_int, default=default_epochs)
+    p.add_argument("--hidden", type=positive_int, default=64)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,10 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic feature corpus")
     p.add_argument("--language", choices=training.LANGUAGES, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=positive_int, required=True)
     p.add_argument("--latin", default=DEFAULT_LATIN)
     p.add_argument("--cjk", default=DEFAULT_CJK)
-    p.add_argument("--feature-dim", type=int, default=12)
+    p.add_argument("--feature-dim", type=positive_int, default=12)
     p.add_argument("--sigma", type=float, default=0.4)
     p.add_argument("--p-switch", type=float, default=0.3)
     p.add_argument("--tag", default=None)
@@ -336,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-lm", help="train a Kneser-Ney n-gram LM to ARPA")
     p.add_argument("--corpus", required=True, help="normalized text, one utterance per line")
-    p.add_argument("--order", type=int, default=5)
+    p.add_argument("--order", type=positive_int, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_lm)
 
@@ -358,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--fraction", type=float, default=1.0)
+    p.add_argument("--fraction", type=unit_fraction, default=1.0)
     p.add_argument("--out", required=True)
     _add_train_flags(p, default_lr=3e-4, default_epochs=10)
     p.set_defaults(func=cmd_finetune)
@@ -371,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm")
     p.add_argument("--alpha", type=float, default=0.2)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--beam", type=int, default=100)
-    p.add_argument("--nbest", type=int, default=1)
+    p.add_argument("--beam", type=positive_int, default=100)
+    p.add_argument("--nbest", type=positive_int, default=1)
     p.add_argument("--hyp-out", type=Path, default=None)
     p.set_defaults(func=cmd_decode)
 
@@ -387,23 +402,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--latin", default=DEFAULT_LATIN)
     p.add_argument("--cjk", default=DEFAULT_CJK)
-    p.add_argument("--feature-dim", type=int, default=12)
+    p.add_argument("--feature-dim", type=positive_int, default=12)
     p.add_argument("--sigma", type=float, default=0.4)
     p.add_argument("--p-switch", type=float, default=0.3)
-    p.add_argument("--mono-count", type=int, default=150)
-    p.add_argument("--cs-count", type=int, default=240)
-    p.add_argument("--test-count", type=int, default=100)
-    p.add_argument("--hidden", type=int, default=12)
+    p.add_argument("--mono-count", type=positive_int, default=150)
+    p.add_argument("--cs-count", type=positive_int, default=240)
+    p.add_argument("--test-count", type=positive_int, default=100)
+    p.add_argument("--hidden", type=positive_int, default=12)
     p.add_argument("--lr", type=float, default=0.008)
     p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch-size", type=int, default=20)
-    p.add_argument("--pretrain-epochs", type=int, default=6)
-    p.add_argument("--finetune-epochs", type=int, default=3)
-    p.add_argument("--lm-order", type=int, default=5)
-    p.add_argument("--lm-text-count", type=int, default=1500)
+    p.add_argument("--batch-size", type=positive_int, default=20)
+    p.add_argument("--pretrain-epochs", type=positive_int, default=6)
+    p.add_argument("--finetune-epochs", type=positive_int, default=3)
+    p.add_argument("--lm-order", type=positive_int, default=5)
+    p.add_argument("--lm-text-count", type=positive_int, default=1500)
     p.add_argument("--alpha", type=float, default=0.2)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--beam", type=int, default=100)
+    p.add_argument("--beam", type=positive_int, default=100)
     p.set_defaults(func=cmd_run_matrix)
 
     return parser
@@ -418,7 +433,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except UsageError as e:
+    except (UsageError, MalformedFile) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FileNotFoundError as e:

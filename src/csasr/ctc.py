@@ -7,6 +7,14 @@ gradient is taken with respect to the log-probability grid under the
 constraint that each row stays log-softmax-normalized, so rows of the
 gradient sum to zero and it composes directly with a log-softmax output
 layer.
+
+The backward variables beta are the forward recursion run over the
+reversed frames and the reversed extended labels (Graves et al., 2006),
+so `ctc_loss` runs alpha and beta in one frame loop whose numpy calls
+cover both. Values are bit-identical to two separate loops: every
+element is the same `emit + logaddexp(stay, logaddexp(step, jump))` of
+the same float64 operands, and numpy's elementwise ufuncs round each
+element alike whatever the array around it.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .features import read_matrix, write_matrix
-from .vocab import BLANK_ID
+from .vocab import BLANK_ID, MalformedFile
 
 NEG_INF = float("-inf")
 
@@ -33,11 +41,8 @@ class TooLarge(ValueError):
     """Brute-force enumeration would exceed the path-count guard."""
 
 
-class MalformedGrid(ValueError):
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"line {line_number}: {reason}")
-        self.line_number = line_number
-        self.reason = reason
+class MalformedGrid(MalformedFile):
+    pass
 
 
 @dataclass(frozen=True)
@@ -129,30 +134,20 @@ def ctc_loss(grid: PosteriorGrid, target: Sequence[int]) -> CtcLossResult:
     S = ext.shape[0]
     emit = lp[:, ext]  # T x S
 
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    if S > 1:
-        alpha[0, 1] = emit[0, 1]
+    # row 0 of each frame is alpha; row 1 is beta run as the same recursion
+    # over reversed frames and reversed labels (whose skip mask is that of
+    # the reversed target); two -inf columns pad each row on the left
+    emits = np.stack((emit, emit[::-1, ::-1]), axis=1)  # T x 2 x S
+    skips = np.stack((skip, _extended_labels(target[::-1])[1]))
+    ab = np.full((T, 2, S + 2), NEG_INF)
+    ab[0, :, 2:4] = emits[0, :, :2]
     for t in range(1, T):
-        prev = alpha[t - 1]
-        stay = prev
-        step = np.concatenate(([NEG_INF], prev))[:S]
-        jump = np.concatenate(([NEG_INF, NEG_INF], prev))[:S]
-        jump = np.where(skip, jump, NEG_INF)
-        alpha[t] = emit[t] + np.logaddexp(stay, np.logaddexp(step, jump))
-
-    beta = np.full((T, S), NEG_INF)
-    beta[T - 1, S - 1] = emit[T - 1, S - 1]
-    if S > 1:
-        beta[T - 1, S - 2] = emit[T - 1, S - 2]
-    for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1]
-        stay = nxt
-        step = np.concatenate((nxt, [NEG_INF]))[1 : S + 1]
-        jump = np.concatenate((nxt, [NEG_INF, NEG_INF]))[2 : S + 2]
-        skip_ahead = np.concatenate((skip, [False, False]))[2 : S + 2]
-        jump = np.where(skip_ahead, jump, NEG_INF)
-        beta[t] = emit[t] + np.logaddexp(stay, np.logaddexp(step, jump))
+        prev = ab[t - 1]
+        jump = np.where(skips, prev[:, :-2], NEG_INF)
+        step_or_jump = np.logaddexp(prev[:, 1:-1], jump)
+        ab[t, :, 2:] = emits[t] + np.logaddexp(prev[:, 2:], step_or_jump)
+    alpha = ab[:, 0, 2:]
+    beta = ab[::-1, 1, :1:-1]  # beta[t, s] = ab[T-1-t, 1, S+1-s]
 
     tail = alpha[T - 1, S - 1]
     if S > 1:
@@ -200,4 +195,4 @@ def read_grid(path) -> PosteriorGrid:
     try:
         return PosteriorGrid(rows)
     except ValueError as e:
-        raise MalformedGrid(1, str(e)) from None
+        raise MalformedGrid(path, 1, str(e)) from None

@@ -282,10 +282,13 @@ def beam_decode(
             survivors.append((prefix, NEG_INF, float(ext[k, c]), token_fields))
         prefixes, pb, pnb, fields = zip(*survivors)
 
-    hyps = []
+    final = []
     for prefix, b, nb, token_fields in zip(prefixes, pb, pnb, fields):
         _, log10, n = cache.complete(*token_fields)
         q = _logaddexp(b, nb) + lm_weight * log10 + cfg.beta * n
-        hyps.append(Hypothesis(prefix, decode_ids(prefix, vocab), q))
-    hyps.sort(key=lambda h: (-h.score, h.ids))
-    return hyps[: nbest if nbest is not None else width]
+        final.append((-q, prefix))
+    final.sort()
+    return [
+        Hypothesis(prefix, decode_ids(prefix, vocab), -neg_q)
+        for neg_q, prefix in final[: nbest if nbest is not None else width]
+    ]

@@ -12,6 +12,8 @@ import wave
 
 import numpy as np
 
+from .vocab import MalformedFile
+
 SAMPLE_RATE = 8000
 WINDOW_SAMPLES = 160  # 20 ms
 NUM_BINS = WINDOW_SAMPLES // 2 + 1
@@ -23,11 +25,8 @@ class TooShort(ValueError):
     """Waveform shorter than one analysis window."""
 
 
-class MalformedFeatures(ValueError):
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"line {line_number}: {reason}")
-        self.line_number = line_number
-        self.reason = reason
+class MalformedFeatures(MalformedFile):
+    pass
 
 
 def extract_features(waveform) -> np.ndarray:
@@ -76,27 +75,27 @@ def write_matrix(matrix, path, magic: str, cols: str) -> None:
             f.write(" ".join("%.17g" % x for x in row) + "\n")
 
 
-def read_matrix(path, magic: str, cols: str, error: type[ValueError]) -> np.ndarray:
-    """Inverse of write_matrix; raises error(line_number, reason)."""
+def read_matrix(path, magic: str, cols: str, error: type[MalformedFile]) -> np.ndarray:
+    """Inverse of write_matrix; raises error(path, line_number, reason)."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines:
-        raise error(1, "empty file")
+        raise error(path, 1, "empty file")
     m = re.match(rf"^{re.escape(magic)} T=(\d+) {cols}=(\d+)$", lines[0])
     if not m:
-        raise error(1, f"bad header {lines[0]!r}")
+        raise error(path, 1, f"bad header {lines[0]!r}")
     t, width = int(m.group(1)), int(m.group(2))
     if len(lines) - 1 != t:
-        raise error(len(lines), f"expected {t} rows, found {len(lines) - 1}")
+        raise error(path, len(lines), f"expected {t} rows, found {len(lines) - 1}")
     rows = []  # parsed before allocating, so no header alone sizes the array
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != width:
-            raise error(i, f"expected {width} values, found {len(parts)}")
+            raise error(path, i, f"expected {width} values, found {len(parts)}")
         try:
             rows.append([float(p) for p in parts])
         except ValueError as e:
-            raise error(i, str(e)) from None
+            raise error(path, i, str(e)) from None
     return np.array(rows, dtype=np.float64).reshape(t, width)
 
 

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .vocab import LATIN_RUN, is_cjk
+from .vocab import LATIN_RUN, MalformedFile, is_cjk
 
 BOS = "<s>"
 EOS = "</s>"
@@ -35,11 +35,8 @@ KIND_CJK_CHAR = "cjk_char"
 NGramTable = dict[tuple[str, ...], tuple[float, float | None]]
 
 
-class MalformedArpa(ValueError):
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"line {line_number}: {reason}")
-        self.line_number = line_number
-        self.reason = reason
+class MalformedArpa(MalformedFile):
+    pass
 
 
 @dataclass(frozen=True)
@@ -283,7 +280,7 @@ def read_arpa(path) -> NGramModel:
         lines = f.read().splitlines()
 
     def fail(i: int, reason: str):
-        raise MalformedArpa(i + 1, reason)
+        raise MalformedArpa(path, i + 1, reason)
 
     i = 0
     while i < len(lines) and lines[i].strip() != "\\data\\":
@@ -344,13 +341,13 @@ def read_arpa(path) -> NGramModel:
             tables[k][tuple(fields[1 : k + 1])] = (logp, bow)
             i += 1
     if not seen_end:
-        raise MalformedArpa(len(lines), "missing \\end\\ marker")
+        raise MalformedArpa(path, len(lines), "missing \\end\\ marker")
     for k, n in declared.items():
         if len(tables[k]) != n:
             raise MalformedArpa(
-                len(lines), f"declared {n} {k}-grams, found {len(tables[k])}"
+                path, len(lines), f"declared {n} {k}-grams, found {len(tables[k])}"
             )
     if (UNK,) not in tables[1]:
-        raise MalformedArpa(unigram_line, f"1-grams lack {UNK}")
+        raise MalformedArpa(path, unigram_line, f"1-grams lack {UNK}")
     vocabulary = frozenset(g[0] for g in tables[1])
     return NGramModel(order, tables, vocabulary)

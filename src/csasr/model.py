@@ -95,8 +95,9 @@ def forward_states(model: ToyAcousticModel, frames: np.ndarray):
     hs = np.zeros((t_len, model.hidden_dim))
     h = np.zeros(model.hidden_dim)
     pre = frames @ p["w_xh"].T + p["b_h"]
+    w_hh = p["w_hh"]
     for t in range(t_len):
-        h = np.tanh(pre[t] + p["w_hh"] @ h)
+        h = np.tanh(pre[t] + w_hh @ h)
         hs[t] = h
     logits = hs @ p["w_hy"].T + p["b_y"]
     return hs, _log_softmax(logits)
@@ -113,27 +114,43 @@ def backward(
     hs: np.ndarray,
     dlogits: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Backpropagation through time; returns gradients per parameter."""
+    """Backpropagation through time; returns gradients per parameter.
+
+    Only the dh recursion runs per frame. Each frame's da is stored last
+    frame first, and the w_xh, b_h and w_hh gradients are one reduce over
+    the per-frame outer products of da with [x_t, 1, h_{t-1}] in that
+    order (frame 0, which has no h_{t-1}, is added to w_xh and b_h alone).
+    The values are bit-identical to accumulating `+= np.outer(...)` inside
+    the loop: the products are the same, and `np.add.reduce` over axis 0
+    adds them one frame at a time from 0.0 when each frame's block has more
+    than one element, which [x_t, 1, ...] ensures (a one-element block,
+    such as b_h alone with one hidden unit, is summed pairwise). A matrix
+    product such as `das.T @ X` would let BLAS reorder the sums.
+    """
     p = model.params
     frames = np.asarray(frames, dtype=np.float64)
-    t_len = frames.shape[0]
-    grads = {
+    t_len, f = frames.shape
+    w_hy_t, w_hh_t = p["w_hy"].T, p["w_hh"].T
+    dtanh = 1.0 - hs**2
+    das = np.empty((t_len, model.hidden_dim))  # frame t at row t_len-1-t
+    dh_next = np.zeros(model.hidden_dim)
+    for i, t in enumerate(range(t_len - 1, -1, -1)):
+        das[i] = da = (w_hy_t @ dlogits[t] + dh_next) * dtanh[t]
+        dh_next = w_hh_t @ da
+    inputs = np.zeros((t_len, f + 1 + model.hidden_dim))
+    inputs[:, :f] = frames[::-1]
+    inputs[:, f] = 1.0
+    inputs[:-1, f + 1 :] = hs[-2::-1]
+    terms = das[:, :, None] * inputs[:, None, :]
+    total = np.add.reduce(terms[:-1], axis=0, initial=0.0)
+    total[:, : f + 1] += terms[-1, :, : f + 1]
+    return {
         "w_hy": dlogits.T @ hs,
         "b_y": dlogits.sum(axis=0),
-        "w_xh": np.zeros_like(p["w_xh"]),
-        "w_hh": np.zeros_like(p["w_hh"]),
-        "b_h": np.zeros_like(p["b_h"]),
+        "w_xh": total[:, :f],
+        "w_hh": total[:, f + 1 :],
+        "b_h": total[:, f],
     }
-    dh_next = np.zeros(model.hidden_dim)
-    for t in range(t_len - 1, -1, -1):
-        dh = p["w_hy"].T @ dlogits[t] + dh_next
-        da = dh * (1.0 - hs[t] ** 2)
-        grads["w_xh"] += np.outer(da, frames[t])
-        if t > 0:
-            grads["w_hh"] += np.outer(da, hs[t - 1])
-        grads["b_h"] += da
-        dh_next = p["w_hh"].T @ da
-    return grads
 
 
 def vocab_fingerprint(vocab: GraphemeVocab) -> str:

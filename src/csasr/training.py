@@ -21,7 +21,7 @@ import numpy as np
 from . import model as model_mod
 from .ctc import InfeasibleTarget, PosteriorGrid, ctc_loss
 from .features import extract_features, read_feat, read_wav
-from .vocab import GraphemeVocab, encode
+from .vocab import GraphemeVocab, MalformedFile, encode
 
 logger = logging.getLogger(__name__)
 
@@ -29,12 +29,8 @@ MANIFEST_FIELDS = ("path", "transcript", "language", "duration_ms")
 LANGUAGES = ("L1", "L2", "mixed")
 
 
-class MalformedManifest(ValueError):
-    def __init__(self, path, line_number: int, reason: str):
-        super().__init__(f"{path}: line {line_number}: {reason}")
-        self.path = path
-        self.line_number = line_number
-        self.reason = reason
+class MalformedManifest(MalformedFile):
+    pass
 
 
 class EmptyBatch(ValueError):

@@ -27,6 +27,16 @@ LATIN_RUN = re.compile(r"[a-z']+")
 _MULTI_SPACE = re.compile(r" +")
 
 
+class MalformedFile(ValueError):
+    """An input file breaks its format; the message is `PATH: line N: reason`."""
+
+    def __init__(self, path, line_number: int, reason: str):
+        super().__init__(f"{path}: line {line_number}: {reason}")
+        self.path = path
+        self.line_number = line_number
+        self.reason = reason
+
+
 class UnknownGrapheme(ValueError):
     """A character has no id in the vocabulary."""
 
@@ -167,5 +177,13 @@ def load_vocab(path) -> GraphemeVocab:
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != BLANK_TOKEN:
-        raise ValueError(f"vocab file must start with the literal line {BLANK_TOKEN!r}")
+        raise MalformedFile(path, 1, f"expected the literal line {BLANK_TOKEN!r}")
+    first: dict[str, int] = {}
+    for n, unit in enumerate(lines, 1):
+        if first.setdefault(unit, n) != n:
+            raise MalformedFile(path, n, f"unit {unit!r} repeats line {first[unit]}")
+        try:
+            script_of(unit)
+        except ValueError as e:
+            raise MalformedFile(path, n, str(e)) from None
     return GraphemeVocab(tuple(lines))

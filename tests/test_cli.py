@@ -190,11 +190,63 @@ def test_synth_without_output_dir_exits_2(capsys):
 
 
 def test_internal_error_exits_1(pipeline, tmp_path, capsys):
-    bad = tmp_path / "bad.grid"
-    bad.write_text("CTCGRID v1 T=1 V=2\nnot numbers\n", encoding="utf-8")
-    code = main(["decode", "--vocab", str(pipeline["vocab"]), "--grid", str(bad)])
+    # a well-formed grid whose width does not match the vocabulary
+    grid = tmp_path / "narrow.grid"
+    half = "-0.69314718055994529"
+    grid.write_text(f"CTCGRID v1 T=1 V=2\n{half} {half}\n", encoding="utf-8")
+    code = main(["decode", "--vocab", str(pipeline["vocab"]), "--grid", str(grid)])
     assert code == 1
-    capsys.readouterr()
+    assert "does not match vocab size" in capsys.readouterr().err
+
+
+def test_malformed_grid_exits_2_naming_file_and_line(pipeline, tmp_path, capsys):
+    bad = tmp_path / "bad.grid"
+    bad.write_text("CTCGRID v1 T=2 V=2\n-0.5 -0.9\n-0.5 x\n", encoding="utf-8")
+    code = main(["decode", "--vocab", str(pipeline["vocab"]), "--grid", str(bad)])
+    assert code == 2
+    assert f"{bad}: line 3: could not convert" in capsys.readouterr().err
+
+
+def test_malformed_vocab_and_arpa_exit_2_naming_file_and_line(pipeline, tmp_path, capsys):
+    vocab = tmp_path / "bad_vocab.txt"
+    vocab.write_text("<blank>\na\nb\na\n", encoding="utf-8")
+    code = main(["decode", "--vocab", str(vocab), "--grid", str(tmp_path / "g")])
+    assert code == 2
+    assert f"{vocab}: line 4: unit 'a' repeats line 2" in capsys.readouterr().err
+
+    arpa = tmp_path / "bad.arpa"
+    lines = pipeline["arpa"].read_text(encoding="utf-8").splitlines()
+    lines[lines.index("\\1-grams:") + 1] += " extra"
+    arpa.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = tmp_path / "ppl.txt"
+    text.write_text("a\n", encoding="utf-8")
+    code = main(["perplexity", "--lm", str(arpa), "--corpus", str(text)])
+    assert code == 2
+    line = lines.index("\\1-grams:") + 2
+    assert f"{arpa}: line {line}: non-numeric probability field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "--vocab", "v", "--grid", "g", "--nbest", "0"],
+        ["decode", "--vocab", "v", "--grid", "g", "--beam", "-3"],
+        ["run-matrix", "--beam", "0"],
+        ["run-matrix", "--batch-size", "0"],
+        ["run-matrix", "--hidden", "0"],
+        ["finetune", "--vocab", "v", "--checkpoint", "c", "--manifest", "m",
+         "--out", "o", "--fraction", "0"],
+        ["finetune", "--vocab", "v", "--checkpoint", "c", "--manifest", "m",
+         "--out", "o", "--fraction", "1.5"],
+    ],
+)
+def test_out_of_range_numeric_option_exits_2_before_any_work(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["--output-dir", str(out)] + argv)
+    assert info.value.code == 2
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_decode_defaults():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -312,6 +313,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def unit_fraction(text: str) -> float:
     value = float(text)
     if not 0.0 < value <= 1.0:
@@ -320,8 +328,8 @@ def unit_fraction(text: str) -> float:
 
 
 def _add_train_flags(p: argparse.ArgumentParser, default_lr: float, default_epochs: int):
-    p.add_argument("--lr", type=float, default=default_lr)
-    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--lr", type=finite_float, default=default_lr)
+    p.add_argument("--momentum", type=finite_float, default=0.9)
     p.add_argument("--no-nesterov", action="store_true")
     p.add_argument("--batch-size", type=positive_int, default=20)
     p.add_argument("--epochs", type=positive_int, default=default_epochs)
@@ -343,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latin", default=DEFAULT_LATIN)
     p.add_argument("--cjk", default=DEFAULT_CJK)
     p.add_argument("--feature-dim", type=positive_int, default=12)
-    p.add_argument("--sigma", type=float, default=0.4)
+    p.add_argument("--sigma", type=finite_float, default=0.4)
     p.add_argument("--p-switch", type=float, default=0.3)
     p.add_argument("--tag", default=None)
     p.add_argument("--vocab-out", type=Path, default=None)
@@ -384,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--manifest")
     p.add_argument("--lm")
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--alpha", type=finite_float, default=0.2)
+    p.add_argument("--beta", type=finite_float, default=1.0)
     p.add_argument("--beam", type=positive_int, default=100)
     p.add_argument("--nbest", type=positive_int, default=1)
     p.add_argument("--hyp-out", type=Path, default=None)
@@ -403,21 +411,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latin", default=DEFAULT_LATIN)
     p.add_argument("--cjk", default=DEFAULT_CJK)
     p.add_argument("--feature-dim", type=positive_int, default=12)
-    p.add_argument("--sigma", type=float, default=0.4)
+    p.add_argument("--sigma", type=finite_float, default=0.4)
     p.add_argument("--p-switch", type=float, default=0.3)
     p.add_argument("--mono-count", type=positive_int, default=150)
     p.add_argument("--cs-count", type=positive_int, default=240)
     p.add_argument("--test-count", type=positive_int, default=100)
     p.add_argument("--hidden", type=positive_int, default=12)
-    p.add_argument("--lr", type=float, default=0.008)
-    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--lr", type=finite_float, default=0.008)
+    p.add_argument("--momentum", type=finite_float, default=0.9)
     p.add_argument("--batch-size", type=positive_int, default=20)
     p.add_argument("--pretrain-epochs", type=positive_int, default=6)
     p.add_argument("--finetune-epochs", type=positive_int, default=3)
     p.add_argument("--lm-order", type=positive_int, default=5)
     p.add_argument("--lm-text-count", type=positive_int, default=1500)
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--alpha", type=finite_float, default=0.2)
+    p.add_argument("--beta", type=finite_float, default=1.0)
     p.add_argument("--beam", type=positive_int, default=100)
     p.set_defaults(func=cmd_run_matrix)
 

@@ -8,19 +8,31 @@ utterance terminates it. Partial Latin words therefore carry no bonus,
 and the final fused score telescopes to Q evaluated on the whole
 transcript.
 
-Beam search layout: the beam of K prefixes is a set of parallel lists
-(prefix tuples, blank- and non-blank-ending masses pb/pnb, LM context,
-log10 LM sum, word count, pending Latin run). Each frame scores every
-candidate at once: a K x (V-1) array holds the mass of each one-unit
-extension (total + row[v], or pb + row[v] when v repeats the prefix's last
-unit), and each row's LM term comes from the beam's fields with its
-pending word completed plus a per-context vector of CJK-unit log10
-probabilities. An extension equal to a prefix already in the beam is
-folded into that prefix's own candidate and masked out of the array. The
-top K are cut with np.partition, keeping every candidate tied at the cut,
-and only those are sorted by (-score, prefix) and turned into tuples and
-LM states. LM transitions are memoized per decode, so each (context,
-token) pair is scored once.
+Beam search layout. Prefixes are nodes of a per-decode trie: node 0 is
+the empty prefix, and every other node is hash-consed from its (parent
+node, last unit) pair, so a prefix keeps one node id even after it was
+pruned and re-created. The beam of K prefixes is a set of parallel
+arrays: node, parent node and last unit; blank- and non-blank-ending
+masses pb/pnb; LM context id, log10 LM sum and word count, and the same
+three as they are once the pending Latin run is scored as a word, which
+is done when the prefix is created. Only the pending runs stay strings.
+
+Each frame is a fixed number of whole-beam numpy operations on a K x V
+candidate array: column 0 is the prefix itself (pb from total + blank,
+pnb from repeating the last unit), column v its extension by unit v
+(total + row[v], or pb + row[v] when v repeats the last unit). A prefix
+whose parent is in the beam, found as pos[parent] through a node ->
+beam-slot array, takes the parent's extension mass into its own pnb,
+and that extension is masked out. Each candidate's log10 sum and word
+count are gathered from small per-beam tables: the beam's own fields
+(itself, or a Latin unit, which only grows the pending run), the
+completed ones (a separator), or those plus the CJK row of the context
+id, taken from a per-decode matrix of rows (without an LM, one zero
+row). The top K survive by np.partition. Exact score ties at the cut go
+to the smallest prefix, the only place besides the returned n-best
+where prefixes are spelled out as tuples. Which tied candidates survive
+is the only thing the order of the beam could change, so the beam is
+kept in candidate order, unsorted.
 
 A context's CJK row comes from one `lm.log10_row` call over every CJK
 unit (out-of-vocabulary ones as `<unk>`) rather than one `lm.score` per
@@ -30,14 +42,18 @@ memoized per decode, so a 4-token context reuses the rows of its 3-, 2-
 and 1-token suffixes. The values stay exact: each element is the same
 `bow + lower` float64 sum, in the same association, that the per-word
 backoff walk of `lm.score` computes for that unit. A CJK survivor's next
-context is `lm.advance`; Latin words still go through `lm.score`.
+context is `lm.advance`; Latin words go through `lm.score`, once per
+(context, word) pair per decode.
 
-This is bit-identical to scoring each candidate separately in Python:
-numpy only adds, multiplies and compares float64, which rounds exactly
-as Python floats do, with the same operands in the same association;
-every exp and log stays in `math`. A prefix gets at most two pnb terms
-(its own repeat and one parent's extension) and `_logaddexp` is
-symmetric, so the merge order cannot change a result.
+This is bit-identical to scoring each candidate separately in Python
+(tests/reference_decoder.py): numpy adds, multiplies and compares
+float64 exactly as Python floats do, with the same operands in the same
+association, and np.logaddexp is max + log1p(exp(min - max)) through
+the same libm calls as that scalar code (the two differ only in the
+sign of a zero result from a -0.0 operand, and no mass is ever -0.0:
+each is a sum that starts from the empty prefix's +0.0). A prefix gets
+at most two pnb terms (its own repeat and its parent's extension) and
+logaddexp is symmetric, so the merge order cannot change a result.
 """
 
 from __future__ import annotations
@@ -58,16 +74,6 @@ from .vocab import (
 
 LN10 = math.log(10.0)
 NEG_INF = float("-inf")
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
 
 
 @dataclass(frozen=True)
@@ -113,62 +119,88 @@ def fused_score(
 
 
 class _LmCache:
-    """Per-decode memo of LM transitions, so each (context, token) pair
-    costs one `lm.score` call per decode however many beams reach it, and
-    each context's CJK row (with the rows of its suffixes) is built once.
+    """Per-decode LM tables keyed by integer context ids.
 
-    Without a model every token scores 0.0 and the context stays None,
-    which leaves the log10 sums exactly at 0.0 as if no LM were applied.
+    `rows[i]` holds log10 p(unit | context i) for every CJK unit in id
+    order and is built when context i is first seen, together with the
+    rows of its suffixes. `next_ids[i, v]` is the id after CJK unit v, -1
+    until asked for. Latin words are memoized per (context id, word), so
+    each pair costs one `lm.score` call per decode however many beams
+    reach it. Without a model there is one context, its row is all zeros
+    and every word scores 0.0, which leaves the log10 sums exactly at 0.0
+    as if no LM were applied.
     """
 
-    def __init__(self, model, units, cjk_cols):
+    def __init__(self, model, units, cjk_ids):
         self.model = model
-        self.cjk_cols = cjk_cols  # boolean mask over ids 1..V-1
-        self.steps: dict = {}
-        self.rows: dict = {}
-        self.suffix_rows: dict = {}
         vocabulary = model.vocabulary if model is not None else ()
-        cols = np.flatnonzero(cjk_cols).tolist()
-        self.cjk_words = tuple(
-            units[c + 1] if units[c + 1] in vocabulary else lm_mod.UNK for c in cols
-        )
-        self.cjk_word_at = dict(zip(cols, self.cjk_words))
+        self.cjk_word_at = {
+            v: units[v] if units[v] in vocabulary else lm_mod.UNK for v in cjk_ids
+        }
+        self.cjk_words = tuple(self.cjk_word_at.values())
+        self.ids: dict = {}
+        self.contexts: list = []
+        self.rows = np.zeros((8, len(cjk_ids)))
+        self.next_ids = np.full((8, len(units)), -1)
+        self.steps: dict = {}
+        self.suffix_rows: dict = {}
 
-    def step(self, context, surface: str):
-        """(log10 p(surface | context), next context)."""
-        if self.model is None:
-            return 0.0, None
-        key = (context, surface)
-        hit = self.steps.get(key)
-        if hit is None:
-            lp, state = lm_mod.score(self.model, lm_mod.LmState(context), surface)
-            hit = self.steps[key] = (lp, state.context)
-        return hit
-
-    def advance(self, context, c: int):
-        """The context after the CJK unit at column c."""
-        if self.model is None:
-            return None
-        return lm_mod.advance(self.model, context, self.cjk_word_at[c])
-
-    def complete(self, context, log10: float, words: int, pending: str):
-        """(context, log10 sum, word count) once the pending Latin run is
-        scored as a word."""
-        if not pending:
-            return context, log10, words
-        lp, context = self.step(context, pending)
-        return context, log10 + lp, words + 1
-
-    def cjk_row(self, context) -> np.ndarray:
-        """log10 p(unit | context) at every CJK column, 0.0 elsewhere."""
-        row = self.rows.get(context)
-        if row is None:
-            row = self.rows[context] = np.zeros(len(self.cjk_cols))
+    def id_of(self, context) -> int:
+        i = self.ids.get(context)
+        if i is None:
+            i = self.ids[context] = len(self.contexts)
+            self.contexts.append(context)
+            if i == len(self.rows):
+                self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
+                self.next_ids = np.concatenate(
+                    [self.next_ids, np.full_like(self.next_ids, -1)]
+                )
             if self.model is not None:
-                row[self.cjk_cols] = lm_mod.log10_row(
+                self.rows[i] = lm_mod.log10_row(
                     self.model, context, self.cjk_words, self.suffix_rows
                 )
-        return row
+        return i
+
+    def step(self, i: int, word: str) -> tuple[float, int]:
+        """(log10 p(word | context i), next context id)."""
+        key = (i, word)
+        hit = self.steps.get(key)
+        if hit is None:
+            if self.model is None:
+                hit = (0.0, i)
+            else:
+                state = lm_mod.LmState(self.contexts[i])
+                lp, state = lm_mod.score(self.model, state, word)
+                hit = (lp, self.id_of(state.context))
+            self.steps[key] = hit
+        return hit
+
+    def advance(self, i: int, v: int) -> int:
+        """The id of context i after the CJK unit v."""
+        context = self.contexts[i]
+        if self.model is not None:
+            context = lm_mod.advance(self.model, context, self.cjk_word_at[v])
+        j = self.id_of(context)
+        self.next_ids[i, v] = j
+        return j
+
+
+def _best(scores: np.ndarray, n: int, spell) -> np.ndarray:
+    """Positions of the n highest scores, unordered; exact ties at the
+    cut go to the smallest prefixes, spell(positions) giving those."""
+    if len(scores) <= n:
+        return np.arange(len(scores))
+    if n < 1:
+        return np.arange(0)
+    cut = len(scores) - n
+    threshold = np.partition(scores, cut)[cut]
+    kept = np.flatnonzero(scores >= threshold)
+    if len(kept) > n:
+        above = kept[scores[kept] > threshold]
+        tied = kept[scores[kept] == threshold]
+        tied = [i for _, i in sorted(zip(spell(tied), tied.tolist()))]
+        kept = np.concatenate([above, np.array(tied[: n - len(above)], dtype=int)])
+    return kept
 
 
 def beam_decode(
@@ -189,106 +221,145 @@ def beam_decode(
     if V != len(vocab):
         raise ValueError(f"grid V={V} does not match vocab size {len(vocab)}")
     units = vocab.units
-    scripts = np.array([vocab.script_of_id(v) for v in range(1, V)])
-    latin_cols = scripts == SCRIPT_LATIN
-    cjk_cols = scripts == SCRIPT_CJK
+    scripts = [None] + [vocab.script_of_id(v) for v in range(1, V)]
+    latin_cols = np.array([s == SCRIPT_LATIN for s in scripts])
+    cjk_cols = np.array([s == SCRIPT_CJK for s in scripts])
+    cjk_ids = np.flatnonzero(cjk_cols)
+    latin_unit = [units[v] if latin_cols[v] else "" for v in range(V)]
+    # which column of the per-frame log10 and word tables candidate column
+    # v reads: 0 the beam's own fields (the beam itself, or a Latin unit
+    # that only grows the pending run), 1 those with the pending word
+    # completed (a separator), 2 + j that plus the j-th CJK unit
+    log10_col = np.where(latin_cols, 0, 1)
+    log10_col[0] = 0
+    log10_col[cjk_ids] = 2 + np.arange(len(cjk_ids))
+    words_col = np.minimum(log10_col, 2)
     lm_weight = cfg.alpha * LN10
     width = cfg.beam_width
-    cache = _LmCache(model, units, cjk_cols)
+    cache = _LmCache(model, units, cjk_ids.tolist())
     init_context = lm_mod.initial_state(model).context if model is not None else None
 
-    # the beam: prefixes, their blank- and non-blank-ending masses, and
-    # their token fields (LM context, log10 LM sum, word count, pending
-    # Latin run), which depend only on the prefix
-    prefixes = [()]
-    pb, pnb = [0.0], [NEG_INF]
-    fields = [(init_context, 0.0, 0, "")]
+    # the trie: node n > 0 extends its parent by one unit and is keyed by
+    # parent * V + unit; node 0 is the empty prefix
+    trie: dict[int, int] = {}
+
+    def spell(nodes: np.ndarray) -> list[tuple[int, ...]]:
+        keys = [0, *trie]  # node n's key, nodes being numbered in order
+        out = []
+        for node in nodes.tolist():
+            path = []
+            while node:
+                node, unit = divmod(keys[node], V)
+                path.append(unit)
+            out.append(tuple(reversed(path)))
+        return out
+
+    # the beam: node, parent node and last unit of each prefix; its
+    # blank- and non-blank-ending masses; its LM context id, log10 LM sum
+    # and word count, also as they are once its pending Latin run is
+    # scored as a word ("done"); and that pending run
+    node, par, last = np.zeros(1, int), np.full(1, -1), np.zeros(1, int)
+    pb, pnb = np.zeros(1), np.full(1, NEG_INF)
+    ctx, log10, words = np.array([cache.id_of(init_context)]), np.zeros(1), np.zeros(1)
+    done_ctx, done_log10, done_words = ctx, log10, words
+    pending = [""]
+    # beam slot of each node in the beam, -1 elsewhere; the last element
+    # stays -1 for the empty prefix's parent (-1)
+    pos = np.full(64, -1)
 
     for t in range(T):
-        row_arr = logp[t]
-        row = row_arr.tolist()
-        K = len(prefixes)
-        totals = [_logaddexp(b, nb) for b, nb in zip(pb, pnb)]
-        done = [cache.complete(*f) for f in fields]
+        row = logp[t]
+        slots = np.arange(len(node))
+        totals = np.logaddexp(pb, pnb)
+        row_last = row[last]
 
-        # ext[k, v-1]: mass of prefixes[k] + (v,); a repeat of the last
-        # unit only continues from the blank-ending mass
-        ext = np.add.outer(totals, row_arr[1:])
-        lasts = [p[-1] if p else 0 for p in prefixes]
-        rep = [k for k in range(K) if lasts[k]]
-        rep_last = [lasts[k] for k in rep]
-        ext[rep, [v - 1 for v in rep_last]] = [
-            pb[k] + row[v] for k, v in zip(rep, rep_last)
+        # cand[k, v]: mass of prefix k extended by unit v; a repeat of the
+        # last unit only continues from the blank-ending mass. Column 0 is
+        # filled with the mass of prefix k itself below.
+        cand = totals[:, None] + row
+        cand[slots, last] = pb + row_last
+        same_pb = totals + row[0]
+        same_pnb = pnb + row_last
+
+        # a prefix whose parent is in the beam takes the parent's extension
+        # into its own pnb; each prefix gets at most this one extra term
+        pos[node] = slots
+        from_k = pos[par]
+        pos[node] = -1
+        merged = np.flatnonzero(from_k >= 0)
+        from_k, col = from_k[merged], last[merged]
+        same_pnb[merged] = np.logaddexp(same_pnb[merged], cand[from_k, col])
+        cand[from_k, col] = NEG_INF
+        cand[:, 0] = np.logaddexp(same_pb, same_pnb)
+
+        done = done_log10[:, None]
+        log10_tab = np.concatenate(
+            (log10[:, None], done, done + cache.rows[done_ctx]), axis=1
+        )
+        done = done_words[:, None]
+        words_tab = np.concatenate((words[:, None], done, done + 1), axis=1)
+        scores = (
+            cand
+            + (lm_weight * log10_tab)[:, log10_col]
+            + (cfg.beta * words_tab)[:, words_col]
+        )
+
+        # candidates: every prefix itself, then each live extension
+        live = cand != NEG_INF
+        live[:, 0] = True
+        flat = np.flatnonzero(live)
+
+        def spell_candidates(positions):
+            k, v = np.divmod(flat[positions], V)
+            return [p + (u,) if u else p for p, u in zip(spell(node[k]), v.tolist())]
+
+        flat = flat[_best(scores.ravel()[flat], width, spell_candidates)]
+        ks, vs = np.divmod(flat, V)
+
+        # a survivor starts as its beam entry with the masses of the
+        # entry's own candidate; extensions then take their new fields
+        ext = np.flatnonzero(vs)
+        k_ext, v_ext = ks[ext], vs[ext]
+        pb, pnb = same_pb[ks], same_pnb[ks]
+        pb[ext] = NEG_INF
+        pnb[ext] = cand.ravel()[flat[ext]]
+        parent_node = node[k_ext]
+        node, par, last = node[ks], par[ks], last[ks]
+        par[ext] = parent_node
+        last[ext] = v_ext
+        base = np.where(latin_cols[v_ext], ctx[k_ext], done_ctx[k_ext])
+        ctx_ext = np.where(cjk_cols[v_ext], cache.next_ids[base, v_ext], base)
+        for j in np.flatnonzero(ctx_ext < 0).tolist():
+            ctx_ext[j] = cache.advance(int(base[j]), int(v_ext[j]))
+        ctx, done_ctx = ctx[ks], done_ctx[ks]
+        ctx[ext] = done_ctx[ext] = ctx_ext
+        log10 = log10_tab[ks, log10_col[vs]]
+        words = words_tab[ks, words_col[vs]]
+        done_log10, done_words = done_log10[ks], done_words[ks]
+        done_log10[ext] = log10[ext]
+        done_words[ext] = words[ext]
+
+        # hash-cons each extension's node; score each new Latin run
+        node[ext] = [
+            trie.setdefault(n * V + v, len(trie) + 1)
+            for n, v in zip(parent_node.tolist(), v_ext.tolist())
         ]
+        if len(trie) >= len(pos) - 1:
+            pos = np.full(2 * len(trie) + 2, -1)
+        vs = vs.tolist()
+        pending = [
+            pending[k] + latin_unit[v] if latin_unit[v] or not v else ""
+            for k, v in zip(ks.tolist(), vs)
+        ]
+        scored = [j for j, v in enumerate(vs) if latin_unit[v]]
+        if scored:
+            ids = ctx[scored].tolist()
+            lps, ids = zip(*[cache.step(i, pending[j]) for i, j in zip(ids, scored)])
+            done_ctx[scored] = ids
+            done_log10[scored] += lps
+            done_words[scored] += 1
 
-        # an extension that is itself in the beam merges into that beam's
-        # own candidate; each prefix gets at most this one extra pnb term
-        index = {p: k for k, p in enumerate(prefixes)}
-        same_pnb = [NEG_INF] * K
-        for k in rep:
-            same_pnb[k] = pnb[k] + row[lasts[k]]
-            parent = index.get(prefixes[k][:-1])
-            if parent is not None:
-                col = lasts[k] - 1
-                same_pnb[k] = _logaddexp(same_pnb[k], float(ext[parent, col]))
-                ext[parent, col] = NEG_INF
-        same_pb = [total + row[0] for total in totals]
-        same_mass = [_logaddexp(b, nb) for b, nb in zip(same_pb, same_pnb)]
-
-        log10_arr = np.array([f[1] for f in fields])
-        words_arr = np.array([f[2] for f in fields])
-        cjk_log10 = np.array([cache.cjk_row(d[0]) for d in done])
-        ext_log10 = np.where(
-            latin_cols, log10_arr[:, None], np.array([[d[1]] for d in done]) + cjk_log10
-        )
-        ext_words = np.where(
-            latin_cols, words_arr[:, None], np.array([[d[2]] for d in done]) + cjk_cols
-        )
-        same_score = np.array(same_mass) + lm_weight * log10_arr + cfg.beta * words_arr
-        ext_score = ext + lm_weight * ext_log10 + cfg.beta * ext_words
-
-        # candidates: every beam's own prefix, then each live extension;
-        # everything tied with the width-th best survives to the exact sort
-        live = np.flatnonzero(ext != NEG_INF)
-        scores = np.concatenate([same_score, ext_score.ravel()[live]])
-        if len(scores) > width:
-            cut = len(scores) - width
-            kept = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
-        else:
-            kept = np.arange(len(scores))
-        ranked = []
-        for i, score in zip(kept.tolist(), scores[kept].tolist()):
-            if i < K:
-                ranked.append((-score, prefixes[i], i, -1))
-            else:
-                k, c = divmod(int(live[i - K]), V - 1)
-                ranked.append((-score, prefixes[k] + (c + 1,), k, c))
-        ranked.sort()
-
-        survivors = []
-        for _, prefix, k, c in ranked[:width]:
-            if c < 0:
-                survivors.append((prefix, same_pb[k], same_pnb[k], fields[k]))
-                continue
-            unit = units[c + 1]
-            if latin_cols[c]:
-                ctx, log10, n, word = fields[k]
-                token_fields = ctx, log10, n, word + unit
-            elif cjk_cols[c]:
-                ctx = cache.advance(done[k][0], c)
-                token_fields = ctx, float(ext_log10[k, c]), done[k][2] + 1, ""
-            else:
-                token_fields = *done[k], ""
-            survivors.append((prefix, NEG_INF, float(ext[k, c]), token_fields))
-        prefixes, pb, pnb, fields = zip(*survivors)
-
-    final = []
-    for prefix, b, nb, token_fields in zip(prefixes, pb, pnb, fields):
-        _, log10, n = cache.complete(*token_fields)
-        q = _logaddexp(b, nb) + lm_weight * log10 + cfg.beta * n
-        final.append((-q, prefix))
-    final.sort()
-    return [
-        Hypothesis(prefix, decode_ids(prefix, vocab), -neg_q)
-        for neg_q, prefix in final[: nbest if nbest is not None else width]
-    ]
+    q = np.logaddexp(pb, pnb) + lm_weight * done_log10 + cfg.beta * done_words
+    top = _best(q, nbest if nbest is not None else width, lambda ks: spell(node[ks]))
+    ranked = sorted(zip((-q[top]).tolist(), spell(node[top])))
+    return [Hypothesis(p, decode_ids(p, vocab), -neg_q) for neg_q, p in ranked]

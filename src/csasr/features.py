@@ -44,14 +44,19 @@ def extract_features(waveform) -> np.ndarray:
 
 def read_wav(path) -> np.ndarray:
     """Mono 16-bit PCM at 8 kHz, scaled to [-1, 1)."""
-    with wave.open(str(path), "rb") as f:
-        if f.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono, got {f.getnchannels()} channels")
-        if f.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit samples")
-        if f.getframerate() != SAMPLE_RATE:
-            raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {f.getframerate()}")
-        raw = f.readframes(f.getnframes())
+    try:
+        with wave.open(str(path), "rb") as f:
+            channels, width, rate = f.getnchannels(), f.getsampwidth(), f.getframerate()
+            raw = f.readframes(f.getnframes())
+    except (wave.Error, EOFError) as e:
+        reason = str(e) or "file ends inside the RIFF header"
+        raise MalformedFile(path, 1, reason) from None
+    if channels != 1:
+        raise MalformedFile(path, 1, f"expected mono, got {channels} channels")
+    if width != 2:
+        raise MalformedFile(path, 1, "expected 16-bit samples")
+    if rate != SAMPLE_RATE:
+        raise MalformedFile(path, 1, f"expected {SAMPLE_RATE} Hz, got {rate}")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 

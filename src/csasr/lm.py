@@ -20,6 +20,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .vocab import LATIN_RUN, MalformedFile, is_cjk
@@ -80,6 +81,16 @@ class NGramModel:
     discounts: dict[int, float] | None = None
     # orders whose count-of-counts gave no discount in (0,1); D=0.5 was used
     degenerate_orders: tuple[int, ...] = ()
+
+    @cached_property
+    def followers(self) -> dict[tuple[str, ...], dict[str, float]]:
+        """Index of the tables: context -> {next word: log10 probability}
+        for every stored n-gram, built on first use."""
+        index: dict[tuple[str, ...], dict[str, float]] = {}
+        for table in self.tables.values():
+            for gram, (lp, _) in table.items():
+                index.setdefault(gram[:-1], {})[gram[-1]] = lp
+        return index
 
 
 @dataclass(frozen=True)
@@ -204,18 +215,21 @@ def log10_row(
     row = memo.get(context)
     if row is not None:
         return row
-    table = model.tables[len(context) + 1]
-    entries = [table.get(context + (w,)) for w in words]
-    if None not in entries:
-        row = [e[0] for e in entries]
+    stored = model.followers.get(context)
+    lps = list(map(stored.get, words)) if stored else [None] * len(words)
+    if None not in lps:
+        row = lps
     elif context:
         lower = log10_row(model, context[1:], words, memo)
         entry = model.tables[len(context)].get(context)
         bow = entry[1] if entry is not None and entry[1] is not None else 0.0
-        row = [bow + lp if e is None else e[0] for e, lp in zip(entries, lower)]
+        if stored:
+            row = [bow + low if lp is None else lp for lp, low in zip(lps, lower)]
+        else:
+            row = [bow + low for low in lower]
     else:
         unk = model.tables[1][(UNK,)][0]
-        row = [unk if e is None else e[0] for e in entries]
+        row = [unk if lp is None else lp for lp in lps]
     memo[context] = row
     return row
 

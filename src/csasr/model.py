@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctc import PosteriorGrid
-from .vocab import GraphemeVocab
+from .vocab import GraphemeVocab, MalformedFile
 
 CHECKPOINT_FORMAT = "csasr-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -158,6 +158,9 @@ def vocab_fingerprint(vocab: GraphemeVocab) -> str:
 
 
 def save_checkpoint(model: ToyAcousticModel, path, vocab: GraphemeVocab) -> None:
+    for name in PARAM_NAMES:
+        if not np.isfinite(model.params[name]).all():
+            raise ValueError(f"{path}: parameter {name} has non-finite values")
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -178,39 +181,60 @@ def save_checkpoint(model: ToyAcousticModel, path, vocab: GraphemeVocab) -> None
 
 
 def load_checkpoint(path, vocab: GraphemeVocab | None = None) -> ToyAcousticModel:
+    """The model saved at path; a file that is not a well-formed checkpoint
+    raises MalformedFile (JSON syntax errors at their line, the rest at
+    line 1)."""
     with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+        try:
+            payload = json.load(f)
+        except json.JSONDecodeError as e:
+            raise MalformedFile(path, e.lineno, e.msg) from None
+        except UnicodeDecodeError:
+            raise MalformedFile(path, 1, "not UTF-8 text") from None
+    if not isinstance(payload, dict):
+        raise MalformedFile(path, 1, "top level is not a JSON object")
     if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+        raise MalformedFile(path, 1, f"not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported version {payload.get('version')}")
-    if vocab is not None and payload["vocab_sha256"] != vocab_fingerprint(vocab):
+        raise MalformedFile(path, 1, f"unsupported version {payload.get('version')}")
+    if vocab is not None and payload.get("vocab_sha256") != vocab_fingerprint(vocab):
         raise ValueError(f"{path}: checkpoint was trained with a different vocabulary")
-    entries = payload.get("params", {})
+    entries = payload.get("params")
     sizes: dict[str, int] = {}
     params = {}
     for name in PARAM_NAMES:
-        where = f"{path}: parameter {name}"
-        if name not in entries:
-            raise ValueError(f"{where} is missing")
-        shape, data = entries[name]["shape"], base64.b64decode(entries[name]["data"])
+        where = f"parameter {name}"
+        entry = entries.get(name) if isinstance(entries, dict) else None
+        if not (isinstance(entry, dict) and {"shape", "data"} <= entry.keys()):
+            raise MalformedFile(path, 1, f"{where} is missing")
+        shape = entry["shape"]
+        try:
+            data = base64.b64decode(entry["data"])
+        except (TypeError, ValueError):
+            raise MalformedFile(path, 1, f"{where}: data is not base64") from None
         dims = _PARAM_DIMS[name]
         if not (
             isinstance(shape, list)
             and len(shape) == len(dims)
             and all(type(n) is int and n >= 0 for n in shape)
         ):
-            raise ValueError(f"{where}: shape {shape!r} is not {len(dims)} sizes")
+            raise MalformedFile(
+                path, 1, f"{where}: shape {shape!r} is not {len(dims)} sizes"
+            )
         if 8 * math.prod(shape) != len(data):
-            raise ValueError(f"{where}: shape {shape} does not fit {len(data)} data bytes")
+            raise MalformedFile(
+                path, 1, f"{where}: shape {shape} does not fit {len(data)} data bytes"
+            )
         for dim, n in zip(dims, shape):
             if sizes.setdefault(dim, n) != n:
-                raise ValueError(
+                raise MalformedFile(
+                    path,
+                    1,
                     f"{where}: shape {shape} disagrees with the {dim} size "
-                    f"{sizes[dim]} of the other parameters"
+                    f"{sizes[dim]} of the other parameters",
                 )
         arr = np.frombuffer(data, dtype="<f8").reshape(shape)
         if not np.isfinite(arr).all():
-            raise ValueError(f"{where} has non-finite values")
+            raise MalformedFile(path, 1, f"{where} has non-finite values")
         params[name] = arr.copy()
     return ToyAcousticModel(params)

@@ -249,6 +249,97 @@ def test_out_of_range_numeric_option_exits_2_before_any_work(argv, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--vocab", "v", "--manifest", "m", "--out", "o", "--epochs", "1",
+         "--lr", "nan"],
+        ["finetune", "--vocab", "v", "--checkpoint", "c", "--manifest", "m",
+         "--out", "o", "--momentum", "inf"],
+        ["synth", "--language", "mixed", "--count", "2", "--sigma", "nan"],
+        ["decode", "--vocab", "v", "--grid", "g", "--alpha", "inf"],
+        ["decode", "--vocab", "v", "--grid", "g", "--beta=-inf"],
+        ["run-matrix", "--lr", "inf"],
+        ["run-matrix", "--momentum", "nan"],
+        ["run-matrix", "--sigma", "inf"],
+        ["run-matrix", "--alpha", "nan"],
+        ["run-matrix", "--beta", "nan"],
+    ],
+)
+def test_non_finite_float_option_exits_2_before_any_work(
+    argv, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["--output-dir", str(out)] + argv)
+    assert info.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _decode_with_checkpoint(pipeline, ckpt) -> int:
+    return main([
+        "decode", "--vocab", str(pipeline["vocab"]), "--checkpoint", str(ckpt),
+        "--manifest", str(pipeline["data"] / "test_manifest.csv"),
+    ])
+
+
+def test_checkpoint_that_is_not_json_exits_2_naming_file_and_line(
+    pipeline, tmp_path, capsys
+):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text('{\n "format": "csasr-checkpoint",\n oops\n}\n', encoding="utf-8")
+    assert _decode_with_checkpoint(pipeline, bad) == 2
+    assert f"{bad}: line 3: Expecting property name" in capsys.readouterr().err
+
+
+def test_checkpoint_that_is_not_an_object_exits_2_naming_file(
+    pipeline, tmp_path, capsys
+):
+    bad = tmp_path / "list.ckpt"
+    bad.write_text("[1, 2]\n", encoding="utf-8")
+    assert _decode_with_checkpoint(pipeline, bad) == 2
+    assert f"{bad}: line 1: top level is not a JSON object" in capsys.readouterr().err
+
+
+def test_checkpoint_shape_not_fitting_data_exits_2_naming_file(
+    pipeline, tmp_path, capsys
+):
+    payload = json.loads(pipeline["tuned"].read_text(encoding="utf-8"))
+    payload["params"]["b_h"]["shape"] = [3]
+    bad = tmp_path / "shape.ckpt"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    assert _decode_with_checkpoint(pipeline, bad) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line 1: parameter b_h: shape [3] does not fit" in err
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b"hello", "file ends inside the RIFF header"),
+        (b"hello, world", "file does not start with RIFF id"),
+    ],
+)
+def test_wav_entry_that_is_not_riff_exits_2_naming_it(
+    pipeline, tmp_path, capsys, data, reason
+):
+    wav = tmp_path / "u0.wav"
+    wav.write_bytes(data)
+    manifest = tmp_path / "m.csv"
+    header = (pipeline["data"] / "test_manifest.csv").read_text(encoding="utf-8")
+    manifest.write_text(
+        header.splitlines()[0] + "\nu0.wav,ab,mixed,100\n", encoding="utf-8"
+    )
+    code = main([
+        "decode", "--vocab", str(pipeline["vocab"]),
+        "--checkpoint", str(pipeline["tuned"]), "--manifest", str(manifest),
+    ])
+    assert code == 2
+    assert f"{wav}: line 1: {reason}" in capsys.readouterr().err
+
+
 def test_decode_defaults():
     args = build_parser().parse_args(["decode", "--vocab", "v", "--grid", "g"])
     assert (args.alpha, args.beta, args.beam) == (0.2, 1.0, 100)

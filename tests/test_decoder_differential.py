@@ -5,8 +5,11 @@ Equality is exact (ids, text and float score of the whole n-best), not
 approximate: the rewrite only reorders exact float work.
 """
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csasr import lm as lm_mod
 from csasr.ctc import PosteriorGrid
@@ -62,3 +65,51 @@ def test_beam_decode_equals_reference_decoder(width):
             got = _nbest(beam_decode, grid, cfg, model)
             want = _nbest(reference_decoder.beam_decode, grid, cfg, model)
             assert got == want, (case, width, cfg, model and model.order)
+
+
+@pytest.mark.parametrize("width", (1, 2, 3, 7))
+def test_beam_decode_equals_reference_on_long_tied_grids(width):
+    # coarse logits over up to 30 frames: narrow beams prune prefixes that
+    # an extension of their parent re-creates later, and exact score ties
+    # fall on the width cut
+    rng = np.random.default_rng(2000 + width)
+    for case in range(40):
+        t = int(rng.integers(10, 31))
+        logits = rng.integers(0, 3, size=(t, len(VOCAB))).astype(float)
+        if case % 4 == 3:
+            logits[rng.random(logits.shape) < 0.2] = -np.inf
+            logits[:, 0] = 0.0
+        logits -= np.logaddexp.reduce(logits, axis=1, keepdims=True)
+        grid = PosteriorGrid(logits)
+        alpha, beta = WEIGHTS[case % len(WEIGHTS)]
+        cfg = FusionConfig(alpha, beta, width)
+        for model in (None, MODELS[ORDERS[case % len(ORDERS)]]):
+            got = _nbest(beam_decode, grid, cfg, model)
+            want = _nbest(reference_decoder.beam_decode, grid, cfg, model)
+            assert got == want, (case, width, cfg, model and model.order)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# -0.0 is left out: the decoder never holds it, since every mass is a sum
+# that starts from the empty prefix's +0.0, and a sum is -0.0 only when
+# both terms are
+_OPERANDS = st.one_of(
+    st.just(-np.inf),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-60.0, 0.0),
+).map(lambda x: 0.0 if x == 0.0 else x)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(a=_OPERANDS, b=_OPERANDS, equal=st.booleans())
+def test_np_logaddexp_equals_scalar_logaddexp_bit_for_bit(a, b, equal):
+    # the decoder's exactness rests on this: np.logaddexp over arrays and
+    # the scalar max + log1p(exp(min - max)) it replaced agree to the bit
+    if equal:
+        b = a
+    want = _bits(reference_decoder._logaddexp(a, b))
+    got = np.logaddexp(np.array([a, b]), np.array([b, a])).tolist()
+    assert [_bits(x) for x in got] == [want, want]

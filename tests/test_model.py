@@ -16,7 +16,7 @@ from csasr.model import (
     save_checkpoint,
     vocab_fingerprint,
 )
-from csasr.vocab import GraphemeVocab
+from csasr.vocab import GraphemeVocab, MalformedFile
 
 VOCAB = GraphemeVocab(("<blank>", "a", "b", " ", "你"))
 
@@ -143,13 +143,17 @@ def _f8(values) -> str:
 
 def test_checkpoint_rejects_missing_parameter(tmp_path):
     path = _corrupt_checkpoint(tmp_path, lambda p: p.pop("w_hh"))
-    with pytest.raises(ValueError, match=r"m\.ckpt: parameter w_hh is missing"):
+    with pytest.raises(
+        MalformedFile, match=r"m\.ckpt: line 1: parameter w_hh is missing"
+    ):
         load_checkpoint(path, VOCAB)
 
 
 def test_checkpoint_rejects_shape_that_does_not_fit_data(tmp_path):
     path = _corrupt_checkpoint(tmp_path, lambda p: p["b_h"].update(shape=[4]))
-    with pytest.raises(ValueError, match=r"m\.ckpt: parameter b_h: shape \[4\] does not fit"):
+    with pytest.raises(
+        MalformedFile, match=r"m\.ckpt: line 1: parameter b_h: shape \[4\] does not fit"
+    ):
         load_checkpoint(path, VOCAB)
 
 
@@ -158,7 +162,9 @@ def test_checkpoint_rejects_shape_disagreeing_with_other_parameters(tmp_path):
         p["b_h"] = {"shape": [4], "data": _f8(np.zeros(4))}
 
     path = _corrupt_checkpoint(tmp_path, edit)
-    with pytest.raises(ValueError, match=r"m\.ckpt: parameter b_h: .* hidden size 3"):
+    with pytest.raises(
+        MalformedFile, match=r"m\.ckpt: line 1: parameter b_h: .* hidden size 3"
+    ):
         load_checkpoint(path, VOCAB)
 
 
@@ -167,5 +173,38 @@ def test_checkpoint_rejects_non_finite_values(tmp_path):
         p["b_y"]["data"] = _f8([0.0, 1.0, np.nan, 0.0, 0.0])
 
     path = _corrupt_checkpoint(tmp_path, edit)
-    with pytest.raises(ValueError, match=r"m\.ckpt: parameter b_y has non-finite"):
+    with pytest.raises(
+        MalformedFile, match=r"m\.ckpt: line 1: parameter b_y has non-finite"
+    ):
+        load_checkpoint(path, VOCAB)
+
+
+def test_save_checkpoint_refuses_non_finite_parameters_before_writing(tmp_path):
+    m = init_model(4, len(VOCAB), hidden_dim=3, seed=9)
+    m.params["w_hh"][1, 2] = np.inf
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match=r"m\.ckpt: parameter w_hh has non-finite"):
+        save_checkpoint(m, path, VOCAB)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda p: p.update(w_hh=[1, 2]), "parameter w_hh is missing"),
+        (lambda p: p["w_hh"].pop("data"), "parameter w_hh is missing"),
+        (lambda p: p["b_y"].update(data="abc"), "parameter b_y: data is not base64"),
+        (lambda p: p["b_y"].update(data=5), "parameter b_y: data is not base64"),
+    ],
+)
+def test_checkpoint_rejects_malformed_parameter_entries(tmp_path, edit, reason):
+    path = _corrupt_checkpoint(tmp_path, edit)
+    with pytest.raises(MalformedFile, match=rf"m\.ckpt: line 1: {reason}"):
+        load_checkpoint(path, VOCAB)
+
+
+def test_checkpoint_that_is_not_utf8_is_malformed(tmp_path):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(b'{"format": "\xff"}\n')
+    with pytest.raises(MalformedFile, match=r"m\.ckpt: line 1: not UTF-8 text"):
         load_checkpoint(path, VOCAB)

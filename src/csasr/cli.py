@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import ctc, decoder, lm, metrics, synth, training
 from . import model as model_mod
-from .vocab import MalformedFile, build_vocab, load_vocab, save_vocab
+from .vocab import MalformedFile, build_vocab, is_cjk, load_vocab, save_vocab
 
 logger = logging.getLogger("csasr")
 
@@ -90,7 +90,7 @@ def cmd_synth(args) -> None:
     print(f"wrote {len(entries)} utterances under {out / (tag + '_manifest.csv')}")
 
 
-def _read_lm_corpus(path) -> list[list[lm.Token]]:
+def _read_lm_corpus(path) -> list[list[str]]:
     lines = _require_file(path).read_text(encoding="utf-8").splitlines()
     return [lm.tokenize_lm(line) for line in lines if line.strip()]
 
@@ -327,6 +327,35 @@ def unit_fraction(text: str) -> float:
     return value
 
 
+def probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+def latin_letters(text: str) -> str:
+    if not all("a" <= ch <= "z" for ch in text) or len(set(text)) < 2:
+        raise argparse.ArgumentTypeError(
+            f"must be letters a-z, at least two distinct, got {text!r}"
+        )
+    return text
+
+
+def cjk_chars(text: str) -> str:
+    if not text or not all(is_cjk(ch) for ch in text):
+        raise argparse.ArgumentTypeError(f"must be CJK ideographs, got {text!r}")
+    return text
+
+
+def _add_spec_flags(p: argparse.ArgumentParser):
+    p.add_argument("--latin", type=latin_letters, default=DEFAULT_LATIN)
+    p.add_argument("--cjk", type=cjk_chars, default=DEFAULT_CJK)
+    p.add_argument("--feature-dim", type=positive_int, default=12)
+    p.add_argument("--sigma", type=finite_float, default=0.4)
+    p.add_argument("--p-switch", type=probability, default=0.3)
+
+
 def _add_train_flags(p: argparse.ArgumentParser, default_lr: float, default_epochs: int):
     p.add_argument("--lr", type=finite_float, default=default_lr)
     p.add_argument("--momentum", type=finite_float, default=0.9)
@@ -348,11 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic feature corpus")
     p.add_argument("--language", choices=training.LANGUAGES, required=True)
     p.add_argument("--count", type=positive_int, required=True)
-    p.add_argument("--latin", default=DEFAULT_LATIN)
-    p.add_argument("--cjk", default=DEFAULT_CJK)
-    p.add_argument("--feature-dim", type=positive_int, default=12)
-    p.add_argument("--sigma", type=finite_float, default=0.4)
-    p.add_argument("--p-switch", type=float, default=0.3)
+    _add_spec_flags(p)
     p.add_argument("--tag", default=None)
     p.add_argument("--vocab-out", type=Path, default=None)
     p.set_defaults(func=cmd_synth)
@@ -408,11 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run-matrix",
         help="CER grid: {scratch, pretrained+finetuned} x data fractions x LM fusion",
     )
-    p.add_argument("--latin", default=DEFAULT_LATIN)
-    p.add_argument("--cjk", default=DEFAULT_CJK)
-    p.add_argument("--feature-dim", type=positive_int, default=12)
-    p.add_argument("--sigma", type=finite_float, default=0.4)
-    p.add_argument("--p-switch", type=float, default=0.3)
+    _add_spec_flags(p)
     p.add_argument("--mono-count", type=positive_int, default=150)
     p.add_argument("--cs-count", type=positive_int, default=240)
     p.add_argument("--test-count", type=positive_int, default=100)

@@ -19,7 +19,6 @@ element alike whatever the array around it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,15 +29,9 @@ from .vocab import BLANK_ID, MalformedFile
 
 NEG_INF = float("-inf")
 
-BRUTEFORCE_PATH_LIMIT = 10**7
-
 
 class InfeasibleTarget(ValueError):
     """Target cannot be aligned: T < |target| + count of adjacent equal pairs."""
-
-
-class TooLarge(ValueError):
-    """Brute-force enumeration would exceed the path-count guard."""
 
 
 class MalformedGrid(MalformedFile):
@@ -69,10 +62,6 @@ class PosteriorGrid:
     @property
     def num_frames(self) -> int:
         return self.logp.shape[0]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.logp.shape[1]
 
 
 @dataclass(frozen=True)
@@ -166,24 +155,6 @@ def ctc_loss(grid: PosteriorGrid, target: Sequence[int]) -> CtcLossResult:
     np.add.at(gamma.T, ext, np.exp(occ).T)
     grad = np.exp(lp) - gamma
     return CtcLossResult(loss=-loglik, grad=grad)
-
-
-def ctc_loss_bruteforce(grid: PosteriorGrid, target: Sequence[int]) -> float:
-    """Loss by enumerating every V^T path; oracle for ctc_loss."""
-    lp = grid.logp
-    T, V = lp.shape
-    if V**T > BRUTEFORCE_PATH_LIMIT:
-        raise TooLarge(f"V^T = {V}**{T} exceeds {BRUTEFORCE_PATH_LIMIT}")
-    want = list(target)
-    rows = [lp[t] for t in range(T)]
-    matched = []
-    for path in itertools.product(range(V), repeat=T):
-        if collapse(path) != want:
-            continue
-        matched.append(sum(rows[t][path[t]] for t in range(T)))
-    if not matched:
-        raise InfeasibleTarget("no path collapses to the target")
-    return -float(np.logaddexp.reduce(np.array(matched)))
 
 
 def write_grid(grid: PosteriorGrid, path) -> None:

@@ -29,9 +29,6 @@ BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
-KIND_LATIN_WORD = "latin_word"
-KIND_CJK_CHAR = "cjk_char"
-
 # gram -> (log10 probability, log10 backoff weight or None)
 NGramTable = dict[tuple[str, ...], tuple[float, float | None]]
 
@@ -40,13 +37,7 @@ class MalformedArpa(MalformedFile):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    kind: str
-
-
-def tokenize_lm(text: str) -> list[Token]:
+def tokenize_lm(text: str) -> list[str]:
     """Split normalized text into Latin-word and CJK-char tokens."""
     tokens = []
     i, n = 0, len(text)
@@ -56,19 +47,15 @@ def tokenize_lm(text: str) -> list[Token]:
             i += 1
             continue
         if is_cjk(ch):
-            tokens.append(Token(ch, KIND_CJK_CHAR))
+            tokens.append(ch)
             i += 1
             continue
         m = LATIN_RUN.match(text, i)
         if not m:
             raise ValueError(f"unexpected character {ch!r} in normalized text")
-        tokens.append(Token(m.group(0), KIND_LATIN_WORD))
+        tokens.append(m.group(0))
         i = m.end()
     return tokens
-
-
-def word_count(text: str) -> int:
-    return len(tokenize_lm(text))
 
 
 @dataclass
@@ -101,11 +88,7 @@ class LmState:
     log10_total: float = 0.0
 
 
-def _surfaces(sentence: Sequence) -> list[str]:
-    return [t.surface if isinstance(t, Token) else str(t) for t in sentence]
-
-
-def train_kn(corpus: Iterable[Sequence], order: int = 5) -> NGramModel:
+def train_kn(corpus: Iterable[Sequence[str]], order: int = 5) -> NGramModel:
     """Interpolated Kneser-Ney with one discount per order.
 
     Discounts use the Ney/Essen/Kneser estimate D = n1/(n1+2*n2) over the
@@ -115,7 +98,7 @@ def train_kn(corpus: Iterable[Sequence], order: int = 5) -> NGramModel:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    sentences = [_surfaces(s) for s in corpus]
+    sentences = [list(s) for s in corpus]
     if not sentences:
         raise ValueError("empty corpus")
 
@@ -243,9 +226,8 @@ def advance(model: NGramModel, context: tuple[str, ...], w: str) -> tuple[str, .
     return (context + (w,))[-(model.order - 1) :] if model.order > 1 else ()
 
 
-def score(model: NGramModel, state: LmState, token) -> tuple[float, LmState]:
-    """Log10 probability of the next token plus the advanced state."""
-    w = token.surface if isinstance(token, Token) else str(token)
+def score(model: NGramModel, state: LmState, w: str) -> tuple[float, LmState]:
+    """Log10 probability of the next word plus the advanced state."""
     if w not in model.vocabulary:
         w = UNK
     context = state.context[-(model.order - 1) :] if model.order > 1 else ()

@@ -27,10 +27,6 @@ class ErrorRateReport:
     reference_length: int
     rate: float  # percent
 
-    @property
-    def errors(self) -> int:
-        return self.substitutions + self.insertions + self.deletions
-
 
 def align(a: Sequence, b: Sequence) -> tuple[int, int, int, int, list[tuple[int, int]]]:
     """Unit-cost alignment of reference a to hypothesis b.
@@ -96,10 +92,10 @@ def cer(reference: str, hypothesis: str) -> ErrorRateReport:
 
 def wer(reference: str, hypothesis: str) -> ErrorRateReport:
     """Token error rate over LM tokens (Latin words and single CJK chars)."""
-    ref_tokens = [t.surface for t in tokenize_lm(reference)]
+    ref_tokens = tokenize_lm(reference)
     if not ref_tokens:
         raise EmptyReference("reference has no tokens")
-    hyp_tokens = [t.surface for t in tokenize_lm(hypothesis)]
+    hyp_tokens = tokenize_lm(hypothesis)
     _, s, i, d = edit_distance(ref_tokens, hyp_tokens)
     return ErrorRateReport(s, i, d, len(ref_tokens), 100.0 * (s + i + d) / len(ref_tokens))
 
@@ -144,8 +140,8 @@ def switch_point_score(reference: str, hypothesis: str) -> tuple[float, float]:
     both tokens around it onto the tokens around a reference switch. With
     no switch points on a side, that side's ratio is vacuously 1.0.
     """
-    ref_tokens = [t.surface for t in tokenize_lm(reference)]
-    hyp_tokens = [t.surface for t in tokenize_lm(hypothesis)]
+    ref_tokens = tokenize_lm(reference)
+    hyp_tokens = tokenize_lm(hypothesis)
     ref_sw = _switch_boundaries(ref_tokens)
     hyp_sw = _switch_boundaries(hyp_tokens)
     pairs = set(align(ref_tokens, hyp_tokens)[4])

@@ -52,9 +52,6 @@ class ToyAcousticModel:
     def vocab_size(self) -> int:
         return self.params["w_hy"].shape[0]
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def copy(self) -> "ToyAcousticModel":
         return ToyAcousticModel({k: v.copy() for k, v in self.params.items()})
 

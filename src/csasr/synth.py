@@ -37,6 +37,8 @@ class SynthSpec:
     def __post_init__(self):
         if not 0.0 <= self.p_switch <= 1.0:
             raise ValueError(f"p_switch must be in [0, 1], got {self.p_switch}")
+        if len(self.latin_letters) < 2 or not self.cjk_chars:
+            raise ValueError("need at least two Latin letters a-z and one CJK character")
 
     @property
     def feature_dim(self) -> int:
@@ -99,21 +101,6 @@ def synth_utterance(spec: SynthSpec, transcript: str) -> np.ndarray:
         rng = _utterance_rng(spec.seed, transcript)
         frames = frames + rng.normal(0.0, spec.sigma, frames.shape)
     return frames.copy()
-
-
-def oracle_decode(spec: SynthSpec, frames: np.ndarray) -> str:
-    """Nearest template per frame, adjacent repeats merged; 0% CER at sigma=0."""
-    graphemes = sorted(spec.templates)
-    bank = np.stack([spec.templates[g] for g in graphemes])
-    dists = ((frames[:, None, :] - bank[None, :, :]) ** 2).sum(axis=2)
-    picks = np.argmin(dists, axis=1)
-    out = []
-    prev = None
-    for p in picks:
-        if p != prev:
-            out.append(graphemes[p])
-        prev = p
-    return "".join(out)
 
 
 def _sample_word(rng: np.random.Generator, letters: list[str], max_len: int) -> str:

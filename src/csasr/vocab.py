@@ -82,10 +82,6 @@ class GraphemeVocab:
             script_of(u)  # raises on anything outside the grapheme inventory
         object.__setattr__(self, "_ids", {u: i for i, u in enumerate(self.units)})
 
-    @property
-    def blank_id(self) -> int:
-        return BLANK_ID
-
     def __len__(self) -> int:
         return len(self.units)
 
@@ -127,7 +123,7 @@ def encode(text: str, vocab: GraphemeVocab) -> list[int]:
     offset = 0
     for ch in text:
         i = vocab.id_of(ch)
-        if i is None or i == vocab.blank_id:
+        if i is None or i == BLANK_ID:
             raise UnknownGrapheme(ch, offset)
         ids.append(i)
         offset += len(ch.encode("utf-8"))
@@ -138,7 +134,7 @@ def decode_ids(ids: Sequence[int], vocab: GraphemeVocab) -> str:
     """Map grapheme ids back to text. Blank ids are invalid in transcripts."""
     out = []
     for i in ids:
-        if i == vocab.blank_id:
+        if i == BLANK_ID:
             raise InvalidId(f"blank id {i} inside a transcript")
         out.append(vocab.unit_of(i))
     return "".join(out)

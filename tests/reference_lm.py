@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from csasr.lm import EOS, UNK, LmState, NGramModel, Token, initial_state
+from csasr.lm import EOS, UNK, LmState, NGramModel, initial_state
 
 
 def _cond_log10(model: NGramModel, context: tuple[str, ...], w: str) -> float:
@@ -24,9 +24,8 @@ def _cond_log10(model: NGramModel, context: tuple[str, ...], w: str) -> float:
     return bow + _cond_log10(model, context[1:], w)
 
 
-def score(model: NGramModel, state: LmState, token) -> tuple[float, LmState]:
-    """Log10 probability of the next token plus the advanced state."""
-    w = token.surface if isinstance(token, Token) else str(token)
+def score(model: NGramModel, state: LmState, w: str) -> tuple[float, LmState]:
+    """Log10 probability of the next word plus the advanced state."""
     if w not in model.vocabulary:
         w = UNK
     context = state.context[-(model.order - 1) :] if model.order > 1 else ()

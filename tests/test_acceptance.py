@@ -19,13 +19,14 @@ import pytest
 
 from csasr import lm as lm_mod
 from csasr.cli import main
-from csasr.ctc import InfeasibleTarget, PosteriorGrid, ctc_loss, ctc_loss_bruteforce
+from csasr.ctc import InfeasibleTarget, PosteriorGrid, ctc_loss
 from csasr.decoder import FusionConfig, beam_decode
 from csasr.metrics import cer, edit_distance
 from csasr.model import backward, forward, forward_states, init_model
 from csasr.synth import make_spec, sample_text_corpus
 from csasr.vocab import GraphemeVocab
 from conftest import random_grid
+from reference_ctc import ctc_loss_bruteforce
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -188,7 +189,7 @@ class KnOracle:
         self.order = order
         raw = {k: Counter() for k in range(1, order + 1)}
         for sentence in corpus:
-            words = [t.surface if hasattr(t, "surface") else str(t) for t in sentence]
+            words = list(sentence)
             padded = ([self.BOS] if order > 1 else []) + words + [self.EOS]
             for k in range(1, order + 1):
                 for i in range(len(padded) - k + 1):
@@ -246,7 +247,7 @@ class KnOracle:
         events = 0
         for sentence in corpus:
             context = (self.BOS,) if self.order > 1 else ()
-            words = [t.surface if hasattr(t, "surface") else str(t) for t in sentence]
+            words = list(sentence)
             for w in words + [self.EOS]:
                 w = w if w in self.seen else self.UNK
                 total_log10 += math.log10(self._p(context, w))
@@ -293,7 +294,7 @@ def test_criterion_4_kneser_ney_normalization_and_oracle():
     # 20-token evaluation corpus, one deliberately out-of-vocabulary event
     eval_sentences, count = [], 0
     for line in sample_text_corpus(spec, "mixed", 50, "lm_acceptance_eval"):
-        sent = [t.surface for t in lm_mod.tokenize_lm(line)]
+        sent = lm_mod.tokenize_lm(line)
         if count + len(sent) > 19:
             sent = sent[: 19 - count]
         if sent:

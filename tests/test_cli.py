@@ -278,6 +278,36 @@ def test_non_finite_float_option_exits_2_before_any_work(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command", [["synth", "--language", "L1", "--count", "1"], ["run-matrix"]]
+)
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--p-switch", "1.5"],
+        ["--p-switch", "-0.1"],
+        ["--p-switch", "nan"],
+        ["--latin", "ABC"],
+        ["--latin", "a"],
+        ["--latin", "aaa"],
+        ["--latin", "ab1"],
+        ["--cjk", "ab"],
+        ["--cjk", ""],
+        ["--cjk", "你a"],
+    ],
+)
+def test_bad_spec_flag_exits_2_before_any_work(
+    command, flag, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["--output-dir", str(out)] + command + flag)
+    assert info.value.code == 2
+    assert f"argument {flag[0]}: must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _decode_with_checkpoint(pipeline, ckpt) -> int:
     return main([
         "decode", "--vocab", str(pipeline["vocab"]), "--checkpoint", str(ckpt),

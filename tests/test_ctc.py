@@ -8,14 +8,13 @@ from csasr.ctc import (
     InfeasibleTarget,
     MalformedGrid,
     PosteriorGrid,
-    TooLarge,
     collapse,
     ctc_loss,
-    ctc_loss_bruteforce,
     read_grid,
     write_grid,
 )
 from conftest import random_grid
+from reference_ctc import TooLarge, ctc_loss_bruteforce
 
 
 def test_collapse_merges_then_drops_blanks():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from csasr import lm as lm_mod
-from csasr.lm import BOS, EOS, UNK, LmState, Token, read_arpa, train_kn
+from csasr.lm import BOS, EOS, UNK, LmState, read_arpa, train_kn
 
 import reference_lm
 
@@ -62,7 +62,7 @@ def _check_rows(model, contexts):
 
 
 def _check_score(model, contexts):
-    tokens = sorted(model.vocabulary) + list(OOV) + [UNK, Token("ab", "latin_word")]
+    tokens = sorted(model.vocabulary) + list(OOV) + [UNK]
     longer = [(BOS,) * model.order + c for c in contexts[:20]]
     for ctx, token in itertools.product(contexts + longer, tokens):
         state = LmState(ctx, -1.25)

@@ -65,7 +65,7 @@ def test_align_pairs_is_monotone_and_valid():
 
 def test_cer_strips_spaces_but_keeps_them_in_denominator():
     report = cer("ab cd", "abcd")
-    assert report.errors == 0
+    assert report.substitutions + report.insertions + report.deletions == 0
     assert report.reference_length == 5
     assert report.rate == 0.0
 
@@ -103,7 +103,7 @@ def test_corpus_rates_pool_counts_not_rates():
     refs = ["aaaa aaaa", "ab"]
     hyps = ["aaaa aaaa", "xy"]
     pooled = corpus_cer(refs, hyps)
-    assert pooled.errors == 2
+    assert pooled.substitutions + pooled.insertions + pooled.deletions == 2
     assert pooled.reference_length == 11
     assert pooled.rate == pytest.approx(100.0 * 2 / 11)
     with pytest.raises(ValueError):
@@ -113,7 +113,7 @@ def test_corpus_rates_pool_counts_not_rates():
 def test_corpus_wer_pools_too():
     pooled = corpus_wer(["a b", "c"], ["a b", "d"])
     assert pooled.reference_length == 3
-    assert pooled.errors == 1
+    assert pooled.substitutions + pooled.insertions + pooled.deletions == 1
 
 
 def test_switch_score_perfect_hypothesis():

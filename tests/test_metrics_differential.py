@@ -49,8 +49,8 @@ def test_align_matches_old_dps_on_every_short_binary_pair():
 
 
 def _old_switch_point_score(reference, hypothesis):
-    ref_tokens = [t.surface for t in tokenize_lm(reference)]
-    hyp_tokens = [t.surface for t in tokenize_lm(hypothesis)]
+    ref_tokens = tokenize_lm(reference)
+    hyp_tokens = tokenize_lm(hypothesis)
     ref_sw = metrics._switch_boundaries(ref_tokens)
     hyp_sw = metrics._switch_boundaries(hyp_tokens)
     pairs = set(reference_metrics.align_pairs(ref_tokens, hyp_tokens))

@@ -6,7 +6,6 @@ from csasr.lm import tokenize_lm
 from csasr.synth import (
     MissingTemplate,
     make_spec,
-    oracle_decode,
     sample_text_corpus,
     sample_transcript,
     synth_corpus,
@@ -14,6 +13,21 @@ from csasr.synth import (
 )
 from csasr.training import load_manifest
 from csasr.vocab import is_cjk
+
+
+def oracle_decode(spec, frames: np.ndarray) -> str:
+    """Nearest template per frame, adjacent repeats merged; 0% CER at sigma=0."""
+    graphemes = sorted(spec.templates)
+    bank = np.stack([spec.templates[g] for g in graphemes])
+    dists = ((frames[:, None, :] - bank[None, :, :]) ** 2).sum(axis=2)
+    picks = np.argmin(dists, axis=1)
+    out = []
+    prev = None
+    for p in picks:
+        if p != prev:
+            out.append(graphemes[p])
+        prev = p
+    return "".join(out)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +54,13 @@ def test_templates_are_separated(spec):
 def test_spec_rejects_bad_p_switch():
     with pytest.raises(ValueError):
         make_spec("ab", "你", p_switch=1.5)
+
+
+@pytest.mark.parametrize("latin, cjk", [("a", "你"), ("aa", "你"), ("ab", "")])
+def test_spec_rejects_too_small_inventory(latin, cjk):
+    # one letter would make the word sampler redraw forever
+    with pytest.raises(ValueError):
+        make_spec(latin, cjk)
 
 
 def test_utterance_length_is_sum_of_durations(spec):
@@ -112,7 +133,7 @@ def test_mixed_switch_rate_tracks_probability():
         rng = np.random.default_rng(seed)
         switches = boundaries = 0
         for _ in range(300):
-            tokens = [t.surface for t in tokenize_lm(sample_transcript(sp, "mixed", rng))]
+            tokens = tokenize_lm(sample_transcript(sp, "mixed", rng))
             for a, b in zip(tokens, tokens[1:]):
                 boundaries += 1
                 switches += is_cjk(a[0]) != is_cjk(b[0])
@@ -124,7 +145,7 @@ def test_mixed_switch_rate_tracks_probability():
 def test_mixed_switch_rate_is_calibrated(spec):
     switches = boundaries = 0
     for line in sample_text_corpus(spec, "mixed", 1000, "rate_check"):
-        tokens = [t.surface for t in tokenize_lm(line)]
+        tokens = tokenize_lm(line)
         for a, b in zip(tokens, tokens[1:]):
             boundaries += 1
             switches += is_cjk(a[0]) != is_cjk(b[0])

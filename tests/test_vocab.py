@@ -87,7 +87,6 @@ def test_vocab_requires_blank_first():
 def test_build_vocab_layout():
     vocab = build_vocab(["ab 你", "我 cd"])
     assert vocab.units[0] == BLANK_TOKEN
-    assert vocab.blank_id == BLANK_ID
     # 26 letters + space + apostrophe after blank, then code-point order
     assert vocab.units[1:27] == tuple(chr(c) for c in range(ord("a"), ord("z") + 1))
     assert vocab.units[27:29] == (" ", "'")

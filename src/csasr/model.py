@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -80,29 +81,121 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def forward_batch(model: ToyAcousticModel, batch_frames: Sequence[np.ndarray]):
+    """Hidden states and normalized log-probabilities of each utterance in a
+    batch, kept for backward: one (hs, logp) pair per utterance, in order.
+
+    The tanh recurrence runs once over the batch, time-major and padded to
+    the longest utterance, and each state is bit-equal to what a loop over
+    one utterance computes. `w_hh @ h` with h of shape (B, H, 1) is a
+    stacked matmul that makes one BLAS gemv per utterance, the same call as
+    `w_hh @ h` on one utterance's (H,) state; adding it in place to the
+    input term is the same sum, and the add and the tanh are elementwise,
+    so they round each element alike whatever the array around it. Padded
+    frames have zero inputs and their states are never read, as the
+    recurrence only looks back. The gemm form `h @ w_hh.T` over (B, H)
+    states is ruled out: BLAS may order its sums unlike gemv, and on some
+    shapes the bits differ. For the same reason the input and output layers
+    stay one gemm per utterance, of that utterance's own shape.
+    """
+    batch = [np.asarray(frames, dtype=np.float64) for frames in batch_frames]
+    for frames in batch:
+        if frames.ndim != 2 or frames.shape[1] != model.input_dim:
+            raise ShapeMismatch(
+                f"frames shape {frames.shape} vs model input width {model.input_dim}"
+            )
+    p = model.params
+    t_max = max(map(len, batch))
+    hs = np.zeros((t_max, len(batch), model.hidden_dim, 1))
+    for b, frames in enumerate(batch):
+        hs[: len(frames), b, :, 0] = frames @ p["w_xh"].T + p["b_h"]
+    h = np.zeros(hs.shape[1:])
+    w_hh = p["w_hh"]
+    for hs_t in hs:  # holds the input term until it becomes h_t
+        hs_t += w_hh @ h
+        h = np.tanh(hs_t, out=hs_t)
+    states = []
+    for b, frames in enumerate(batch):
+        hs_b = np.ascontiguousarray(hs[: len(frames), b, :, 0])
+        states.append((hs_b, _log_softmax(hs_b @ p["w_hy"].T + p["b_y"])))
+    return states
+
+
 def forward_states(model: ToyAcousticModel, frames: np.ndarray):
     """Hidden states and normalized log-probabilities, kept for backward."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != model.input_dim:
-        raise ShapeMismatch(
-            f"frames shape {frames.shape} vs model input width {model.input_dim}"
-        )
-    p = model.params
-    t_len = frames.shape[0]
-    hs = np.zeros((t_len, model.hidden_dim))
-    h = np.zeros(model.hidden_dim)
-    pre = frames @ p["w_xh"].T + p["b_h"]
-    w_hh = p["w_hh"]
-    for t in range(t_len):
-        h = np.tanh(pre[t] + w_hh @ h)
-        hs[t] = h
-    logits = hs @ p["w_hy"].T + p["b_y"]
-    return hs, _log_softmax(logits)
+    return forward_batch(model, [frames])[0]
 
 
 def forward(model: ToyAcousticModel, frames: np.ndarray) -> PosteriorGrid:
     _, logp = forward_states(model, frames)
     return PosteriorGrid(logp)
+
+
+def backward_batch(
+    model: ToyAcousticModel,
+    batch_frames: Sequence[np.ndarray],
+    batch_hs: Sequence[np.ndarray],
+    batch_dlogits: Sequence[np.ndarray],
+) -> list[dict[str, np.ndarray]]:
+    """Backpropagation through time for each utterance of a batch; returns
+    one dict of gradients per parameter for each utterance, in order.
+
+    Only the dh recursion runs per frame, once over the batch, and each
+    step is bit-equal to one utterance's. Each utterance is reversed at its
+    own length, so its frame t is step T_b-1-t, and the padded steps after
+    its frame 0 have a zero w_hy term and a zero tanh derivative. The w_hy
+    and w_hh products are stacked gemvs, the same BLAS call per frame as
+    `w_hy.T @ dlogits[t]` on one utterance (the gemm form is ruled out as
+    in forward_batch), and the rest is elementwise.
+
+    Each utterance's da is kept last frame first, and its w_xh, b_h and
+    w_hh gradients are one reduce over the per-frame outer products of da
+    with [x_t, 1, h_{t-1}] in that order (frame 0, which has no h_{t-1}, is
+    added to w_xh and b_h alone). The values are bit-identical to
+    accumulating `+= np.outer(...)` inside the loop: the products are the
+    same, and `np.add.reduce` over axis 0 adds them one frame at a time from
+    0.0 when each frame's block has more than one element, which [x_t, 1,
+    ...] ensures (a one-element block, such as b_h alone with one hidden
+    unit, is summed pairwise). A matrix product such as `das.T @ X` would
+    let BLAS reorder the sums, and so would one reduce over the whole batch,
+    so the reduces stay one per utterance.
+    """
+    p = model.params
+    batch = [np.asarray(frames, dtype=np.float64) for frames in batch_frames]
+    t_max = max(map(len, batch))
+    w_hy_t, w_hh_t = p["w_hy"].T, p["w_hh"].T
+    das = np.zeros((t_max, len(batch), model.hidden_dim, 1))  # w_hy term, then da
+    dtanh_rev = np.zeros_like(das)
+    for b, (hs, dlogits) in enumerate(zip(batch_hs, batch_dlogits)):
+        das[: len(hs), b] = w_hy_t @ dlogits[::-1, :, None]
+        dtanh_rev[: len(hs), b, :, 0] = (1.0 - hs**2)[::-1]
+    dh_next = np.zeros(das.shape[1:])
+    for da_t, dtanh_t in zip(das, dtanh_rev):
+        da_t += dh_next
+        da_t *= dtanh_t
+        dh_next = w_hh_t @ da_t
+
+    grads = []
+    for b, (frames, hs, dlogits) in enumerate(zip(batch, batch_hs, batch_dlogits)):
+        t_len, f = frames.shape
+        inputs = np.zeros((t_len, f + 1 + model.hidden_dim))
+        inputs[:, :f] = frames[::-1]
+        inputs[:, f] = 1.0
+        inputs[:-1, f + 1 :] = hs[-2::-1]
+        da = np.ascontiguousarray(das[:t_len, b, :, 0])  # frame t at row t_len-1-t
+        terms = da[:, :, None] * inputs[:, None, :]
+        total = np.add.reduce(terms[:-1], axis=0, initial=0.0)
+        total[:, : f + 1] += terms[-1, :, : f + 1]
+        grads.append(
+            {
+                "w_hy": dlogits.T @ hs,
+                "b_y": dlogits.sum(axis=0),
+                "w_xh": total[:, :f],
+                "w_hh": total[:, f + 1 :],
+                "b_h": total[:, f],
+            }
+        )
+    return grads
 
 
 def backward(
@@ -111,43 +204,9 @@ def backward(
     hs: np.ndarray,
     dlogits: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Backpropagation through time; returns gradients per parameter.
-
-    Only the dh recursion runs per frame. Each frame's da is stored last
-    frame first, and the w_xh, b_h and w_hh gradients are one reduce over
-    the per-frame outer products of da with [x_t, 1, h_{t-1}] in that
-    order (frame 0, which has no h_{t-1}, is added to w_xh and b_h alone).
-    The values are bit-identical to accumulating `+= np.outer(...)` inside
-    the loop: the products are the same, and `np.add.reduce` over axis 0
-    adds them one frame at a time from 0.0 when each frame's block has more
-    than one element, which [x_t, 1, ...] ensures (a one-element block,
-    such as b_h alone with one hidden unit, is summed pairwise). A matrix
-    product such as `das.T @ X` would let BLAS reorder the sums.
-    """
-    p = model.params
-    frames = np.asarray(frames, dtype=np.float64)
-    t_len, f = frames.shape
-    w_hy_t, w_hh_t = p["w_hy"].T, p["w_hh"].T
-    dtanh = 1.0 - hs**2
-    das = np.empty((t_len, model.hidden_dim))  # frame t at row t_len-1-t
-    dh_next = np.zeros(model.hidden_dim)
-    for i, t in enumerate(range(t_len - 1, -1, -1)):
-        das[i] = da = (w_hy_t @ dlogits[t] + dh_next) * dtanh[t]
-        dh_next = w_hh_t @ da
-    inputs = np.zeros((t_len, f + 1 + model.hidden_dim))
-    inputs[:, :f] = frames[::-1]
-    inputs[:, f] = 1.0
-    inputs[:-1, f + 1 :] = hs[-2::-1]
-    terms = das[:, :, None] * inputs[:, None, :]
-    total = np.add.reduce(terms[:-1], axis=0, initial=0.0)
-    total[:, : f + 1] += terms[-1, :, : f + 1]
-    return {
-        "w_hy": dlogits.T @ hs,
-        "b_y": dlogits.sum(axis=0),
-        "w_xh": total[:, :f],
-        "w_hh": total[:, f + 1 :],
-        "b_h": total[:, f],
-    }
+    """Backpropagation through time for one utterance; returns gradients
+    per parameter."""
+    return backward_batch(model, [frames], [hs], [dlogits])[0]
 
 
 def vocab_fingerprint(vocab: GraphemeVocab) -> str:

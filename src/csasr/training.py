@@ -19,7 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import model as model_mod
-from .ctc import InfeasibleTarget, PosteriorGrid, ctc_loss
+from .ctc import CtcLossResult, PosteriorGrid, ctc_loss_batch
+from .ctc import ctc_loss  # noqa: F401 - bench/tracer.py wraps training.ctc_loss by name
 from .features import extract_features, read_feat, read_wav
 from .vocab import GraphemeVocab, MalformedFile, encode
 
@@ -39,6 +40,19 @@ class EmptyBatch(ValueError):
 
 class AllInfeasible(ValueError):
     """Every utterance in the batch failed the CTC length precondition."""
+
+
+# an epoch loss above this multiple of the first epoch's means training diverged
+DIVERGENCE_FACTOR = 2.0
+
+
+class Diverged(ArithmeticError):
+    """Training produced a non-finite batch loss or update, or an epoch loss
+    above DIVERGENCE_FACTOR times the first epoch's; no model should be kept."""
+
+    def __init__(self, tag: str, epoch: int, batch: int, reason: str):
+        super().__init__(f"{tag} diverged at epoch {epoch}, batch {batch}: {reason}")
+        self.tag, self.epoch, self.batch = tag, epoch, batch
 
 
 @dataclass(frozen=True)
@@ -154,28 +168,36 @@ class SgdTrainer:
     def step(self, batch: Sequence[Example]) -> tuple[float, int, dict[str, float]]:
         """One update from the mean CTC gradient over the feasible batch items.
 
+        Forward, CTC and BPTT each run one frame loop for the whole batch;
+        the per-utterance gradients are then summed in batch order, so the
+        update is bit-identical to one built an utterance at a time.
+
         Returns (mean loss, count skipped as infeasible, per-language mean loss).
         """
         if not batch:
             raise EmptyBatch("batch has no items")
+        states = model_mod.forward_batch(self.model, [ex.frames for ex in batch])
+        results = ctc_loss_batch(
+            [PosteriorGrid(logp) for _, logp in states], [ex.target for ex in batch]
+        )
+        feasible = [i for i, r in enumerate(results) if isinstance(r, CtcLossResult)]
+        skipped = len(batch) - len(feasible)
+        if not feasible:
+            raise AllInfeasible(f"all {len(batch)} items infeasible")
+        all_grads = model_mod.backward_batch(
+            self.model,
+            [batch[i].frames for i in feasible],
+            [states[i][0] for i in feasible],
+            [results[i].grad for i in feasible],
+        )
         total = {k: np.zeros_like(v) for k, v in self.model.params.items()}
         losses = []
         by_language: dict[str, list[float]] = {}
-        skipped = 0
-        for ex in batch:
-            hs, logp = model_mod.forward_states(self.model, ex.frames)
-            try:
-                result = ctc_loss(PosteriorGrid(logp), ex.target)
-            except InfeasibleTarget:
-                skipped += 1
-                continue
-            grads = model_mod.backward(self.model, ex.frames, hs, result.grad)
+        for i, grads in zip(feasible, all_grads):
             for k in total:
                 total[k] += grads[k]
-            losses.append(result.loss)
-            by_language.setdefault(ex.language, []).append(result.loss)
-        if not losses:
-            raise AllInfeasible(f"all {len(batch)} items infeasible")
+            losses.append(results[i].loss)
+            by_language.setdefault(batch[i].language, []).append(results[i].loss)
 
         cfg = self.cfg
         scale = 1.0 / len(losses)
@@ -196,18 +218,28 @@ def train_epochs(
     cfg: TrainConfig,
     tag: str = "train",
 ) -> list[float]:
-    """Standard epoch loop; returns per-epoch mean losses."""
+    """Standard epoch loop; returns per-epoch mean losses.
+
+    Raises Diverged, naming the tag, epoch and batch (both counted from 1),
+    as soon as a batch loss or the update it made is not finite, or after
+    logging an epoch whose mean loss is above DIVERGENCE_FACTOR times the
+    first epoch's (the batch named is then the epoch's last).
+    """
     if not examples:
         raise ValueError("no training examples")
     trainer = SgdTrainer(model, cfg)
     history = []
-    for epoch in range(cfg.epochs):
-        batches = make_batches(examples, cfg.batch_size, cfg.seed + epoch)
+    for epoch in range(1, cfg.epochs + 1):
+        batches = make_batches(examples, cfg.batch_size, cfg.seed + epoch - 1)
         epoch_losses = []
         lang_sums: dict[str, list[float]] = {}
         skipped = 0
-        for batch in batches:
+        for b, batch in enumerate(batches, 1):
             loss, n_skip, lang_means = trainer.step(batch)
+            if not math.isfinite(loss):
+                raise Diverged(tag, epoch, b, f"batch loss is {loss}")
+            if not all(np.isfinite(v).all() for v in model.params.values()):
+                raise Diverged(tag, epoch, b, "the update left non-finite parameters")
             epoch_losses.append(loss)
             skipped += n_skip
             for lang, val in lang_means.items():
@@ -219,8 +251,14 @@ def train_epochs(
         )
         logger.info(
             "%s epoch %d/%d loss=%.4f %s skipped=%d",
-            tag, epoch + 1, cfg.epochs, mean_loss, per_lang, skipped,
+            tag, epoch, cfg.epochs, mean_loss, per_lang, skipped,
         )
+        if mean_loss > DIVERGENCE_FACTOR * history[0]:
+            raise Diverged(
+                tag, epoch, len(batches),
+                f"epoch loss {mean_loss:.4f} is above {DIVERGENCE_FACTOR:g}x "
+                f"the first epoch's {history[0]:.4f}",
+            )
     return history
 
 

@@ -1,7 +1,10 @@
 """Reference oracle: the CTC loss with separate alpha and beta loops and
 the BPTT that accumulated every gradient inside its frame loop, as csasr
-shipped them before the one-loop CTC and the reduce-after-loop BPTT, kept
-verbatim so test_training_differential.py can demand exact equality.
+shipped them before the one-loop CTC and the reduce-after-loop BPTT; the
+forward pass with its recurrence run over one utterance; and the SGD step
+that ran forward, CTC and BPTT once per utterance, as csasr shipped it
+before the batched step. All kept verbatim so test_training_differential.py
+can demand exact equality.
 
 Not part of the package.
 """
@@ -20,7 +23,8 @@ from csasr.ctc import (
     _check_target,
     _extended_labels,
 )
-from csasr.model import ToyAcousticModel
+from csasr.model import ShapeMismatch, ToyAcousticModel, _log_softmax
+from csasr.training import AllInfeasible, EmptyBatch, Example
 
 
 def ctc_loss(grid: PosteriorGrid, target: Sequence[int]) -> CtcLossResult:
@@ -103,3 +107,59 @@ def backward(
         grads["b_h"] += da
         dh_next = p["w_hh"].T @ da
     return grads
+
+
+def forward_states(model: ToyAcousticModel, frames: np.ndarray):
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[1] != model.input_dim:
+        raise ShapeMismatch(
+            f"frames shape {frames.shape} vs model input width {model.input_dim}"
+        )
+    p = model.params
+    t_len = frames.shape[0]
+    hs = np.zeros((t_len, model.hidden_dim))
+    h = np.zeros(model.hidden_dim)
+    pre = frames @ p["w_xh"].T + p["b_h"]
+    w_hh = p["w_hh"]
+    for t in range(t_len):
+        h = np.tanh(pre[t] + w_hh @ h)
+        hs[t] = h
+    logits = hs @ p["w_hy"].T + p["b_y"]
+    return hs, _log_softmax(logits)
+
+
+def reference_step(self, batch: Sequence[Example]) -> tuple[float, int, dict[str, float]]:
+    """SgdTrainer.step with one forward, CTC and BPTT per utterance; takes
+    the trainer as `self` so it can stand in for the method."""
+    if not batch:
+        raise EmptyBatch("batch has no items")
+    total = {k: np.zeros_like(v) for k, v in self.model.params.items()}
+    losses = []
+    by_language: dict[str, list[float]] = {}
+    skipped = 0
+    for ex in batch:
+        hs, logp = forward_states(self.model, ex.frames)
+        try:
+            result = ctc_loss(PosteriorGrid(logp), ex.target)
+        except InfeasibleTarget:
+            skipped += 1
+            continue
+        grads = backward(self.model, ex.frames, hs, result.grad)
+        for k in total:
+            total[k] += grads[k]
+        losses.append(result.loss)
+        by_language.setdefault(ex.language, []).append(result.loss)
+    if not losses:
+        raise AllInfeasible(f"all {len(batch)} items infeasible")
+
+    cfg = self.cfg
+    scale = 1.0 / len(losses)
+    for k, p in self.model.params.items():
+        g = total[k] * scale
+        v = self.velocity[k]
+        v *= cfg.momentum
+        v += g
+        step = g + cfg.momentum * v if cfg.nesterov else v
+        p -= cfg.learning_rate * step
+    lang_means = {k: float(np.mean(v)) for k, v in by_language.items()}
+    return float(np.mean(losses)), skipped, lang_means

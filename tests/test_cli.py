@@ -189,6 +189,23 @@ def test_synth_without_output_dir_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_diverging_train_exits_1_naming_the_epoch_and_writes_no_checkpoint(
+    pipeline, tmp_path, capsys
+):
+    # at --lr 50 the joint loss goes from ~1467 to ~6072 in epoch 2
+    ckpt = tmp_path / "diverged.ckpt"
+    data = pipeline["data"]
+    code = main([
+        "--seed", "0", "train", "--vocab", str(pipeline["vocab"]),
+        "--l1-manifest", str(data / "l1_manifest.csv"),
+        "--l2-manifest", str(data / "l2_manifest.csv"),
+        "--hidden", "12", "--epochs", "3", "--lr", "50", "--out", str(ckpt),
+    ])
+    assert code == 1
+    assert "joint diverged at epoch 2, batch 2" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_internal_error_exits_1(pipeline, tmp_path, capsys):
     # a well-formed grid whose width does not match the vocabulary
     grid = tmp_path / "narrow.grid"

@@ -6,6 +6,7 @@ from csasr.features import write_feat
 from csasr.model import forward, init_model
 from csasr.training import (
     AllInfeasible,
+    Diverged,
     EmptyBatch,
     Example,
     MalformedManifest,
@@ -193,6 +194,39 @@ def test_training_overfits_a_tiny_set():
     cfg = TrainConfig(learning_rate=0.05, momentum=0.9, epochs=150, batch_size=2, seed=0)
     history = train_epochs(model, examples, cfg)
     assert history[-1] < 0.1 * history[0]
+
+
+def _divergence_probe(lr):
+    rng = np.random.default_rng(8)
+    examples = [_example(rng, 8, t) for t in ([1, 2], [2, 1], [1], [2, 2])]
+    model = init_model(3, 3, hidden_dim=16, seed=9)
+    cfg = TrainConfig(learning_rate=lr, epochs=6, batch_size=2, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(Diverged) as caught:
+        train_epochs(model, examples, cfg, tag="probe")
+    return caught.value
+
+
+def test_epoch_loss_far_above_the_first_raises_diverged():
+    err = _divergence_probe(5.0)  # epoch losses 19.3, then 128.3
+    assert (err.tag, err.epoch, err.batch) == ("probe", 2, 2)
+    assert "probe diverged at epoch 2, batch 2" in str(err)
+    assert "above 2x the first epoch's" in str(err)
+
+
+def test_non_finite_update_raises_diverged_at_its_batch():
+    err = _divergence_probe(1e308)
+    assert (err.tag, err.epoch, err.batch) == ("probe", 1, 1)
+    assert "non-finite parameters" in str(err)
+
+
+def test_non_finite_batch_loss_raises_diverged_at_its_batch(monkeypatch):
+    losses = iter([1.0, 1.0, 1.0, float("nan")])
+    monkeypatch.setattr(SgdTrainer, "step", lambda self, batch: (next(losses), 0, {}))
+    rng = np.random.default_rng(8)
+    examples = [_example(rng, 4, [1]) for _ in range(4)]
+    cfg = TrainConfig(epochs=2, batch_size=2)
+    with pytest.raises(Diverged, match="at epoch 2, batch 2: batch loss is nan"):
+        train_epochs(init_model(3, 3, hidden_dim=4, seed=0), examples, cfg, tag="probe")
 
 
 def test_single_utterance_loss_decreases_over_every_window():

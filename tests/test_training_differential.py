@@ -1,9 +1,10 @@
-"""Differential test: the one-loop CTC loss and the reduce-after-loop BPTT
-against the verbatim versions they replaced (tests/reference_training.py).
+"""Differential test: the batched SGD step, the one-loop CTC loss and the
+reduce-after-loop BPTT against the verbatim versions they replaced
+(tests/reference_training.py).
 
-Equality is exact (`==` on the loss, `tobytes()` on every gradient and
-parameter): the rewrite only regroups elementwise float work and keeps
-every sum in its old order.
+Equality is exact (`==` on losses, `tobytes()` on every gradient,
+parameter and velocity): the rewrites only regroup elementwise float work
+and stack per-utterance BLAS calls, and keep every sum in its old order.
 """
 
 import numpy as np
@@ -12,9 +13,21 @@ from hypothesis import given, settings, strategies as st
 
 from csasr import model as model_mod
 from csasr import synth, training
-from csasr.ctc import InfeasibleTarget, PosteriorGrid, _adjacent_equal_pairs, ctc_loss
-from csasr.model import backward, forward_states, init_model
-from csasr.training import Example, TrainConfig
+from csasr.ctc import (
+    InfeasibleTarget,
+    PosteriorGrid,
+    _adjacent_equal_pairs,
+    ctc_loss,
+    ctc_loss_batch,
+)
+from csasr.model import (
+    backward,
+    backward_batch,
+    forward_batch,
+    forward_states,
+    init_model,
+)
+from csasr.training import AllInfeasible, Example, SgdTrainer, TrainConfig
 from csasr.vocab import build_vocab, encode
 
 import reference_training
@@ -47,18 +60,24 @@ def ctc_cases(draw):
 
 
 @settings(max_examples=600, deadline=None)
-@given(ctc_cases())
-def test_ctc_loss_equals_reference(case):
-    grid, target = case
-    try:
-        want = reference_training.ctc_loss(grid, target)
-    except InfeasibleTarget:
+@given(st.lists(ctc_cases(), min_size=1, max_size=6))
+def test_ctc_loss_equals_reference(cases):
+    got = ctc_loss_batch([grid for grid, _ in cases], [target for _, target in cases])
+    assert len(got) == len(cases)
+    for (grid, target), result in zip(cases, got):
+        try:
+            want = reference_training.ctc_loss(grid, target)
+        except InfeasibleTarget:
+            assert isinstance(result, InfeasibleTarget)
+            continue
+        assert result.loss == want.loss
+        assert result.grad.tobytes() == want.grad.tobytes()
+    grid, target = cases[0]  # the per-utterance entry point is the same code
+    if isinstance(got[0], InfeasibleTarget):
         with pytest.raises(InfeasibleTarget):
             ctc_loss(grid, target)
-        return
-    got = ctc_loss(grid, target)
-    assert got.loss == want.loss
-    assert got.grad.tobytes() == want.grad.tobytes()
+    else:
+        assert ctc_loss(grid, target).grad.tobytes() == got[0].grad.tobytes()
 
 
 @settings(max_examples=400, deadline=None)
@@ -66,23 +85,100 @@ def test_ctc_loss_equals_reference(case):
     st.integers(1, 16),
     st.integers(1, 20),
     st.integers(2, 41),
-    st.integers(1, 30),
+    st.lists(st.integers(1, 30), min_size=1, max_size=6),
     st.integers(0, 2**32 - 1),
 )
-def test_backward_equals_reference(hidden, width, V, T, seed):
+def test_backward_equals_reference(hidden, width, V, lengths, seed):
     rng = np.random.default_rng(seed)
     m = init_model(width, V, hidden, seed=seed % 1000)
-    frames = rng.normal(0.0, 2.0, (T, width))
-    frames[rng.random(T) < 0.2] = 0.0  # zero inputs give signed-zero products
-    hs, logp = forward_states(m, frames)
-    dlogits = rng.normal(0.0, 1.0, (T, V))
-    dlogits[rng.random((T, V)) < 0.2] = 0.0
-    got = backward(m, frames, hs, dlogits)
-    want = reference_training.backward(m, frames, hs, dlogits)
-    assert list(got) == list(want)
-    for k in want:
-        assert got[k].shape == want[k].shape, k
-        assert got[k].tobytes() == want[k].tobytes(), k
+    batch_frames, batch_dlogits = [], []
+    for T in lengths:
+        frames = rng.normal(0.0, 2.0, (T, width))
+        frames[rng.random(T) < 0.2] = 0.0  # zero inputs give signed-zero products
+        dlogits = rng.normal(0.0, 1.0, (T, V))
+        dlogits[rng.random((T, V)) < 0.2] = 0.0
+        batch_frames.append(frames)
+        batch_dlogits.append(dlogits)
+    states = forward_batch(m, batch_frames)
+    got = backward_batch(m, batch_frames, [hs for hs, _ in states], batch_dlogits)
+    for frames, dlogits, (hs, logp), grads in zip(
+        batch_frames, batch_dlogits, states, got
+    ):
+        want_hs, want_logp = reference_training.forward_states(m, frames)
+        assert hs.tobytes() == want_hs.tobytes()
+        assert logp.tobytes() == want_logp.tobytes()
+        want = reference_training.backward(m, frames, hs, dlogits)
+        assert list(grads) == list(want)
+        for k in want:
+            assert grads[k].shape == want[k].shape, k
+            assert grads[k].tobytes() == want[k].tobytes(), k
+    # the per-utterance entry points are the same code
+    hs, logp = forward_states(m, batch_frames[0])
+    assert logp.tobytes() == states[0][1].tobytes()
+    single = backward(m, batch_frames[0], hs, batch_dlogits[0])
+    assert all(single[k].tobytes() == got[0][k].tobytes() for k in single)
+
+
+@st.composite
+def step_cases(draw):
+    """A model, a config and a batch of 1-20 utterances of 1-31 frames whose
+    targets are random, empty, one repeated unit, or too long to align."""
+    V = draw(st.integers(2, 12))
+    hidden = draw(st.sampled_from((1, 2, 5, 12)))
+    width = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    m = init_model(width, V, hidden, seed=seed % 1000)
+    gain = draw(st.sampled_from((0.5, 1.0, 3.0)))  # 3.0 saturates tanh
+    for v in m.params.values():
+        v *= gain
+    all_infeasible = draw(st.integers(0, 9)) == 0
+    batch = []
+    for _ in range(draw(st.integers(1, 20))):
+        T = draw(st.integers(1, 31))
+        kind = "infeasible" if all_infeasible else draw(
+            st.sampled_from(("random", "empty", "repeats", "infeasible"))
+        )
+        if kind == "empty":
+            target = []
+        elif kind == "repeats":  # 2k-1 frames align k copies of one unit
+            unit = draw(st.integers(1, V - 1))
+            target = [unit] * draw(st.integers(1, (T + 1) // 2))
+        elif kind == "infeasible":  # T + 1 units never fit in T frames
+            target = draw(st.lists(st.integers(1, V - 1), min_size=T + 1, max_size=T + 1))
+        else:
+            target = draw(st.lists(st.integers(1, V - 1), max_size=T))
+        frames = rng.normal(0.0, 1.0, (T, width))
+        frames[rng.random(T) < 0.1] = 0.0
+        language = draw(st.sampled_from(training.LANGUAGES))
+        batch.append(Example(frames, tuple(target), 0, language))
+    cfg = TrainConfig(
+        learning_rate=draw(st.sampled_from((0.0, 0.01, 0.3))),
+        momentum=draw(st.sampled_from((0.0, 0.9))),
+        nesterov=draw(st.booleans()),
+    )
+    return m, cfg, batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_cases())
+def test_step_equals_reference(case):
+    m, cfg, batch = case
+    new, old = SgdTrainer(m.copy(), cfg), SgdTrainer(m.copy(), cfg)
+    for _ in range(2):  # the second step starts from the first one's velocity
+        try:
+            want = reference_training.reference_step(old, batch)
+        except AllInfeasible:
+            with pytest.raises(AllInfeasible):
+                new.step(batch)
+            break
+        got = new.step(batch)
+        assert got == want
+        for k in model_mod.PARAM_NAMES:
+            assert new.model.params[k].tobytes() == old.model.params[k].tobytes(), k
+            assert new.velocity[k].tobytes() == old.velocity[k].tobytes(), k
+    for k in model_mod.PARAM_NAMES:
+        assert new.model.params[k].tobytes() == old.model.params[k].tobytes(), k
 
 
 def _examples(spec, vocab, language, texts):
@@ -108,13 +204,13 @@ def test_training_run_is_byte_identical_to_reference(monkeypatch):
     def run():
         am = init_model(spec.feature_dim, len(vocab), 8, seed=5)
         cfg = TrainConfig(learning_rate=0.01, batch_size=7, epochs=2, seed=1)
-        training.train_epochs(am, pool, cfg)
-        training.train_epochs(am, mixed, cfg)
-        return am
+        history = training.train_epochs(am, pool, cfg)
+        history += training.train_epochs(am, mixed, cfg)
+        return am, history
 
-    new = run()
-    monkeypatch.setattr(training, "ctc_loss", reference_training.ctc_loss)
-    monkeypatch.setattr(model_mod, "backward", reference_training.backward)
-    old = run()
+    new, new_history = run()
+    monkeypatch.setattr(training.SgdTrainer, "step", reference_training.reference_step)
+    old, old_history = run()
+    assert new_history == old_history
     for k in model_mod.PARAM_NAMES:
         assert new.params[k].tobytes() == old.params[k].tobytes(), k

@@ -60,15 +60,23 @@ def _inventory_vocab(spec: synth.SynthSpec):
     return build_vocab(["".join(sorted(spec.templates))])
 
 
-def _train_config(args, epochs: int, seed: int) -> training.TrainConfig:
+def _train_config(opts, epochs: int, seed: int) -> training.TrainConfig:
     return training.TrainConfig(
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        nesterov=not args.no_nesterov,
-        batch_size=args.batch_size,
+        learning_rate=opts.lr,
+        momentum=opts.momentum,
+        # run-matrix has no --no-nesterov: it always trains with Nesterov
+        nesterov=not getattr(opts, "no_nesterov", False),
+        batch_size=opts.batch_size,
         epochs=epochs,
         seed=seed,
     )
+
+
+def _one_source(single, pair: tuple, usage: str) -> bool:
+    """True for `single` alone, False for both of `pair`, else UsageError(usage)."""
+    if (single and any(pair)) or (not single and not all(pair)):
+        raise UsageError(usage)
+    return bool(single)
 
 
 def _load_examples(manifest_path, vocab):
@@ -79,9 +87,7 @@ def _load_examples(manifest_path, vocab):
 
 def cmd_synth(args) -> None:
     out = _output_dir(args)
-    spec = synth.make_spec(
-        args.latin, args.cjk, args.feature_dim, args.sigma, args.p_switch, args.seed
-    )
+    spec = _spec(args, args.seed)
     tag = args.tag or args.language
     entries = synth.synth_corpus(spec, args.language, args.count, out, tag=tag)
     if args.vocab_out:
@@ -90,9 +96,23 @@ def cmd_synth(args) -> None:
     print(f"wrote {len(entries)} utterances under {out / (tag + '_manifest.csv')}")
 
 
-def _read_lm_corpus(path) -> list[list[str]]:
+def _read_text(path) -> tuple[list[str], list[list[str]]]:
+    """Lines of a normalized-text file and their LM tokens, or MalformedFile."""
     lines = _require_file(path).read_text(encoding="utf-8").splitlines()
-    return [lm.tokenize_lm(line) for line in lines if line.strip()]
+    tokens = []
+    for n, line in enumerate(lines, 1):
+        try:
+            tokens.append(lm.tokenize_lm(line))
+        except ValueError as e:
+            raise MalformedFile(path, n, str(e)) from None
+    return lines, tokens
+
+
+def _read_lm_corpus(path) -> list[list[str]]:
+    corpus = [tokens for tokens in _read_text(path)[1] if tokens]
+    if not corpus:
+        raise UsageError(f"no text in {path}")
+    return corpus
 
 
 def cmd_train_lm(args) -> None:
@@ -114,22 +134,22 @@ def cmd_perplexity(args) -> None:
 
 
 def cmd_train(args) -> None:
+    usage = "provide either --manifest or both --l1-manifest and --l2-manifest"
+    joint = not _one_source(args.manifest, (args.l1_manifest, args.l2_manifest), usage)
     vocab = load_vocab(_require_file(args.vocab))
-    if args.l1_manifest and args.l2_manifest:
+    if joint:
         l1 = _load_examples(args.l1_manifest, vocab)
         l2 = _load_examples(args.l2_manifest, vocab)
         pool = l1 + l2
-    elif args.manifest:
-        pool = _load_examples(args.manifest, vocab)
     else:
-        raise UsageError("provide --manifest or both --l1-manifest and --l2-manifest")
+        pool = _load_examples(args.manifest, vocab)
     if not pool:
         raise UsageError("no training examples in manifest")
     cfg = _train_config(args, args.epochs, args.seed)
     model = model_mod.init_model(
         pool[0].frames.shape[1], len(vocab), args.hidden, args.seed
     )
-    if args.l1_manifest and args.l2_manifest:
+    if joint:
         training.run_joint_training(model, l1, l2, cfg)
     else:
         training.train_epochs(model, pool, cfg)
@@ -148,20 +168,20 @@ def cmd_finetune(args) -> None:
 
 
 def cmd_decode(args) -> None:
+    usage = "provide either --grid or both --checkpoint and --manifest"
+    from_grid = _one_source(args.grid, (args.checkpoint, args.manifest), usage)
     vocab = load_vocab(_require_file(args.vocab))
     lm_model = lm.read_arpa(_require_file(args.lm)) if args.lm else None
     cfg = decoder.FusionConfig(args.alpha, args.beta, args.beam)
-    if args.grid:
+    if from_grid:
         grids = [ctc.read_grid(_require_file(args.grid))]
-    elif args.checkpoint and args.manifest:
+    else:
         am = model_mod.load_checkpoint(_require_file(args.checkpoint), vocab)
         manifest = _require_file(args.manifest)
         grids = [
             model_mod.forward(am, training.load_frames(e, manifest.parent))
             for e in training.load_manifest(manifest)
         ]
-    else:
-        raise UsageError("provide --grid or both --checkpoint and --manifest")
 
     top_texts = []
     for grid in grids:
@@ -176,23 +196,17 @@ def cmd_decode(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
-    refs = _require_file(args.ref).read_text(encoding="utf-8").splitlines()
-    hyps = _require_file(args.hyp).read_text(encoding="utf-8").splitlines()
+    refs, ref_tokens = _read_text(args.ref)
+    hyps, _ = _read_text(args.hyp)
     if len(refs) != len(hyps):
         raise UsageError(
             f"line counts differ: {len(refs)} references vs {len(hyps)} hypotheses"
         )
     if not refs:
         raise UsageError(f"no references in {args.ref}")
-    for n, ref in enumerate(refs, 1):
-        if not ref.strip():
-            raise UsageError(f"{args.ref}: line {n}: reference is empty")
-    for path, lines in ((args.ref, refs), (args.hyp, hyps)):
-        for n, line in enumerate(lines, 1):
-            try:
-                lm.tokenize_lm(line)
-            except ValueError as e:
-                raise UsageError(f"{path}: line {n}: {e}") from None
+    for n, tokens in enumerate(ref_tokens, 1):
+        if not tokens:
+            raise MalformedFile(args.ref, n, "reference is empty")
     cer_report = metrics.corpus_cer(refs, hyps)
     wer_report = metrics.corpus_wer(refs, hyps)
     points = [metrics.switch_point_score(r, h) for r, h in zip(refs, hyps)]
@@ -222,9 +236,7 @@ def run_matrix(out_dir: Path, seed: int, opts) -> dict[tuple[str, str], float]:
     the CER matrix; identical seeds give byte-identical artifacts."""
     out_dir.mkdir(parents=True, exist_ok=True)
     data_dir = out_dir / "data"
-    spec = synth.make_spec(
-        opts.latin, opts.cjk, opts.feature_dim, opts.sigma, opts.p_switch, seed
-    )
+    spec = _spec(opts, seed)
     vocab = _inventory_vocab(spec)
     save_vocab(vocab, out_dir / "vocab.txt")
 
@@ -247,16 +259,9 @@ def run_matrix(out_dir: Path, seed: int, opts) -> dict[tuple[str, str], float]:
     feature_dim = opts.feature_dim
     base_cfg = decoder.FusionConfig(alpha=0.0, beta=0.0, beam_width=opts.beam)
     fused_cfg = decoder.FusionConfig(opts.alpha, opts.beta, opts.beam)
-
-    def new_cfg(epochs: int, seed_offset: int) -> training.TrainConfig:
-        return training.TrainConfig(
-            learning_rate=opts.lr,
-            momentum=opts.momentum,
-            nesterov=True,
-            batch_size=opts.batch_size,
-            epochs=epochs,
-            seed=seed + seed_offset,
-        )
+    pretrain_cfg = _train_config(opts, opts.pretrain_epochs, seed + 1)
+    scratch_cfg = _train_config(opts, opts.finetune_epochs, seed + 2)
+    tune_cfg = _train_config(opts, opts.finetune_epochs, seed + 3)
 
     def test_cer(am, cfg, fusion_lm) -> float:
         hyps = []
@@ -266,17 +271,17 @@ def run_matrix(out_dir: Path, seed: int, opts) -> dict[tuple[str, str], float]:
         return metrics.corpus_cer(refs, hyps).rate
 
     joint = model_mod.init_model(feature_dim, len(vocab), opts.hidden, seed + 11)
-    training.run_joint_training(joint, l1_x, l2_x, new_cfg(opts.pretrain_epochs, 1))
+    training.run_joint_training(joint, l1_x, l2_x, pretrain_cfg)
 
     matrix: dict[tuple[str, str], float] = {}
     full_models = {}
     for fraction, col in ((0.1, "10%"), (0.5, "50%"), (1.0, "100%")):
         scratch = model_mod.init_model(feature_dim, len(vocab), opts.hidden, seed + 12)
-        training.run_finetune(scratch, cs_x, new_cfg(opts.finetune_epochs, 2), fraction)
+        training.run_finetune(scratch, cs_x, scratch_cfg, fraction)
         matrix[("scratch", col)] = test_cer(scratch, base_cfg, None)
 
         tuned = joint.copy()
-        training.run_finetune(tuned, cs_x, new_cfg(opts.finetune_epochs, 3), fraction)
+        training.run_finetune(tuned, cs_x, tune_cfg, fraction)
         matrix[("joint+finetune", col)] = test_cer(tuned, base_cfg, None)
         logger.info(
             "fraction %s: scratch %.2f, joint+finetune %.2f",
@@ -356,12 +361,18 @@ def _add_spec_flags(p: argparse.ArgumentParser):
     p.add_argument("--p-switch", type=probability, default=0.3)
 
 
-def _add_train_flags(p: argparse.ArgumentParser, default_lr: float, default_epochs: int):
-    p.add_argument("--lr", type=finite_float, default=default_lr)
+def _spec(args, seed: int) -> synth.SynthSpec:
+    return synth.make_spec(
+        args.latin, args.cjk, args.feature_dim, args.sigma, args.p_switch, seed
+    )
+
+
+def _add_train_flags(p: argparse.ArgumentParser):
+    p.add_argument("--lr", type=finite_float, default=3e-4)
     p.add_argument("--momentum", type=finite_float, default=0.9)
     p.add_argument("--no-nesterov", action="store_true")
     p.add_argument("--batch-size", type=positive_int, default=20)
-    p.add_argument("--epochs", type=positive_int, default=default_epochs)
+    p.add_argument("--epochs", type=positive_int, default=10)
     p.add_argument("--hidden", type=positive_int, default=64)
 
 
@@ -399,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l1-manifest")
     p.add_argument("--l2-manifest")
     p.add_argument("--out", required=True)
-    _add_train_flags(p, default_lr=3e-4, default_epochs=10)
+    _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("finetune", help="continue training from a checkpoint")
@@ -408,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--fraction", type=unit_fraction, default=1.0)
     p.add_argument("--out", required=True)
-    _add_train_flags(p, default_lr=3e-4, default_epochs=10)
+    _add_train_flags(p)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("decode", help="beam-search decode grids or a manifest")

@@ -75,6 +75,10 @@ def edit_distance(a: Sequence, b: Sequence) -> tuple[int, int, int, int]:
     return align(a, b)[:4]
 
 
+def _report(s: int, i: int, d: int, n: int) -> ErrorRateReport:
+    return ErrorRateReport(s, i, d, n, 100.0 * (s + i + d) / n)
+
+
 def cer(reference: str, hypothesis: str) -> ErrorRateReport:
     """Character error rate in percent.
 
@@ -86,8 +90,7 @@ def cer(reference: str, hypothesis: str) -> ErrorRateReport:
     ref_units = [ch for ch in reference if ch != " "]
     hyp_units = [ch for ch in hypothesis if ch != " "]
     _, s, i, d = edit_distance(ref_units, hyp_units)
-    ref_len = len(reference)
-    return ErrorRateReport(s, i, d, ref_len, 100.0 * (s + i + d) / ref_len)
+    return _report(s, i, d, len(reference))
 
 
 def wer(reference: str, hypothesis: str) -> ErrorRateReport:
@@ -97,28 +100,29 @@ def wer(reference: str, hypothesis: str) -> ErrorRateReport:
         raise EmptyReference("reference has no tokens")
     hyp_tokens = tokenize_lm(hypothesis)
     _, s, i, d = edit_distance(ref_tokens, hyp_tokens)
-    return ErrorRateReport(s, i, d, len(ref_tokens), 100.0 * (s + i + d) / len(ref_tokens))
+    return _report(s, i, d, len(ref_tokens))
 
 
-def _aggregate(reports: Sequence[ErrorRateReport]) -> ErrorRateReport:
-    s = sum(r.substitutions for r in reports)
-    i = sum(r.insertions for r in reports)
-    d = sum(r.deletions for r in reports)
-    n = sum(r.reference_length for r in reports)
-    return ErrorRateReport(s, i, d, n, 100.0 * (s + i + d) / n)
+def _pooled(rate, refs: Sequence[str], hyps: Sequence[str]) -> ErrorRateReport:
+    """The edits `rate` counts over every pair, over the summed reference length."""
+    if len(refs) != len(hyps):
+        raise ValueError("reference and hypothesis counts differ")
+    reports = [rate(r, h) for r, h in zip(refs, hyps)]
+    return _report(
+        sum(r.substitutions for r in reports),
+        sum(r.insertions for r in reports),
+        sum(r.deletions for r in reports),
+        sum(r.reference_length for r in reports),
+    )
 
 
 def corpus_cer(references: Sequence[str], hypotheses: Sequence[str]) -> ErrorRateReport:
     """Pooled CER: total edits over total reference length."""
-    if len(references) != len(hypotheses):
-        raise ValueError("reference and hypothesis counts differ")
-    return _aggregate([cer(r, h) for r, h in zip(references, hypotheses)])
+    return _pooled(cer, references, hypotheses)
 
 
 def corpus_wer(references: Sequence[str], hypotheses: Sequence[str]) -> ErrorRateReport:
-    if len(references) != len(hypotheses):
-        raise ValueError("reference and hypothesis counts differ")
-    return _aggregate([wer(r, h) for r, h in zip(references, hypotheses)])
+    return _pooled(wer, references, hypotheses)
 
 
 def _switch_boundaries(tokens: list[str]) -> set[int]:

@@ -136,9 +136,9 @@ def backward_batch(
     batch_frames: Sequence[np.ndarray],
     batch_hs: Sequence[np.ndarray],
     batch_dlogits: Sequence[np.ndarray],
-) -> list[dict[str, np.ndarray]]:
-    """Backpropagation through time for each utterance of a batch; returns
-    one dict of gradients per parameter for each utterance, in order.
+) -> dict[str, np.ndarray]:
+    """Backpropagation through time for a batch; returns the gradients per
+    parameter summed over it, from zeros, one utterance at a time in order.
 
     Only the dh recursion runs per frame, once over the batch, and each
     step is bit-equal to one utterance's. Each utterance is reversed at its
@@ -175,7 +175,7 @@ def backward_batch(
         da_t *= dtanh_t
         dh_next = w_hh_t @ da_t
 
-    grads = []
+    total = {k: np.zeros_like(v) for k, v in p.items()}
     for b, (frames, hs, dlogits) in enumerate(zip(batch, batch_hs, batch_dlogits)):
         t_len, f = frames.shape
         inputs = np.zeros((t_len, f + 1 + model.hidden_dim))
@@ -184,18 +184,14 @@ def backward_batch(
         inputs[:-1, f + 1 :] = hs[-2::-1]
         da = np.ascontiguousarray(das[:t_len, b, :, 0])  # frame t at row t_len-1-t
         terms = da[:, :, None] * inputs[:, None, :]
-        total = np.add.reduce(terms[:-1], axis=0, initial=0.0)
-        total[:, : f + 1] += terms[-1, :, : f + 1]
-        grads.append(
-            {
-                "w_hy": dlogits.T @ hs,
-                "b_y": dlogits.sum(axis=0),
-                "w_xh": total[:, :f],
-                "w_hh": total[:, f + 1 :],
-                "b_h": total[:, f],
-            }
-        )
-    return grads
+        reduced = np.add.reduce(terms[:-1], axis=0, initial=0.0)
+        reduced[:, : f + 1] += terms[-1, :, : f + 1]
+        total["w_hy"] += dlogits.T @ hs
+        total["b_y"] += dlogits.sum(axis=0)
+        total["w_xh"] += reduced[:, :f]
+        total["w_hh"] += reduced[:, f + 1 :]
+        total["b_h"] += reduced[:, f]
+    return total
 
 
 def backward(
@@ -205,8 +201,8 @@ def backward(
     dlogits: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Backpropagation through time for one utterance; returns gradients
-    per parameter."""
-    return backward_batch(model, [frames], [hs], [dlogits])[0]
+    per parameter, added to zeros as backward_batch does."""
+    return backward_batch(model, [frames], [hs], [dlogits])
 
 
 def vocab_fingerprint(vocab: GraphemeVocab) -> str:

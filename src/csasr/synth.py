@@ -22,6 +22,11 @@ from .training import LANGUAGES, ManifestEntry, save_manifest
 from .vocab import is_cjk
 
 
+# frames per grapheme, and graphemes per transcript (spaces included)
+MIN_FRAMES, MAX_FRAMES = 2, 3
+MIN_GRAPHEMES, MAX_GRAPHEMES = 3, 12
+
+
 class MissingTemplate(KeyError):
     pass
 
@@ -60,13 +65,11 @@ def make_spec(
     sigma: float = 0.4,
     p_switch: float = 0.3,
     seed: int = 0,
-    min_frames: int = 2,
-    max_frames: int = 3,
 ) -> SynthSpec:
     graphemes = sorted(set(latin_letters)) + [" "] + sorted(set(cjk_chars))
     rng = np.random.default_rng(seed)
     templates = {g: rng.normal(0.0, 1.0, feature_dim) for g in graphemes}
-    durations = {g: int(rng.integers(min_frames, max_frames + 1)) for g in graphemes}
+    durations = {g: int(rng.integers(MIN_FRAMES, MAX_FRAMES + 1)) for g in graphemes}
 
     required = 3.0 * sigma * np.sqrt(feature_dim)
     vals = list(templates.values())
@@ -83,8 +86,9 @@ def make_spec(
     return SynthSpec(seed, templates, durations, sigma, p_switch)
 
 
-def _utterance_rng(seed: int, transcript: str) -> np.random.Generator:
-    digest = hashlib.sha256(f"{seed}|{transcript}".encode("utf-8")).digest()
+def _hashed_rng(key: str) -> np.random.Generator:
+    """A generator seeded by the sha256 of key, so its draws depend on key alone."""
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
@@ -98,7 +102,7 @@ def synth_utterance(spec: SynthSpec, transcript: str) -> np.ndarray:
         rows.extend([template] * spec.durations[ch])
     frames = np.stack(rows)
     if spec.sigma > 0.0:
-        rng = _utterance_rng(spec.seed, transcript)
+        rng = _hashed_rng(f"{spec.seed}|{transcript}")
         frames = frames + rng.normal(0.0, spec.sigma, frames.shape)
     return frames.copy()
 
@@ -114,19 +118,13 @@ def _sample_word(rng: np.random.Generator, letters: list[str], max_len: int) -> 
     return "".join(word)
 
 
-def sample_transcript(
-    spec: SynthSpec,
-    language: str,
-    rng: np.random.Generator,
-    min_graphemes: int = 3,
-    max_graphemes: int = 12,
-) -> str:
+def sample_transcript(spec: SynthSpec, language: str, rng: np.random.Generator) -> str:
     """Token sequence joined by spaces; mixed utterances switch script at a
     token boundary with probability p_switch."""
     if language not in LANGUAGES:
         raise ValueError(f"language must be one of {LANGUAGES}, got {language!r}")
     latin, cjk = spec.latin_letters, spec.cjk_chars
-    target = int(rng.integers(min_graphemes, max_graphemes + 1))
+    target = int(rng.integers(MIN_GRAPHEMES, MAX_GRAPHEMES + 1))
     if language == "mixed":
         script = "latin" if rng.random() < 0.5 else "cjk"
     else:
@@ -139,7 +137,7 @@ def sample_transcript(
         else:
             token = cjk[int(rng.integers(len(cjk)))]
         added = len(token) + (1 if tokens else 0)
-        if tokens and length >= min_graphemes and length + added > target:
+        if tokens and length >= MIN_GRAPHEMES and length + added > target:
             break
         tokens.append(token)
         length += added
@@ -150,34 +148,26 @@ def sample_transcript(
     return " ".join(tokens)
 
 
-def _corpus_rng(spec: SynthSpec, tag: str) -> np.random.Generator:
-    digest = hashlib.sha256(f"{spec.seed}|corpus|{tag}".encode("utf-8")).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
-
-
 def sample_text_corpus(
     spec: SynthSpec, language: str, count: int, tag: str
 ) -> list[str]:
     """Transcripts only, no audio; cheap way to get extra LM training text."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = _corpus_rng(spec, tag)
+    rng = _hashed_rng(f"{spec.seed}|corpus|{tag}")
     return [sample_transcript(spec, language, rng) for _ in range(count)]
 
 
 def synth_corpus(
-    spec: SynthSpec, language: str, count: int, out_dir, tag: str | None = None
+    spec: SynthSpec, language: str, count: int, out_dir, tag: str
 ) -> list[ManifestEntry]:
-    """Write count feature files plus a manifest; returns the entries."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    """Write the transcripts sample_text_corpus draws for tag as feature
+    files plus the manifest `<tag>_manifest.csv`; returns the entries."""
+    transcripts = sample_text_corpus(spec, language, count, tag)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tag = tag or language
-    rng = _corpus_rng(spec, tag)
     entries = []
-    for i in range(count):
-        transcript = sample_transcript(spec, language, rng)
+    for i, transcript in enumerate(transcripts):
         frames = synth_utterance(spec, transcript)
         name = f"{tag}_{i:04d}.feat"
         write_feat(frames, out / name)

@@ -168,8 +168,8 @@ class SgdTrainer:
     def step(self, batch: Sequence[Example]) -> tuple[float, int, dict[str, float]]:
         """One update from the mean CTC gradient over the feasible batch items.
 
-        Forward, CTC and BPTT each run one frame loop for the whole batch;
-        the per-utterance gradients are then summed in batch order, so the
+        Forward, CTC and BPTT each run one frame loop for the whole batch,
+        and BPTT sums the per-utterance gradients in batch order, so the
         update is bit-identical to one built an utterance at a time.
 
         Returns (mean loss, count skipped as infeasible, per-language mean loss).
@@ -184,19 +184,15 @@ class SgdTrainer:
         skipped = len(batch) - len(feasible)
         if not feasible:
             raise AllInfeasible(f"all {len(batch)} items infeasible")
-        all_grads = model_mod.backward_batch(
+        total = model_mod.backward_batch(
             self.model,
             [batch[i].frames for i in feasible],
             [states[i][0] for i in feasible],
             [results[i].grad for i in feasible],
         )
-        total = {k: np.zeros_like(v) for k, v in self.model.params.items()}
-        losses = []
+        losses = [results[i].loss for i in feasible]
         by_language: dict[str, list[float]] = {}
-        for i, grads in zip(feasible, all_grads):
-            for k in total:
-                total[k] += grads[k]
-            losses.append(results[i].loss)
+        for i in feasible:
             by_language.setdefault(batch[i].language, []).append(results[i].loss)
 
         cfg = self.cfg

@@ -6,6 +6,7 @@ CTC, a from-counts Kneser-Ney recursion for the LM, memoized recursion for
 edit distance, and central finite differences for gradients.
 """
 
+import hashlib
 import itertools
 import math
 import tempfile
@@ -465,3 +466,14 @@ def test_criterion_8_rerun_is_byte_identical(matrix_run, tmp_path):
         first == second,
         f"cer_matrix.csv identical across reruns ({len(first)} bytes)",
     )
+
+
+# the behaviour guard: default run-matrix at seed 0 writes exactly these bytes
+SEED_0_CER_MATRIX_SHA256 = "7eabf51ffd25673dc000397c94f9373d4b3b1f82f2dafe49b49cd0c435363689"
+
+
+def test_criterion_8_seed_0_cer_matrix_matches_the_recorded_sha256(matrix_run):
+    out_dir, _, _ = matrix_run
+    digest = hashlib.sha256((out_dir / "cer_matrix.csv").read_bytes()).hexdigest()
+    ok = digest == SEED_0_CER_MATRIX_SHA256
+    _report(8, ok, f"seed-0 cer_matrix.csv sha256 {digest}")

@@ -183,6 +183,83 @@ def test_usage_error_exits_2(pipeline, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, sources",
+    [
+        ("train", ["--manifest", "cs", "--l1-manifest", "l1"]),
+        ("train", ["--manifest", "cs", "--l1-manifest", "l1", "--l2-manifest", "l2"]),
+        ("train", ["--l1-manifest", "l1"]),
+        ("train", ["--l2-manifest", "l2"]),
+        ("decode", ["--grid", "grid", "--checkpoint", "tuned"]),
+        ("decode", ["--grid", "grid", "--manifest", "test"]),
+        ("decode", ["--grid", "grid", "--checkpoint", "tuned", "--manifest", "test"]),
+        ("decode", ["--checkpoint", "tuned"]),
+        ("decode", ["--manifest", "test"]),
+        ("decode", []),
+    ],
+)
+def test_not_exactly_one_input_source_exits_2_and_writes_nothing(
+    pipeline, tmp_path, capsys, command, sources
+):
+    data = pipeline["data"]
+    vocab_size = len(load_vocab(pipeline["vocab"]))
+    grid = tmp_path / "uniform.grid"
+    write_grid(PosteriorGrid(np.full((3, vocab_size), -np.log(vocab_size))), grid)
+    paths = {
+        "cs": data / "cs_manifest.csv",
+        "l1": data / "l1_manifest.csv",
+        "l2": data / "l2_manifest.csv",
+        "test": data / "test_manifest.csv",
+        "tuned": pipeline["tuned"],
+        "grid": grid,
+    }
+    out = tmp_path / "out"
+    rest = [str(paths.get(arg, arg)) for arg in sources]
+    if command == "train":
+        rest += ["--out", str(out), "--epochs", "1"]
+    else:
+        rest += ["--hyp-out", str(out)]
+    for vocab in (pipeline["vocab"], tmp_path / "absent.txt"):  # checked first
+        assert main([command, "--vocab", str(vocab)] + rest) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: provide either --")
+        assert captured.out == ""
+        assert not out.exists()
+
+
+def _lm_command(pipeline, command, corpus, arpa) -> int:
+    if command == "train-lm":
+        return main(["train-lm", "--corpus", str(corpus), "--out", str(arpa)])
+    return main(["perplexity", "--lm", str(pipeline["arpa"]), "--corpus", str(corpus)])
+
+
+@pytest.mark.parametrize("command", ["train-lm", "perplexity"])
+def test_lm_text_outside_inventory_exits_2_naming_file_and_line(
+    pipeline, tmp_path, capsys, command
+):
+    corpus, arpa = tmp_path / "text.txt", tmp_path / "out.arpa"
+    corpus.write_text("ab 你\n\nab A\n", encoding="utf-8")
+    assert _lm_command(pipeline, command, corpus, arpa) == 2
+    captured = capsys.readouterr()
+    assert f"{corpus}: line 3: unexpected character 'A'" in captured.err
+    assert captured.out == ""
+    assert not arpa.exists()
+
+
+@pytest.mark.parametrize("command", ["train-lm", "perplexity"])
+@pytest.mark.parametrize("text", ["", "\n  \n\n"])
+def test_lm_text_without_any_utterance_exits_2_naming_the_file(
+    pipeline, tmp_path, capsys, command, text
+):
+    corpus, arpa = tmp_path / "text.txt", tmp_path / "out.arpa"
+    corpus.write_text(text, encoding="utf-8")
+    assert _lm_command(pipeline, command, corpus, arpa) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no text in {corpus}\n"
+    assert captured.out == ""
+    assert not arpa.exists()
+
+
 def test_synth_without_output_dir_exits_2(capsys):
     code = main(["synth", "--language", "L1", "--count", "1"])
     assert code == 2

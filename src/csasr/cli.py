@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import ctc, decoder, lm, metrics, synth, training
 from . import model as model_mod
-from .vocab import MalformedFile, build_vocab, is_cjk, load_vocab, save_vocab
+from .vocab import MalformedFile, build_vocab, is_cjk, load_vocab, read_utf8, save_vocab
 
 logger = logging.getLogger("csasr")
 
@@ -98,7 +98,7 @@ def cmd_synth(args) -> None:
 
 def _read_text(path) -> tuple[list[str], list[list[str]]]:
     """Lines of a normalized-text file and their LM tokens, or MalformedFile."""
-    lines = _require_file(path).read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(_require_file(path)).splitlines()
     tokens = []
     for n, line in enumerate(lines, 1):
         try:

@@ -13,7 +13,7 @@ the empty prefix, and every other node is hash-consed from its (parent
 node, last unit) pair, so a prefix keeps one node id even after it was
 pruned and re-created. The beam of K prefixes is a set of parallel
 arrays: node, parent node and last unit; blank- and non-blank-ending
-masses pb/pnb; LM context id, log10 LM sum and word count, and the same
+masses pb/pnb; LM state id, log10 LM sum and word count, and the same
 three as they are once the pending Latin run is scored as a word, which
 is done when the prefix is created. Only the pending runs stay strings.
 
@@ -26,24 +26,41 @@ beam-slot array, takes the parent's extension mass into its own pnb,
 and that extension is masked out. Each candidate's log10 sum and word
 count are gathered from small per-beam tables: the beam's own fields
 (itself, or a Latin unit, which only grows the pending run), the
-completed ones (a separator), or those plus the CJK row of the context
-id, taken from a per-decode matrix of rows (without an LM, one zero
+completed ones (a separator), or those plus the CJK row of the LM
+state, taken from the model's matrix of rows (without an LM, one zero
 row). The top K survive by np.partition. Exact score ties at the cut go
 to the smallest prefix, the only place besides the returned n-best
 where prefixes are spelled out as tuples. Which tied candidates survive
 is the only thing the order of the beam could change, so the beam is
 kept in candidate order, unsorted.
 
-A context's CJK row comes from one `lm.log10_row` call over every CJK
-unit (out-of-vocabulary ones as `<unk>`) rather than one `lm.score` per
-unit. The row is the row of the context's suffix plus the context's
-backoff weight, overwritten where the n-gram is stored; suffix rows are
-memoized per decode, so a 4-token context reuses the rows of its 3-, 2-
-and 1-token suffixes. The values stay exact: each element is the same
-`bow + lower` float64 sum, in the same association, that the per-word
-backoff walk of `lm.score` computes for that unit. A CJK survivor's next
-context is `lm.advance`; Latin words go through `lm.score`, once per
-(context, word) pair per decode.
+LM states. The fused score needs only p(word | context), and a context
+is looked up as its longest suffix in `model.states`: every context of
+at most order-1 tokens with a stored follower or a backoff weight, plus
+`()`, closed under prefixes. A state's CJK row comes from one
+`lm.log10_row` call over every CJK unit (out-of-vocabulary ones as
+`<unk>`) rather than one `lm.score` per unit: the row of its suffix plus
+its backoff weight, overwritten where the n-gram is stored, each element
+the same `bow + lower` float64 sum, in the same association, that the
+per-word backoff walk of `lm.score` computes. Rows, the state after each
+CJK unit, and Latin words (one `lm.score` per state and word) are kept
+in one `_LmCache` per model, shared by every decode with that model, so
+a decode builds only what no earlier one reached. States stand exactly
+for the contexts they replace:
+- A context that is not a state has no follower and no backoff weight,
+  so its row and its p(w | context) are those of its suffix plus 0.0.
+  They differ from its state's values at most in the sign of a zero,
+  and no log10 sum can hold -0.0: each starts from +0.0, and a sum is
+  -0.0 only when both terms are.
+- Prefix closure makes the state after w of any context equal the
+  state after w of its state: if u + (w,) is the longest suffix of the
+  next context that is a state, u is a state and a suffix of the
+  context, hence of its state.
+- Without the closure this breaks on ARPA files whose n-grams lack
+  their prefixes, which `read_arpa` accepts: with a stored 3-gram
+  "x y z" and no weight and no follower on "x", a context ending in "x"
+  would become one without it, the context after y would be "y" rather
+  than "x y", and z would lose the 3-gram's probability.
 
 This is bit-identical to scoring each candidate separately in Python
 (tests/reference_decoder.py): numpy adds, multiplies and compares
@@ -119,70 +136,91 @@ def fused_score(
 
 
 class _LmCache:
-    """Per-decode LM tables keyed by integer context ids.
+    """LM tables of one model and one tuple of CJK words, by state id.
 
-    `rows[i]` holds log10 p(unit | context i) for every CJK unit in id
-    order and is built when context i is first seen, together with the
-    rows of its suffixes. `next_ids[i, v]` is the id after CJK unit v, -1
-    until asked for. Latin words are memoized per (context id, word), so
-    each pair costs one `lm.score` call per decode however many beams
-    reach it. Without a model there is one context, its row is all zeros
-    and every word scores 0.0, which leaves the log10 sums exactly at 0.0
-    as if no LM were applied.
+    A state is a context in `model.states`; any other context is looked
+    up as its longest suffix that is one, which leaves every log10 sum as
+    the full context would (the module docstring says why). `rows[i]`
+    holds log10 p(word | state i) for each CJK word in order and is
+    built when state i is first reached, the rows of its suffixes kept
+    in `suffix_rows`. `next_ids[i, 1 + j]` is the state after CJK word
+    j, -1 until asked for; `next_ids[i, 0]` is i itself, the state that
+    a unit which completes no CJK token leaves. `steps` maps (state id,
+    Latin word) to (log10 p, next state id), a word outside the LM
+    vocabulary keyed as `<unk>`, so each pair costs one `lm.score` call.
+    Every table is bounded by the model: at most |states| rows, |states|
+    x CJK words transitions and |states| x |vocabulary| steps.
+
+    A model keeps one cache per tuple of CJK words in its
+    `decoding_tables`, shared by every decode with it; the methods take
+    the model as an argument, so the cache holds no reference back to it.
+    Without a model each decode makes its own cache with the one state
+    `()`, whose row is all zeros and whose every word scores 0.0, which
+    leaves the log10 sums exactly at 0.0 as if no LM were applied.
     """
 
-    def __init__(self, model, units, cjk_ids):
-        self.model = model
-        vocabulary = model.vocabulary if model is not None else ()
-        self.cjk_word_at = {
-            v: units[v] if units[v] in vocabulary else lm_mod.UNK for v in cjk_ids
-        }
-        self.cjk_words = tuple(self.cjk_word_at.values())
+    def __init__(self, cjk_words):
+        self.cjk_words = cjk_words
         self.ids: dict = {}
-        self.contexts: list = []
-        self.rows = np.zeros((8, len(cjk_ids)))
-        self.next_ids = np.full((8, len(units)), -1)
+        self.states: list = []
+        self.rows = np.zeros((8, len(cjk_words)))
+        self.next_ids = np.full((8, 1 + len(cjk_words)), -1)
         self.steps: dict = {}
         self.suffix_rows: dict = {}
 
-    def id_of(self, context) -> int:
+    @staticmethod
+    def of(model, cjk_words) -> _LmCache:
+        """The cache that decodes with model and these CJK words use."""
+        if model is None:
+            return _LmCache(cjk_words)
+        cache = model.decoding_tables.get(cjk_words)
+        if cache is None:
+            cache = model.decoding_tables[cjk_words] = _LmCache(cjk_words)
+        return cache
+
+    def id_of(self, model, context) -> int:
+        """The id of the state that context is looked up as."""
+        if model is not None:
+            states = model.states
+            while context not in states:
+                context = context[1:]
         i = self.ids.get(context)
         if i is None:
-            i = self.ids[context] = len(self.contexts)
-            self.contexts.append(context)
+            i = self.ids[context] = len(self.states)
+            self.states.append(context)
             if i == len(self.rows):
                 self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
                 self.next_ids = np.concatenate(
                     [self.next_ids, np.full_like(self.next_ids, -1)]
                 )
-            if self.model is not None:
+            self.next_ids[i, 0] = i
+            if model is not None:
                 self.rows[i] = lm_mod.log10_row(
-                    self.model, context, self.cjk_words, self.suffix_rows
+                    model, context, self.cjk_words, self.suffix_rows
                 )
         return i
 
-    def step(self, i: int, word: str) -> tuple[float, int]:
-        """(log10 p(word | context i), next context id)."""
+    def step(self, model, i: int, word: str) -> tuple[float, int]:
+        """(log10 p(word | state i), next state id)."""
+        if model is None:
+            return 0.0, i
+        if word not in model.vocabulary:
+            word = lm_mod.UNK
         key = (i, word)
         hit = self.steps.get(key)
         if hit is None:
-            if self.model is None:
-                hit = (0.0, i)
-            else:
-                state = lm_mod.LmState(self.contexts[i])
-                lp, state = lm_mod.score(self.model, state, word)
-                hit = (lp, self.id_of(state.context))
-            self.steps[key] = hit
+            lp, state = lm_mod.score(model, lm_mod.LmState(self.states[i]), word)
+            hit = self.steps[key] = (lp, self.id_of(model, state.context))
         return hit
 
-    def advance(self, i: int, v: int) -> int:
-        """The id of context i after the CJK unit v."""
-        context = self.contexts[i]
-        if self.model is not None:
-            context = lm_mod.advance(self.model, context, self.cjk_word_at[v])
-        j = self.id_of(context)
-        self.next_ids[i, v] = j
-        return j
+    def advance(self, model, i: int, j: int) -> int:
+        """The id of the state after CJK word j from state i."""
+        context = self.states[i]
+        if model is not None:
+            context = lm_mod.advance(model, context, self.cjk_words[j])
+        k = self.id_of(model, context)
+        self.next_ids[i, 1 + j] = k
+        return k
 
 
 def _best(scores: np.ndarray, n: int, spell) -> np.ndarray:
@@ -234,10 +272,16 @@ def beam_decode(
     log10_col[0] = 0
     log10_col[cjk_ids] = 2 + np.arange(len(cjk_ids))
     words_col = np.minimum(log10_col, 2)
+    # the column of the LM state transitions unit v takes: 1 + j for the
+    # j-th CJK unit, 0 (the state itself) for every other unit
+    next_col = np.where(cjk_cols, log10_col - 1, 0)
     lm_weight = cfg.alpha * LN10
     width = cfg.beam_width
-    cache = _LmCache(model, units, cjk_ids.tolist())
-    init_context = lm_mod.initial_state(model).context if model is not None else None
+    vocabulary = model.vocabulary if model is not None else ()
+    cache = _LmCache.of(
+        model, tuple(units[v] if units[v] in vocabulary else lm_mod.UNK for v in cjk_ids)
+    )
+    init_context = lm_mod.initial_state(model).context if model is not None else ()
 
     # the trie: node n > 0 extends its parent by one unit and is keyed by
     # parent * V + unit; node 0 is the empty prefix
@@ -255,12 +299,13 @@ def beam_decode(
         return out
 
     # the beam: node, parent node and last unit of each prefix; its
-    # blank- and non-blank-ending masses; its LM context id, log10 LM sum
+    # blank- and non-blank-ending masses; its LM state id, log10 LM sum
     # and word count, also as they are once its pending Latin run is
     # scored as a word ("done"); and that pending run
     node, par, last = np.zeros(1, int), np.full(1, -1), np.zeros(1, int)
     pb, pnb = np.zeros(1), np.full(1, NEG_INF)
-    ctx, log10, words = np.array([cache.id_of(init_context)]), np.zeros(1), np.zeros(1)
+    ctx = np.array([cache.id_of(model, init_context)])
+    log10, words = np.zeros(1), np.zeros(1)
     done_ctx, done_log10, done_words = ctx, log10, words
     pending = [""]
     # beam slot of each node in the beam, -1 elsewhere; the last element
@@ -328,9 +373,10 @@ def beam_decode(
         par[ext] = parent_node
         last[ext] = v_ext
         base = np.where(latin_cols[v_ext], ctx[k_ext], done_ctx[k_ext])
-        ctx_ext = np.where(cjk_cols[v_ext], cache.next_ids[base, v_ext], base)
+        cols = next_col[v_ext]
+        ctx_ext = cache.next_ids[base, cols]
         for j in np.flatnonzero(ctx_ext < 0).tolist():
-            ctx_ext[j] = cache.advance(int(base[j]), int(v_ext[j]))
+            ctx_ext[j] = cache.advance(model, int(base[j]), int(cols[j]) - 1)
         ctx, done_ctx = ctx[ks], done_ctx[ks]
         ctx[ext] = done_ctx[ext] = ctx_ext
         log10 = log10_tab[ks, log10_col[vs]]
@@ -354,7 +400,9 @@ def beam_decode(
         scored = [j for j, v in enumerate(vs) if latin_unit[v]]
         if scored:
             ids = ctx[scored].tolist()
-            lps, ids = zip(*[cache.step(i, pending[j]) for i, j in zip(ids, scored)])
+            lps, ids = zip(
+                *[cache.step(model, i, pending[j]) for i, j in zip(ids, scored)]
+            )
             done_ctx[scored] = ids
             done_log10[scored] += lps
             done_words[scored] += 1

@@ -12,7 +12,7 @@ import wave
 
 import numpy as np
 
-from .vocab import MalformedFile
+from .vocab import MalformedFile, read_utf8
 
 SAMPLE_RATE = 8000
 WINDOW_SAMPLES = 160  # 20 ms
@@ -82,8 +82,7 @@ def write_matrix(matrix, path, magic: str, cols: str) -> None:
 
 def read_matrix(path, magic: str, cols: str, error: type[MalformedFile]) -> np.ndarray:
     """Inverse of write_matrix; raises error(path, line_number, reason)."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines:
         raise error(path, 1, "empty file")
     m = re.match(rf"^{re.escape(magic)} T=(\d+) {cols}=(\d+)$", lines[0])

@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .vocab import LATIN_RUN, MalformedFile, is_cjk
+from .vocab import LATIN_RUN, MalformedFile, is_cjk, read_utf8
 
 BOS = "<s>"
 EOS = "</s>"
@@ -60,7 +60,14 @@ def tokenize_lm(text: str) -> list[str]:
 
 @dataclass
 class NGramModel:
-    """Immutable after construction; score concurrently at will."""
+    """Immutable after construction; score concurrently at will.
+
+    Its decoding tables fill lazily and deterministically: each decode
+    with the model adds the rows and transitions of the LM states it
+    reaches, every one a function of the model alone, so the order of
+    the decodes changes no value. Decode with one model from one thread
+    at a time.
+    """
 
     order: int
     tables: dict[int, NGramTable]
@@ -68,6 +75,11 @@ class NGramModel:
     discounts: dict[int, float] | None = None
     # orders whose count-of-counts gave no discount in (0,1); D=0.5 was used
     degenerate_orders: tuple[int, ...] = ()
+    # decoder tables by tuple of CJK words; none of them refers to the model,
+    # so a model is freed as soon as its last reference goes
+    decoding_tables: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @cached_property
     def followers(self) -> dict[tuple[str, ...], dict[str, float]]:
@@ -78,6 +90,23 @@ class NGramModel:
             for gram, (lp, _) in table.items():
                 index.setdefault(gram[:-1], {})[gram[-1]] = lp
         return index
+
+    @cached_property
+    def states(self) -> frozenset[tuple[str, ...]]:
+        """Every context of at most order-1 tokens with a stored follower
+        or a backoff weight, plus `()`, closed under prefixes. Any other
+        context scores every word as its longest suffix in this set does,
+        plus 0.0."""
+        states = {()}
+        for table in self.tables.values():
+            for gram, (_, bow) in table.items():
+                # gram's context, or gram itself if it is a weighted context,
+                # then each prefix down to the first one already added
+                head = gram if bow is not None and len(gram) < self.order else gram[:-1]
+                while head not in states:
+                    states.add(head)
+                    head = head[:-1]
+        return frozenset(states)
 
 
 @dataclass(frozen=True)
@@ -272,8 +301,7 @@ def write_arpa(model: NGramModel, path) -> None:
 
 
 def read_arpa(path) -> NGramModel:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = read_utf8(path).splitlines()
 
     def fail(i: int, reason: str):
         raise MalformedArpa(path, i + 1, reason)

@@ -9,6 +9,7 @@ counted rather than raised, so long as at least one item is usable.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import random
@@ -22,7 +23,7 @@ from . import model as model_mod
 from .ctc import CtcLossResult, PosteriorGrid, ctc_loss_batch
 from .ctc import ctc_loss  # noqa: F401 - bench/tracer.py wraps training.ctc_loss by name
 from .features import extract_features, read_feat, read_wav
-from .vocab import GraphemeVocab, MalformedFile, encode
+from .vocab import GraphemeVocab, MalformedFile, encode, read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -96,13 +97,12 @@ def save_manifest(entries: Sequence[ManifestEntry], path) -> None:
 
 
 def load_manifest(path) -> list[ManifestEntry]:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader, ())
-            rows = [(reader.line_num, row) for row in reader if row]
-        except csv.Error as e:
-            raise MalformedManifest(path, reader.line_num, str(e)) from None
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:
+        header = next(reader, ())
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as e:
+        raise MalformedManifest(path, reader.line_num, str(e)) from None
     if tuple(header) != MANIFEST_FIELDS:
         raise MalformedManifest(path, 1, f"expected header {','.join(MANIFEST_FIELDS)}")
     entries = []

@@ -37,6 +37,18 @@ class MalformedFile(ValueError):
         self.reason = reason
 
 
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file, line ends untranslated; bytes that are
+    not UTF-8 raise MalformedFile at the line holding the first of them."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise MalformedFile(path, line, "not UTF-8") from None
+
+
 class UnknownGrapheme(ValueError):
     """A character has no id in the vocabulary."""
 
@@ -167,9 +179,7 @@ def save_vocab(vocab: GraphemeVocab, path) -> None:
 
 
 def load_vocab(path) -> GraphemeVocab:
-    with open(path, "r", encoding="utf-8", newline="\n") as f:
-        content = f.read()
-    lines = content.split("\n")
+    lines = read_utf8(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != BLANK_TOKEN:

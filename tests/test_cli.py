@@ -320,6 +320,52 @@ def test_malformed_vocab_and_arpa_exit_2_naming_file_and_line(pipeline, tmp_path
     assert f"{arpa}: line {line}: non-numeric probability field" in capsys.readouterr().err
 
 
+def _not_utf8_case(pipeline, tmp_path, reader):
+    """(argv, path, line): a command whose `reader` input holds a byte that
+    is not UTF-8 on that line of that file."""
+    bad = tmp_path / f"bad_{reader}"
+    text = tmp_path / "text.txt"
+    text.write_text("ab 你\nab\n", encoding="utf-8")
+    vocab = str(pipeline["vocab"])
+    if reader in ("corpus", "ref", "hyp"):
+        bad.write_bytes(b"ab\n\nab \xff\n")
+        argv = {
+            "corpus": ["train-lm", "--corpus", str(bad), "--out", str(tmp_path / "o.arpa")],
+            "ref": ["evaluate", "--ref", str(bad), "--hyp", str(text)],
+            "hyp": ["evaluate", "--ref", str(text), "--hyp", str(bad)],
+        }[reader]
+        return argv, bad, 3
+    if reader == "vocab":
+        bad.write_bytes("<blank>\na\n你".encode("utf-8") + b"\xff\n")
+        return ["decode", "--vocab", str(bad), "--grid", str(tmp_path / "g")], bad, 3
+    if reader == "manifest":
+        lines = (pipeline["data"] / "l1_manifest.csv").read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b",", b"\xff,", 2)
+        bad.write_bytes(b"\n".join(lines))
+        argv = ["train", "--vocab", vocab, "--manifest", str(bad), "--out", str(tmp_path / "m")]
+        return argv, bad, 3
+    if reader == "grid":
+        bad.write_bytes(b"CTCGRID v1 T=2 V=2\n-0.5 -0.9\n-0.5 \xff\n")
+        return ["decode", "--vocab", vocab, "--grid", str(bad)], bad, 3
+    lines = pipeline["arpa"].read_bytes().split(b"\n")
+    n = lines.index(b"\\2-grams:") + 2
+    lines[n - 1] = b"\xff" + lines[n - 1]
+    bad.write_bytes(b"\n".join(lines))
+    return ["perplexity", "--lm", str(bad), "--corpus", str(text)], bad, n
+
+
+@pytest.mark.parametrize(
+    "reader", ["corpus", "ref", "hyp", "vocab", "manifest", "grid", "arpa"]
+)
+def test_input_that_is_not_utf8_exits_2_naming_file_and_line(
+    pipeline, tmp_path, capsys, reader
+):
+    argv, bad, line = _not_utf8_case(pipeline, tmp_path, reader)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line {line}: not UTF-8\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([bad.name, "text.txt"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [

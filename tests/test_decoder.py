@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -173,39 +175,97 @@ def test_trailing_latin_word_completes_at_utterance_end():
     assert best.score == pytest.approx(fused_score("ab", ctc_logp, model, cfg), abs=1e-9)
 
 
-def test_lm_cache_scores_each_context_token_pair_once(monkeypatch):
-    # 他 is outside the LM's vocabulary, so its column scores as <unk>
-    vocab = GraphemeVocab(("<blank>", "a", "b", " ", "你", "好", "他"))
-    corpus = [
-        lm_mod.tokenize_lm(s)
-        for s in ("ab a 你", "a 你 好", "ba ab", "你 a", "ab ab 你好 a", "b 好 ab")
-    ]
-    model = lm_mod.train_kn(corpus, order=5)
-    calls, row_misses, memos = [], [], []
+CACHE_VOCAB = GraphemeVocab(("<blank>", "a", "b", " ", "你", "好", "他"))
+CACHE_CORPUS = ("ab a 你", "a 你 好", "ba ab", "你 a", "ab ab 你好 a", "b 好 ab")
+CACHE_CFG = FusionConfig(0.2, 1.0, 100)
+
+
+def _cache_model():
+    return lm_mod.train_kn([lm_mod.tokenize_lm(s) for s in CACHE_CORPUS], order=5)
+
+
+def _record_lm(monkeypatch):
+    """Lists of the (model id, context, word) that `lm.score` sees and of
+    the (memo, context) of every CJK row that `lm.log10_row` builds."""
+    calls, rows = [], []
     real_score, real_row = lm_mod.score, lm_mod.log10_row
 
     def recording_score(model, state, token):
-        calls.append((state.context, token))
+        calls.append((id(model), state.context, token))
         return real_score(model, state, token)
 
     def recording_row(model, context, words, memo):
-        if len(words) > 1:  # a CJK row, not a one-word `score` lookup
-            memos.append(memo)
-            if context not in memo:
-                row_misses.append(context)
+        if len(words) > 1 and context not in memo:  # a CJK row, not `score`
+            rows.append((memo, context))
         return real_row(model, context, words, memo)
 
     monkeypatch.setattr(lm_mod, "score", recording_score)
     monkeypatch.setattr(lm_mod, "log10_row", recording_row)
-    grid = random_grid(np.random.default_rng(8), 12, len(vocab))
-    beam_decode(grid, vocab, FusionConfig(0.2, 1.0, 100), model)
+    return calls, rows
+
+
+def test_lm_cache_scores_each_context_token_pair_once(monkeypatch):
+    # 他 is outside the LM's vocabulary, so its column scores as <unk>;
+    # two decodes with one model, then one with an equal second model
+    model, other = _cache_model(), _cache_model()
+    calls, rows = _record_lm(monkeypatch)
+    rng = np.random.default_rng(8)
+    for m in (model, model, other):
+        beam_decode(random_grid(rng, 12, len(CACHE_VOCAB)), CACHE_VOCAB, CACHE_CFG, m)
     assert calls
     assert len(calls) == len(set(calls))
-    assert not {token for _, token in calls} & {"你", "好", "他"}
-    # one suffix memo per decode, and no context's row is built twice
-    assert len({id(m) for m in memos}) == 1
-    assert len(row_misses) == len(set(row_misses))
-    assert {len(c) for c in row_misses} == {0, 1, 2, 3, 4}
+    assert not {token for _, _, token in calls} & {"你", "好", "他"}
+    # one suffix memo per model and table, and no context's row is built
+    # twice in it, however many decodes reach that context
+    (table,) = model.decoding_tables.values()
+    (other_table,) = other.decoding_tables.values()
+    memos = {id(table.suffix_rows), id(other_table.suffix_rows)}
+    assert {id(memo) for memo, _ in rows} == memos
+    built = [context for memo, context in rows if memo is table.suffix_rows]
+    assert len(built) == len(set(built))
+    assert {len(c) for c in built} == {0, 1, 2, 3, 4}
+
+
+def test_second_decode_with_the_same_model_scores_and_builds_nothing(monkeypatch):
+    model = _cache_model()
+    calls, rows = _record_lm(monkeypatch)
+    grid = random_grid(np.random.default_rng(9), 12, len(CACHE_VOCAB))
+    first = beam_decode(grid, CACHE_VOCAB, CACHE_CFG, model, nbest=5)
+    assert calls and rows
+    calls.clear()
+    rows.clear()
+    assert beam_decode(grid, CACHE_VOCAB, CACHE_CFG, model, nbest=5) == first
+    assert calls == [] and rows == []
+
+
+def test_equal_models_never_share_a_table(monkeypatch):
+    a, b = _cache_model(), _cache_model()
+    assert a == b
+    calls, rows = _record_lm(monkeypatch)
+    grid = random_grid(np.random.default_rng(10), 12, len(CACHE_VOCAB))
+    beam_decode(grid, CACHE_VOCAB, CACHE_CFG, a)
+    built_by_a = len(rows)
+    beam_decode(grid, CACHE_VOCAB, CACHE_CFG, b)
+    assert built_by_a and len(rows) == 2 * built_by_a
+    (table_a,) = a.decoding_tables.values()
+    (table_b,) = b.decoding_tables.values()
+    assert table_a is not table_b
+
+
+def test_decoded_model_is_freed_without_a_garbage_collection():
+    # the tables on a model hold no reference back to it, so its last
+    # reference going frees it and its tables, with no cycle to collect
+    gc.disable()
+    try:
+        model = _cache_model()
+        grid = random_grid(np.random.default_rng(11), 12, len(CACHE_VOCAB))
+        beam_decode(grid, CACHE_VOCAB, CACHE_CFG, model)
+        (table,) = model.decoding_tables.values()
+        refs = [weakref.ref(model), weakref.ref(table)]
+        del model, table
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=25, deadline=None)

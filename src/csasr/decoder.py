@@ -34,33 +34,15 @@ where prefixes are spelled out as tuples. Which tied candidates survive
 is the only thing the order of the beam could change, so the beam is
 kept in candidate order, unsorted.
 
-LM states. The fused score needs only p(word | context), and a context
-is looked up as its longest suffix in `model.states`: every context of
-at most order-1 tokens with a stored follower or a backoff weight, plus
-`()`, closed under prefixes. A state's CJK row comes from one
-`lm.log10_row` call over every CJK unit (out-of-vocabulary ones as
-`<unk>`) rather than one `lm.score` per unit: the row of its suffix plus
-its backoff weight, overwritten where the n-gram is stored, each element
-the same `bow + lower` float64 sum, in the same association, that the
-per-word backoff walk of `lm.score` computes. Rows, the state after each
-CJK unit, and Latin words (one `lm.score` per state and word) are kept
-in one `_LmCache` per model, shared by every decode with that model, so
-a decode builds only what no earlier one reached. States stand exactly
-for the contexts they replace:
-- A context that is not a state has no follower and no backoff weight,
-  so its row and its p(w | context) are those of its suffix plus 0.0.
-  They differ from its state's values at most in the sign of a zero,
-  and no log10 sum can hold -0.0: each starts from +0.0, and a sum is
-  -0.0 only when both terms are.
-- Prefix closure makes the state after w of any context equal the
-  state after w of its state: if u + (w,) is the longest suffix of the
-  next context that is a state, u is a state and a suffix of the
-  context, hence of its state.
-- Without the closure this breaks on ARPA files whose n-grams lack
-  their prefixes, which `read_arpa` accepts: with a stored 3-gram
-  "x y z" and no weight and no follower on "x", a context ending in "x"
-  would become one without it, the context after y would be "y" rather
-  than "x y", and z would lose the 3-gram's probability.
+LM states. The fused score needs only p(word | context), so each prefix
+carries the id of its LM state (`lm.state_of`), which gives every log10
+sum to the bit as the full context would (the `lm` module docstring says
+why). A state's CJK row is one `lm.log10_row` over every CJK unit
+(out-of-vocabulary ones as `<unk>`), built from its suffix state's row,
+rather than one `lm.score` per unit. Rows, the state after each CJK unit,
+and Latin words (one `lm.score` per state and word) are kept in one
+`_LmCache` per model, shared by every decode with that model, so a decode
+builds only what no earlier one reached.
 
 This is bit-identical to scoring each candidate separately in Python
 (tests/reference_decoder.py): numpy adds, multiplies and compares
@@ -128,28 +110,26 @@ def fused_score(
     tokens = lm_mod.tokenize_lm(transcript)
     q = ctc_logp + cfg.beta * len(tokens)
     if model is not None:
-        state = lm_mod.initial_state(model)
+        total, state = 0.0, lm_mod.initial_state(model)
         for token in tokens:
-            _, state = lm_mod.score(model, state, token)
-        q += cfg.alpha * LN10 * state.log10_total
+            lp, state = lm_mod.score(model, state, token)
+            total += lp
+        q += cfg.alpha * LN10 * total
     return q
 
 
 class _LmCache:
     """LM tables of one model and one tuple of CJK words, by state id.
 
-    A state is a context in `model.states`; any other context is looked
-    up as its longest suffix that is one, which leaves every log10 sum as
-    the full context would (the module docstring says why). `rows[i]`
-    holds log10 p(word | state i) for each CJK word in order and is
-    built when state i is first reached, the rows of its suffixes kept
-    in `suffix_rows`. `next_ids[i, 1 + j]` is the state after CJK word
-    j, -1 until asked for; `next_ids[i, 0]` is i itself, the state that
-    a unit which completes no CJK token leaves. `steps` maps (state id,
-    Latin word) to (log10 p, next state id), a word outside the LM
-    vocabulary keyed as `<unk>`, so each pair costs one `lm.score` call.
-    Every table is bounded by the model: at most |states| rows, |states|
-    x CJK words transitions and |states| x |vocabulary| steps.
+    `rows[i]` holds log10 p(word | state i) for each CJK word in order and
+    is built from the row of state i's suffix state when state i is first
+    reached. `next_ids[i, 1 + j]` is the state after CJK word j, -1 until
+    asked for; `next_ids[i, 0]` is i itself, the state that a unit which
+    completes no CJK token leaves. `steps` maps (state id, Latin word) to
+    (log10 p, next state id), a word outside the LM vocabulary keyed as
+    `<unk>`, so each pair costs one `lm.score` call. Every table is
+    bounded by the model: at most |states| rows, |states| x CJK words
+    transitions and |states| x |vocabulary| steps.
 
     A model keeps one cache per tuple of CJK words in its
     `decoding_tables`, shared by every decode with it; the methods take
@@ -166,7 +146,6 @@ class _LmCache:
         self.rows = np.zeros((8, len(cjk_words)))
         self.next_ids = np.full((8, 1 + len(cjk_words)), -1)
         self.steps: dict = {}
-        self.suffix_rows: dict = {}
 
     @staticmethod
     def of(model, cjk_words) -> _LmCache:
@@ -179,15 +158,14 @@ class _LmCache:
         return cache
 
     def id_of(self, model, context) -> int:
-        """The id of the state that context is looked up as."""
-        if model is not None:
-            states = model.states
-            while context not in states:
-                context = context[1:]
-        i = self.ids.get(context)
+        """The id of the state that context is looked up as; a new state's
+        suffix state gets its id and row first."""
+        state = lm_mod.state_of(model, context) if model is not None else ()
+        i = self.ids.get(state)
         if i is None:
-            i = self.ids[context] = len(self.states)
-            self.states.append(context)
+            suffix = self.id_of(model, state[1:]) if state else None
+            i = self.ids[state] = len(self.states)
+            self.states.append(state)
             if i == len(self.rows):
                 self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
                 self.next_ids = np.concatenate(
@@ -195,9 +173,8 @@ class _LmCache:
                 )
             self.next_ids[i, 0] = i
             if model is not None:
-                self.rows[i] = lm_mod.log10_row(
-                    model, context, self.cjk_words, self.suffix_rows
-                )
+                lower = self.rows[suffix] if state else None
+                self.rows[i] = lm_mod.log10_row(model, state, self.cjk_words, lower)
         return i
 
     def step(self, model, i: int, word: str) -> tuple[float, int]:
@@ -209,16 +186,13 @@ class _LmCache:
         key = (i, word)
         hit = self.steps.get(key)
         if hit is None:
-            lp, state = lm_mod.score(model, lm_mod.LmState(self.states[i]), word)
-            hit = self.steps[key] = (lp, self.id_of(model, state.context))
+            lp, state = lm_mod.score(model, self.states[i], word)
+            hit = self.steps[key] = (lp, self.id_of(model, state))
         return hit
 
     def advance(self, model, i: int, j: int) -> int:
         """The id of the state after CJK word j from state i."""
-        context = self.states[i]
-        if model is not None:
-            context = lm_mod.advance(model, context, self.cjk_words[j])
-        k = self.id_of(model, context)
+        k = self.id_of(model, self.states[i] + (self.cjk_words[j],))
         self.next_ids[i, 1 + j] = k
         return k
 
@@ -281,7 +255,6 @@ def beam_decode(
     cache = _LmCache.of(
         model, tuple(units[v] if units[v] in vocabulary else lm_mod.UNK for v in cjk_ids)
     )
-    init_context = lm_mod.initial_state(model).context if model is not None else ()
 
     # the trie: node n > 0 extends its parent by one unit and is keyed by
     # parent * V + unit; node 0 is the empty prefix
@@ -304,7 +277,7 @@ def beam_decode(
     # scored as a word ("done"); and that pending run
     node, par, last = np.zeros(1, int), np.full(1, -1), np.zeros(1, int)
     pb, pnb = np.zeros(1), np.full(1, NEG_INF)
-    ctx = np.array([cache.id_of(model, init_context)])
+    ctx = np.array([cache.id_of(model, (lm_mod.BOS,))])
     log10, words = np.zeros(1), np.zeros(1)
     done_ctx, done_log10, done_words = ctx, log10, words
     pending = [""]

@@ -12,6 +12,29 @@ uses continuation counts (number of distinct predecessor types), except
 that grams starting with `<s>` keep raw counts since nothing can precede
 them. `<s>` is context-only (placeholder -99 unigram), `</s>` is a
 predicted event, and the leftover unigram discount mass goes to `<unk>`.
+
+LM states. Every query looks a context up as its state (`state_of`): its
+longest suffix in `NGramModel.states`, the contexts that can still change
+a score, as in KenLM (Heafield 2011). `score` gives a word's log10
+probability and the next state; `log10_row` gives a state's row over a
+word list from the row of its suffix state. States stand exactly for the
+contexts they replace:
+- A context that is not a state has no follower and no backoff weight,
+  so each of its scores is that of its suffix plus 0.0. By induction on
+  the length, every score and row element of a state differs from the
+  backoff walk over the full context at most in the sign of a zero, and
+  no log10 sum can hold -0.0: each starts from +0.0, and a sum is -0.0
+  only when both terms are. So every sum of scores, and every perplexity,
+  is the full context's to the bit.
+- Prefix closure makes the state after w of any context equal the state
+  after w of its state: if u + (w,) is the longest suffix of the next
+  context that is a state, u is a state and a suffix of the context,
+  hence of its state.
+- Without the closure this breaks on ARPA files whose n-grams lack
+  their prefixes, which `read_arpa` accepts: with a stored 3-gram
+  "x y z" and no weight and no follower on "x", a context ending in "x"
+  would become one without it, the context after y would be "y" rather
+  than "x y", and z would lose the 3-gram's probability.
 """
 
 from __future__ import annotations
@@ -22,6 +45,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .vocab import LATIN_RUN, MalformedFile, is_cjk, read_utf8
 
@@ -94,9 +119,7 @@ class NGramModel:
     @cached_property
     def states(self) -> frozenset[tuple[str, ...]]:
         """Every context of at most order-1 tokens with a stored follower
-        or a backoff weight, plus `()`, closed under prefixes. Any other
-        context scores every word as its longest suffix in this set does,
-        plus 0.0."""
+        or a backoff weight, plus `()`, closed under prefixes."""
         states = {()}
         for table in self.tables.values():
             for gram, (_, bow) in table.items():
@@ -107,14 +130,6 @@ class NGramModel:
                     states.add(head)
                     head = head[:-1]
         return frozenset(states)
-
-
-@dataclass(frozen=True)
-class LmState:
-    """Rolling context (at most order-1 tokens) plus the score so far."""
-
-    context: tuple[str, ...]
-    log10_total: float = 0.0
 
 
 def train_kn(corpus: Iterable[Sequence[str]], order: int = 5) -> NGramModel:
@@ -205,71 +220,72 @@ def _log10_bow(b: float | None) -> float | None:
     return None if b is None else math.log10(b)
 
 
+def state_of(model: NGramModel, context: tuple[str, ...]) -> tuple[str, ...]:
+    """The longest suffix of context in `model.states`. No state is longer
+    than order-1 tokens, so it is a suffix of the last order-1 of them."""
+    states = model.states
+    while context not in states:
+        context = context[1:]
+    return context
+
+
+def initial_state(model: NGramModel) -> tuple[str, ...]:
+    return state_of(model, (BOS,))
+
+
 def log10_row(
     model: NGramModel,
-    context: tuple[str, ...],
+    state: tuple[str, ...],
     words: Sequence[str],
-    memo: dict[tuple[str, ...], list[float]],
-) -> list[float]:
-    """[log10 p(w | context) for w in words] under ARPA backoff semantics.
+    lower: np.ndarray | None,
+) -> np.ndarray:
+    """[log10 p(w | state) for w in words] under ARPA backoff semantics.
 
-    Each word must already be in the vocabulary or be `UNK`, and the
-    context at most order-1 tokens long. A word whose n-gram is stored
-    takes its probability; any other takes this context's backoff weight
-    (0.0 when it has none) plus its element of the row of `context[1:]`,
-    and `()` falls back to the `UNK` unigram. That is the same `bow +
-    lower` sum, term by term, as a per-word backoff walk, so every element
-    is exact. `memo` maps contexts to rows of these same `words`; the
-    rows of this context and of each suffix it needs are taken from it or
-    added to it, so a caller scoring many contexts against one word list
-    walks each backoff level once.
+    Each word must be in the vocabulary or be `UNK`. `lower` is the row
+    of the same words for `state_of(model, state[1:])`, or None when the
+    state is `()`. A word whose n-gram is stored takes its probability;
+    any other takes the state's backoff weight (0.0 when it has none)
+    plus its element of `lower`, and `()` falls back to the `UNK`
+    unigram. numpy adds float64 as Python floats do, so each element is
+    the per-word backoff sum over the word's chain of suffix states.
     """
-    row = memo.get(context)
-    if row is not None:
-        return row
-    stored = model.followers.get(context)
-    lps = list(map(stored.get, words)) if stored else [None] * len(words)
-    if None not in lps:
-        row = lps
-    elif context:
-        lower = log10_row(model, context[1:], words, memo)
-        entry = model.tables[len(context)].get(context)
+    stored = model.followers.get(state, {})
+    if state:
+        entry = model.tables[len(state)].get(state)
         bow = entry[1] if entry is not None and entry[1] is not None else 0.0
-        if stored:
-            row = [bow + low if lp is None else lp for lp, low in zip(lps, lower)]
-        else:
-            row = [bow + low for low in lower]
+        row = bow + lower
     else:
-        unk = model.tables[1][(UNK,)][0]
-        row = [unk if lp is None else lp for lp in lps]
-    memo[context] = row
+        row = np.full(len(words), model.tables[1][(UNK,)][0])
+    for j, w in enumerate(words):
+        if w in stored:
+            row[j] = stored[w]
     return row
 
 
-def initial_state(model: NGramModel) -> LmState:
-    return LmState((BOS,) if model.order > 1 else ())
-
-
-def advance(model: NGramModel, context: tuple[str, ...], w: str) -> tuple[str, ...]:
-    """The context after `w` (already in the vocabulary or `UNK`)."""
-    return (context + (w,))[-(model.order - 1) :] if model.order > 1 else ()
-
-
-def score(model: NGramModel, state: LmState, w: str) -> tuple[float, LmState]:
-    """Log10 probability of the next word plus the advanced state."""
+def score(
+    model: NGramModel, context: tuple[str, ...], w: str
+) -> tuple[float, tuple[str, ...]]:
+    """(log10 p(w | context), the state after w); a word outside the
+    vocabulary is scored as `UNK`."""
     if w not in model.vocabulary:
         w = UNK
-    context = state.context[-(model.order - 1) :] if model.order > 1 else ()
-    (lp,) = log10_row(model, context, (w,), {})
-    return lp, LmState(advance(model, context, w), state.log10_total + lp)
+    state = state_of(model, context)
+    suffixes = [state]
+    while suffixes[-1]:
+        suffixes.append(state_of(model, suffixes[-1][1:]))
+    row = None
+    for suffix in reversed(suffixes):
+        row = log10_row(model, suffix, (w,), row)
+    return row.item(), state_of(model, state + (w,))
 
 
 def sentence_log10(model: NGramModel, sentence: Sequence) -> float:
     """Sum of token scores given left context, including the end event."""
-    state = initial_state(model)
-    for token in list(sentence) + [EOS]:
-        _, state = score(model, state, token)
-    return state.log10_total
+    total, state = 0.0, initial_state(model)
+    for token in [*sentence, EOS]:
+        lp, state = score(model, state, token)
+        total += lp
+    return total
 
 
 def perplexity(model: NGramModel, corpus: Iterable[Sequence]) -> float:
@@ -362,6 +378,10 @@ def read_arpa(path) -> NGramModel:
                 bow = float(fields[k + 1]) if len(fields) == k + 2 else None
             except ValueError:
                 fail(i, "non-numeric probability field")
+            if not math.isfinite(logp):
+                fail(i, "non-finite probability field")
+            if bow is not None and not math.isfinite(bow):
+                fail(i, "non-finite backoff field")
             tables[k][tuple(fields[1 : k + 1])] = (logp, bow)
             i += 1
     if not seen_end:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .ctc import PosteriorGrid
-from .vocab import GraphemeVocab, MalformedFile
+from .vocab import GraphemeVocab, MalformedFile, read_utf8
 
 CHECKPOINT_FORMAT = "csasr-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -234,15 +234,12 @@ def save_checkpoint(model: ToyAcousticModel, path, vocab: GraphemeVocab) -> None
 
 def load_checkpoint(path, vocab: GraphemeVocab | None = None) -> ToyAcousticModel:
     """The model saved at path; a file that is not a well-formed checkpoint
-    raises MalformedFile (JSON syntax errors at their line, the rest at
-    line 1)."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as e:
-            raise MalformedFile(path, e.lineno, e.msg) from None
-        except UnicodeDecodeError:
-            raise MalformedFile(path, 1, "not UTF-8 text") from None
+    raises MalformedFile (bytes that are not UTF-8 and JSON syntax errors
+    at their line, the rest at line 1)."""
+    try:
+        payload = json.loads(read_utf8(path))
+    except json.JSONDecodeError as e:
+        raise MalformedFile(path, e.lineno, e.msg) from None
     if not isinstance(payload, dict):
         raise MalformedFile(path, 1, "top level is not a JSON object")
     if payload.get("format") != CHECKPOINT_FORMAT:

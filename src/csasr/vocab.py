@@ -1,7 +1,9 @@
-"""Mixed-script grapheme inventory and transcript text normalization.
+"""Mixed-script grapheme inventory, transcript encoding, and the typed
+error and UTF-8 reader that every file reader shares.
 
 Output units are graphemes: lowercase Latin letters, space, apostrophe,
-and single CJK code points. Id 0 is always the reserved CTC blank.
+and single CJK code points. Id 0 is always the reserved CTC blank. Text
+must already be normalized to these units; nothing here rewrites it.
 """
 
 from __future__ import annotations
@@ -18,13 +20,10 @@ SCRIPT_CJK = "cjk"
 SCRIPT_SEPARATOR = "separator"
 SCRIPT_BLANK = "blank"
 
-DEFAULT_HESITATIONS = ("uh", "um", "er", "ah", "hmm")
-
 # CJK Unified Ideographs + Extension A
 _CJK_RANGES = ((0x4E00, 0x9FFF), (0x3400, 0x4DBF))
 
 LATIN_RUN = re.compile(r"[a-z']+")
-_MULTI_SPACE = re.compile(r" +")
 
 
 class MalformedFile(ValueError):
@@ -107,26 +106,6 @@ class GraphemeVocab:
 
     def script_of_id(self, i: int) -> str:
         return script_of(self.unit_of(i))
-
-
-def normalize_text(raw: str, hesitations: Sequence[str] = DEFAULT_HESITATIONS) -> str:
-    """Normalize a raw transcript to the grapheme inventory.
-
-    Lowercases Latin, keeps apostrophes and CJK ideographs, maps all
-    whitespace to single spaces, deletes everything else (punctuation,
-    digits, symbols, other scripts), and drops hesitation tokens as whole
-    Latin runs. Idempotent.
-    """
-    kept = []
-    for ch in raw.lower():
-        if ch.isspace():
-            kept.append(" ")
-        elif ch == "'" or "a" <= ch <= "z" or is_cjk(ch):
-            kept.append(ch)
-    text = "".join(kept)
-    hes = frozenset(hesitations)
-    text = LATIN_RUN.sub(lambda m: "" if m.group(0) in hes else m.group(0), text)
-    return _MULTI_SPACE.sub(" ", text).strip()
 
 
 def encode(text: str, vocab: GraphemeVocab) -> list[int]:

@@ -1,6 +1,8 @@
 """Reference oracle: the dict-of-entries prefix beam search csasr shipped
 before the array-native rewrite, kept verbatim so the differential test in
-test_decoder_differential.py can demand exact equality with it.
+test_decoder_differential.py can demand exact equality with it. It
+scores words through the LM oracle (reference_lm.py), never through the
+`csasr.lm` query path that the decoder uses.
 
 Deliberately slow (O(beam x V) Python work per frame); not part of the
 package.
@@ -20,6 +22,8 @@ from csasr.vocab import (
     GraphemeVocab,
     decode_ids,
 )
+
+import reference_lm
 
 LN10 = math.log(10.0)
 NEG_INF = float("-inf")
@@ -54,7 +58,7 @@ class _Entry:
 
 def _complete_token(model, lm_state, lm_log10, words, surface):
     if model is not None:
-        lp, lm_state = lm_mod.score(model, lm_state, surface)
+        lp, lm_state = reference_lm.score(model, lm_state, surface)
         lm_log10 += lp
     return lm_state, lm_log10, words + 1
 
@@ -95,7 +99,7 @@ def beam_decode(
         raise ValueError(f"grid V={V} does not match vocab size {len(vocab)}")
     units = vocab.units
     scripts = [None] + [vocab.script_of_id(v) for v in range(1, V)]
-    init_state = lm_mod.initial_state(model) if model is not None else None
+    init_state = reference_lm.initial_state(model) if model is not None else None
     lm_weight = cfg.alpha * LN10
 
     def partial_score(item):

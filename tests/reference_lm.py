@@ -1,16 +1,30 @@
 """Reference oracle: the per-word recursive backoff lookup csasr shipped
-before `lm.log10_row`, kept verbatim (plus `sentence_log10` and
-`perplexity` on top of it) so test_lm_differential.py can demand exact
-equality with it.
+before `lm.log10_row`, kept verbatim (with its rolling-context `LmState`
+and `initial_state`, plus `sentence_log10` and `perplexity` on top of
+it) so test_lm_differential.py can demand exact equality with it. It
+reads the model's tables and nothing of `csasr.lm` that it checks.
 
 Not part of the package.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from csasr.lm import EOS, UNK, LmState, NGramModel, initial_state
+from csasr.lm import BOS, EOS, UNK, NGramModel
+
+
+@dataclass(frozen=True)
+class LmState:
+    """Rolling context (at most order-1 tokens) plus the score so far."""
+
+    context: tuple[str, ...]
+    log10_total: float = 0.0
+
+
+def initial_state(model: NGramModel) -> LmState:
+    return LmState((BOS,) if model.order > 1 else ())
 
 
 def _cond_log10(model: NGramModel, context: tuple[str, ...], w: str) -> float:

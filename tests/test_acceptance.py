@@ -129,10 +129,11 @@ def _oracle_argmax(grid, vocab, model, cfg):
         tokens = lm_mod.tokenize_lm(text)
         q += cfg.beta * len(tokens)
         if model is not None:
-            state = lm_mod.initial_state(model)
+            total, state = 0.0, lm_mod.initial_state(model)
             for token in tokens:
                 lp, state = lm_mod.score(model, state, token)
-            q += cfg.alpha * math.log(10.0) * state.log10_total
+                total += lp
+            q += cfg.alpha * math.log(10.0) * total
         key = (-q, ids)
         if best is None or key < best:
             best = key
@@ -274,8 +275,7 @@ def test_criterion_4_kneser_ney_normalization_and_oracle():
     }
     worst_gap = 0.0
     for ctx in contexts:
-        state = lm_mod.LmState(ctx, 0.0)
-        mass = sum(10.0 ** lm_mod.score(model, state, w)[0] for w in events)
+        mass = sum(10.0 ** lm_mod.score(model, ctx, w)[0] for w in events)
         worst_gap = max(worst_gap, abs(mass - 1.0))
     norm_ok = worst_gap <= 1e-8
 

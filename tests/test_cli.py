@@ -320,6 +320,26 @@ def test_malformed_vocab_and_arpa_exit_2_naming_file_and_line(pipeline, tmp_path
     assert f"{arpa}: line {line}: non-numeric probability field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", ["probability", "backoff"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_arpa_with_a_non_finite_field_exits_2_naming_file_and_line(
+    pipeline, tmp_path, capsys, value, column
+):
+    arpa = tmp_path / "bad.arpa"
+    lines = pipeline["arpa"].read_text(encoding="utf-8").splitlines()
+    start = lines.index("\\2-grams:") + 1
+    n = next(i for i in range(start, len(lines)) if lines[i].count("\t") == 2)
+    fields = lines[n].split("\t")
+    fields[0 if column == "probability" else 2] = value
+    lines[n] = "\t".join(fields)
+    arpa.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = tmp_path / "ppl.txt"
+    text.write_text("a\n", encoding="utf-8")
+    assert main(["perplexity", "--lm", str(arpa), "--corpus", str(text)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {arpa}: line {n + 1}: non-finite {column} field\n"
+
+
 def _not_utf8_case(pipeline, tmp_path, reader):
     """(argv, path, line): a command whose `reader` input holds a byte that
     is not UTF-8 on that line of that file."""

@@ -186,18 +186,18 @@ def _cache_model():
 
 def _record_lm(monkeypatch):
     """Lists of the (model id, context, word) that `lm.score` sees and of
-    the (memo, context) of every CJK row that `lm.log10_row` builds."""
+    the (model id, state) of every CJK row that `lm.log10_row` builds."""
     calls, rows = [], []
     real_score, real_row = lm_mod.score, lm_mod.log10_row
 
-    def recording_score(model, state, token):
-        calls.append((id(model), state.context, token))
-        return real_score(model, state, token)
+    def recording_score(model, context, token):
+        calls.append((id(model), context, token))
+        return real_score(model, context, token)
 
-    def recording_row(model, context, words, memo):
-        if len(words) > 1 and context not in memo:  # a CJK row, not `score`
-            rows.append((memo, context))
-        return real_row(model, context, words, memo)
+    def recording_row(model, state, words, lower):
+        if len(words) > 1:  # a CJK row, not `score`
+            rows.append((id(model), state))
+        return real_row(model, state, words, lower)
 
     monkeypatch.setattr(lm_mod, "score", recording_score)
     monkeypatch.setattr(lm_mod, "log10_row", recording_row)
@@ -215,13 +215,11 @@ def test_lm_cache_scores_each_context_token_pair_once(monkeypatch):
     assert calls
     assert len(calls) == len(set(calls))
     assert not {token for _, _, token in calls} & {"你", "好", "他"}
-    # one suffix memo per model and table, and no context's row is built
-    # twice in it, however many decodes reach that context
-    (table,) = model.decoding_tables.values()
-    (other_table,) = other.decoding_tables.values()
-    memos = {id(table.suffix_rows), id(other_table.suffix_rows)}
-    assert {id(memo) for memo, _ in rows} == memos
-    built = [context for memo, context in rows if memo is table.suffix_rows]
+    # each model has one table, and no state's row is built twice in it,
+    # however many decodes reach that state
+    assert len(model.decoding_tables) == len(other.decoding_tables) == 1
+    assert {m for m, _ in rows} == {id(model), id(other)}
+    built = [state for m, state in rows if m == id(model)]
     assert len(built) == len(set(built))
     assert {len(c) for c in built} == {0, 1, 2, 3, 4}
 

@@ -54,15 +54,7 @@ def _event_vocab(model):
 
 
 def _context_sum(model, context):
-    return sum(
-        10.0 ** score(model, _state_with(model, context), w)[0]
-        for w in _event_vocab(model)
-    )
-
-
-def _state_with(model, context):
-    state = initial_state(model)
-    return type(state)(context, 0.0)
+    return sum(10.0 ** score(model, context, w)[0] for w in _event_vocab(model))
 
 
 def test_every_stored_context_normalizes(trigram):
@@ -125,11 +117,10 @@ def test_bigram_probability_by_hand():
     # D1 = 2/(2+2) = 0.5; bigram counts are all 3 so D2 falls back to 0.5.
     # P(b|a) = (3-0.5)/6 + (0.5*2/6)*((1-0.5)/4) = 0.4375
     model = train_kn([_tokens("a a b")] * 3, order=2)
-    state = _state_with(model, ("a",))
-    lp, _ = score(model, state, "b")
+    lp, _ = score(model, ("a",), "b")
     assert 10.0**lp == pytest.approx(0.4375, abs=1e-12)
     # unseen bigram (b, a): bow(b) * P1(a) = (0.5*1/3) * 0.375 = 0.0625
-    lp_backoff, _ = score(model, _state_with(model, ("b",)), "a")
+    lp_backoff, _ = score(model, ("b",), "a")
     assert 10.0**lp_backoff == pytest.approx(0.0625, abs=1e-12)
     assert 2 in model.degenerate_orders and 1 not in model.degenerate_orders
 

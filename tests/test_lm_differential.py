@@ -1,18 +1,23 @@
-"""Differential test: the per-context backoff row (`lm.log10_row`) and the
-`score`, `sentence_log10` and `perplexity` built on it, against the
-verbatim per-word recursion they replaced (tests/reference_lm.py).
+"""Differential test: the LM state queries (`lm.score`, `lm.log10_row`)
+and the `sentence_log10` and `perplexity` built on them, against the
+verbatim per-word recursion over full contexts that they replaced
+(tests/reference_lm.py).
 
-Equality is exact: a row element is the same `bow + lower` sum, in the
-same association, as the recursion computes for that word.
+Equality is exact: a score differs from the recursion's at most in the
+sign of a zero, which `==` ignores and no sum keeps, and the state after
+a word is the state of the recursion's next context (the `lm` module
+docstring says why).
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csasr import lm as lm_mod
-from csasr.lm import BOS, EOS, UNK, LmState, read_arpa, train_kn
+from csasr.lm import BOS, UNK, read_arpa, train_kn
+from conftest import CLOSURE_ARPA, random_lms
 
 import reference_lm
 
@@ -46,37 +51,42 @@ def _contexts(model, rng):
     return sorted(c for c in stored | drawn if len(c) <= n)
 
 
-def _mapped(ctx, model):
-    return tuple(w if w in model.vocabulary else UNK for w in ctx)
-
-
-def _check_rows(model, contexts):
+def _check_rows(model):
+    """Each state's row, built from its suffix state's row, against the
+    recursion over the state itself."""
     words = tuple(sorted(model.vocabulary)) + (UNK,)
-    shared = {}
-    for ctx in contexts:
-        want = [reference_lm._cond_log10(model, ctx, w) for w in words]
-        assert lm_mod.log10_row(model, ctx, words, shared) == want, ctx
-        assert lm_mod.log10_row(model, ctx, words, {}) == want, ctx
-        for w, lp in zip(words, want):
-            assert lm_mod.log10_row(model, ctx, (w,), {}) == [lp], (ctx, w)
+    rows = {}
+    for state in sorted(model.states, key=len):
+        lower = rows[lm_mod.state_of(model, state[1:])] if state else None
+        rows[state] = lm_mod.log10_row(model, state, words, lower)
+        want = [reference_lm._cond_log10(model, state, w) for w in words]
+        assert rows[state].tolist() == want, state
+
+
+def _state_of(model, context):
+    """The longest suffix of context in `model.states`."""
+    suffixes = (context[i:] for i in range(len(context) + 1))
+    return next(c for c in suffixes if c in model.states)
 
 
 def _check_score(model, contexts):
     tokens = sorted(model.vocabulary) + list(OOV) + [UNK]
     longer = [(BOS,) * model.order + c for c in contexts[:20]]
     for ctx, token in itertools.product(contexts + longer, tokens):
-        state = LmState(ctx, -1.25)
-        assert lm_mod.score(model, state, token) == reference_lm.score(
-            model, state, token
+        lp, want = reference_lm.score(model, reference_lm.LmState(ctx), token)
+        assert lm_mod.score(model, ctx, token) == (
+            lp,
+            _state_of(model, want.context),
         ), (ctx, token)
 
 
 def _check_sentences(model, sentences):
+    """Sums and perplexity to the bit, the sign of a zero included."""
     for s in sentences:
-        assert lm_mod.sentence_log10(model, s) == reference_lm.sentence_log10(model, s)
-    assert lm_mod.perplexity(model, sentences) == reference_lm.perplexity(
-        model, sentences
-    )
+        got = lm_mod.sentence_log10(model, s)
+        assert got.hex() == reference_lm.sentence_log10(model, s).hex(), s
+    got = lm_mod.perplexity(model, sentences)
+    assert got.hex() == reference_lm.perplexity(model, sentences).hex()
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -89,7 +99,7 @@ def test_kn_rows_and_scores_equal_the_recursion(order, seed):
     if order > 1:
         assert any(c not in model.tables[len(c)] for c in contexts if c)
         assert any(c[:1] == (BOS,) for c in contexts)
-    _check_rows(model, [_mapped(c, model) for c in contexts])
+    _check_rows(model)
     _check_score(model, contexts)
     unseen = _corpus(rng, 10) + [["zz", "你", "龍"], []]
     _check_sentences(model, corpus + unseen)
@@ -135,8 +145,39 @@ def test_arpa_with_unlisted_context_and_missing_bows(tmp_path):
     vocab = sorted(model.vocabulary)
     contexts = [()] + [(w,) for w in vocab + [UNK]]
     contexts += [tuple(p) for p in itertools.product(vocab + [UNK], repeat=2)]
-    _check_rows(model, contexts)
+    _check_rows(model)
     _check_score(model, contexts)
     _check_sentences(
         model, [["a", "b", "你"], ["b", "a", "你"], ["你", "a", "b"], ["zz"], []]
     )
+
+
+def test_arpa_whose_contexts_need_the_prefix_closure(tmp_path):
+    path = tmp_path / "closure.arpa"
+    path.write_text(CLOSURE_ARPA, encoding="utf-8")
+    model = read_arpa(path)
+    assert ("你",) in model.states and ("你",) not in model.followers
+    vocab = sorted(model.vocabulary)
+    contexts = [()] + [(w,) for w in vocab + [UNK]]
+    contexts += [tuple(p) for p in itertools.product(vocab + [UNK], repeat=2)]
+    _check_rows(model)
+    _check_score(model, contexts)
+    _check_sentences(
+        model,
+        [["你", "好", "a"], ["a", "你", "好", "你", "好", "a"], ["b", "你", "好"], []],
+    )
+
+
+_SENTENCE_TOKENS = ("a", "b", "ab", "ba'", "你", "好", "zz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=random_lms(),
+    contexts=st.lists(st.lists(st.sampled_from(_SENTENCE_TOKENS + (BOS,)), max_size=5)),
+    sentences=st.lists(st.lists(st.sampled_from(_SENTENCE_TOKENS), max_size=8)),
+)
+def test_random_lm_tables_score_as_the_recursion(model, contexts, sentences):
+    _check_rows(model)
+    _check_score(model, sorted({()} | set(map(tuple, contexts))))
+    _check_sentences(model, sentences + [["你", "好", "a"]])

@@ -204,6 +204,6 @@ def test_checkpoint_rejects_malformed_parameter_entries(tmp_path, edit, reason):
 
 def test_checkpoint_that_is_not_utf8_is_malformed(tmp_path):
     path = tmp_path / "m.ckpt"
-    path.write_bytes(b'{"format": "\xff"}\n')
-    with pytest.raises(MalformedFile, match=r"m\.ckpt: line 1: not UTF-8 text"):
+    path.write_bytes(b'{\n  "format": "csasr",\n  "version": "\xff"\n}\n')
+    with pytest.raises(MalformedFile, match=r"m\.ckpt: line 3: not UTF-8$"):
         load_checkpoint(path, VOCAB)

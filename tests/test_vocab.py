@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from csasr.vocab import (
     BLANK_ID,
@@ -10,61 +9,12 @@ from csasr.vocab import (
     build_vocab,
     decode_ids,
     encode,
-    is_cjk,
     load_vocab,
-    normalize_text,
     save_vocab,
     script_of,
 )
 
 CJK_SAMPLE = "你我他是好了的在有个这中"
-
-
-def test_normalize_lowercases_and_keeps_scripts():
-    assert normalize_text("Hello 你好 WORLD") == "hello 你好 world"
-
-
-def test_normalize_drops_punctuation_digits_and_other_scripts():
-    assert normalize_text("a1b2c! привет?") == "abc"
-
-
-def test_normalize_collapses_whitespace():
-    assert normalize_text("  a\t\tb\n你  ") == "a b 你"
-
-
-def test_normalize_removes_hesitations_as_whole_runs():
-    assert normalize_text("uh so um yes") == "so yes"
-    # embedded substrings are not hesitations
-    assert normalize_text("umbrella sERious") == "umbrella serious"
-
-
-def test_normalize_keeps_apostrophe():
-    assert normalize_text("don't") == "don't"
-
-
-def test_normalize_drops_hesitation_only_input():
-    assert normalize_text("uh um, uh!") == ""
-
-
-_raw_text = st.text(
-    alphabet=st.characters(max_codepoint=0x9FFF),
-    max_size=60,
-)
-
-
-@given(_raw_text)
-def test_normalize_is_idempotent(raw):
-    once = normalize_text(raw)
-    assert normalize_text(once) == once
-
-
-@given(_raw_text)
-def test_normalized_output_stays_in_inventory(raw):
-    out = normalize_text(raw)
-    assert "  " not in out
-    assert out == out.strip()
-    for ch in out:
-        assert ch == " " or ch == "'" or "a" <= ch <= "z" or is_cjk(ch)
 
 
 def test_script_of_partitions_units():
@@ -108,7 +58,7 @@ def test_build_vocab_rejects_unnormalized_text():
 
 def test_encode_decode_round_trip():
     vocab = build_vocab([CJK_SAMPLE])
-    text = normalize_text("ab 你好 don't")
+    text = "ab 你好 don't"
     ids = encode(text, vocab)
     assert decode_ids(ids, vocab) == text
     assert BLANK_ID not in ids

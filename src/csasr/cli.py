@@ -81,7 +81,7 @@ def _one_source(single, pair: tuple, usage: str) -> bool:
 
 def _load_examples(manifest_path, vocab):
     p = _require_file(manifest_path)
-    entries = training.load_manifest(p)
+    entries = training.load_manifest(p, vocab)
     return training.load_examples(entries, vocab, base_dir=p.parent)
 
 
@@ -161,6 +161,11 @@ def cmd_finetune(args) -> None:
     vocab = load_vocab(_require_file(args.vocab))
     model = model_mod.load_checkpoint(_require_file(args.checkpoint), vocab)
     examples = _load_examples(args.manifest, vocab)
+    if not training.stratified_subset(examples, args.fraction):
+        raise UsageError(
+            f"--fraction {args.fraction:g} selects none of the "
+            f"{len(examples)} utterances in {args.manifest}"
+        )
     cfg = _train_config(args, args.epochs, args.seed)
     training.run_finetune(model, examples, cfg, args.fraction)
     model_mod.save_checkpoint(model, args.out, vocab)

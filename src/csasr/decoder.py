@@ -37,12 +37,13 @@ kept in candidate order, unsorted.
 LM states. The fused score needs only p(word | context), so each prefix
 carries the id of its LM state (`lm.state_of`), which gives every log10
 sum to the bit as the full context would (the `lm` module docstring says
-why). A state's CJK row is one `lm.log10_row` over every CJK unit
-(out-of-vocabulary ones as `<unk>`), built from its suffix state's row,
-rather than one `lm.score` per unit. Rows, the state after each CJK unit,
-and Latin words (one `lm.score` per state and word) are kept in one
-`_LmCache` per model, shared by every decode with that model, so a decode
-builds only what no earlier one reached.
+why). A state's CJK row holds `lm.log10` of every CJK unit
+(out-of-vocabulary ones as `<unk>`), each one backoff step from its
+element of the suffix state's row, rather than one `lm.score` per unit.
+Rows, the state after each CJK unit, and Latin words (one `lm.score` per
+state and word) are kept in one `_LmCache` per model, shared by every
+decode with that model, so a decode builds only what no earlier one
+reached.
 
 This is bit-identical to scoring each candidate separately in Python
 (tests/reference_decoder.py): numpy adds, multiplies and compares
@@ -173,8 +174,11 @@ class _LmCache:
                 )
             self.next_ids[i, 0] = i
             if model is not None:
-                lower = self.rows[suffix] if state else None
-                self.rows[i] = lm_mod.log10_row(model, state, self.cjk_words, lower)
+                words = self.cjk_words
+                lower = self.rows[suffix].tolist() if state else [None] * len(words)
+                self.rows[i] = [
+                    lm_mod.log10(model, state, w, lo) for w, lo in zip(words, lower)
+                ]
         return i
 
     def step(self, model, i: int, word: str) -> tuple[float, int]:

@@ -15,14 +15,16 @@ predicted event, and the leftover unigram discount mass goes to `<unk>`.
 
 LM states. Every query looks a context up as its state (`state_of`): its
 longest suffix in `NGramModel.states`, the contexts that can still change
-a score, as in KenLM (Heafield 2011). `score` gives a word's log10
-probability and the next state; `log10_row` gives a state's row over a
-word list from the row of its suffix state. States stand exactly for the
+a score, as in KenLM (Heafield 2011). `log10` gives a word's log10
+probability at a state, one backoff level at a time: a stored n-gram's
+probability, else the state's backoff weight plus the word's value at
+its suffix state, which a caller that holds it passes in. `score` gives
+it at any context, with the next state. States stand exactly for the
 contexts they replace:
 - A context that is not a state has no follower and no backoff weight,
   so each of its scores is that of its suffix plus 0.0. By induction on
-  the length, every score and row element of a state differs from the
-  backoff walk over the full context at most in the sign of a zero, and
+  the length, every score of a state differs from the backoff walk over
+  the full context at most in the sign of a zero, and
   no log10 sum can hold -0.0: each starts from +0.0, and a sum is -0.0
   only when both terms are. So every sum of scores, and every perplexity,
   is the full context's to the bit.
@@ -45,8 +47,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .vocab import LATIN_RUN, MalformedFile, is_cjk, read_utf8
 
@@ -105,16 +105,6 @@ class NGramModel:
     decoding_tables: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-
-    @cached_property
-    def followers(self) -> dict[tuple[str, ...], dict[str, float]]:
-        """Index of the tables: context -> {next word: log10 probability}
-        for every stored n-gram, built on first use."""
-        index: dict[tuple[str, ...], dict[str, float]] = {}
-        for table in self.tables.values():
-            for gram, (lp, _) in table.items():
-                index.setdefault(gram[:-1], {})[gram[-1]] = lp
-        return index
 
     @cached_property
     def states(self) -> frozenset[tuple[str, ...]]:
@@ -233,33 +223,27 @@ def initial_state(model: NGramModel) -> tuple[str, ...]:
     return state_of(model, (BOS,))
 
 
-def log10_row(
-    model: NGramModel,
-    state: tuple[str, ...],
-    words: Sequence[str],
-    lower: np.ndarray | None,
-) -> np.ndarray:
-    """[log10 p(w | state) for w in words] under ARPA backoff semantics.
+def log10(
+    model: NGramModel, state: tuple[str, ...], w: str, lower: float | None = None
+) -> float:
+    """log10 p(w | state) under ARPA backoff semantics.
 
-    Each word must be in the vocabulary or be `UNK`. `lower` is the row
-    of the same words for `state_of(model, state[1:])`, or None when the
-    state is `()`. A word whose n-gram is stored takes its probability;
-    any other takes the state's backoff weight (0.0 when it has none)
-    plus its element of `lower`, and `()` falls back to the `UNK`
-    unigram. numpy adds float64 as Python floats do, so each element is
-    the per-word backoff sum over the word's chain of suffix states.
+    w must be in the vocabulary or be `UNK`. A stored n-gram state + (w,)
+    gives its probability, and `()` falls back to the `UNK` unigram; any
+    other state gives its backoff weight (0.0 when it has none) plus
+    `lower`, w's value at `state_of(model, state[1:])`, which is computed
+    here when not given.
     """
-    stored = model.followers.get(state, {})
-    if state:
-        entry = model.tables[len(state)].get(state)
-        bow = entry[1] if entry is not None and entry[1] is not None else 0.0
-        row = bow + lower
-    else:
-        row = np.full(len(words), model.tables[1][(UNK,)][0])
-    for j, w in enumerate(words):
-        if w in stored:
-            row[j] = stored[w]
-    return row
+    entry = model.tables[len(state) + 1].get(state + (w,))
+    if entry is not None:
+        return entry[0]
+    if not state:
+        return model.tables[1][(UNK,)][0]
+    if lower is None:
+        lower = log10(model, state_of(model, state[1:]), w)
+    entry = model.tables[len(state)].get(state)
+    bow = entry[1] if entry is not None and entry[1] is not None else 0.0
+    return bow + lower
 
 
 def score(
@@ -270,13 +254,7 @@ def score(
     if w not in model.vocabulary:
         w = UNK
     state = state_of(model, context)
-    suffixes = [state]
-    while suffixes[-1]:
-        suffixes.append(state_of(model, suffixes[-1][1:]))
-    row = None
-    for suffix in reversed(suffixes):
-        row = log10_row(model, suffix, (w,), row)
-    return row.item(), state_of(model, state + (w,))
+    return log10(model, state, w), state_of(model, state + (w,))
 
 
 def sentence_log10(model: NGramModel, sentence: Sequence) -> float:
@@ -349,6 +327,7 @@ def read_arpa(path) -> NGramModel:
     order = max(declared)
 
     tables: dict[int, NGramTable] = {k: {} for k in range(1, order + 1)}
+    first: dict[tuple[str, ...], int] = {}
     unigram_line = len(lines)
     seen_end = False
     while i < len(lines):
@@ -382,7 +361,10 @@ def read_arpa(path) -> NGramModel:
                 fail(i, "non-finite probability field")
             if bow is not None and not math.isfinite(bow):
                 fail(i, "non-finite backoff field")
-            tables[k][tuple(fields[1 : k + 1])] = (logp, bow)
+            gram = tuple(fields[1 : k + 1])
+            if first.setdefault(gram, i + 1) != i + 1:
+                fail(i, f"repeated {k}-gram, first at line {first[gram]}")
+            tables[k][gram] = (logp, bow)
             i += 1
     if not seen_end:
         raise MalformedArpa(path, len(lines), "missing \\end\\ marker")

@@ -23,7 +23,7 @@ from . import model as model_mod
 from .ctc import CtcLossResult, PosteriorGrid, ctc_loss_batch
 from .ctc import ctc_loss  # noqa: F401 - bench/tracer.py wraps training.ctc_loss by name
 from .features import extract_features, read_feat, read_wav
-from .vocab import GraphemeVocab, MalformedFile, encode, read_utf8
+from .vocab import GraphemeVocab, MalformedFile, UnknownGrapheme, encode, read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -96,7 +96,9 @@ def save_manifest(entries: Sequence[ManifestEntry], path) -> None:
             writer.writerow([e.path, e.transcript, e.language, e.duration_ms])
 
 
-def load_manifest(path) -> list[ManifestEntry]:
+def load_manifest(path, vocab: GraphemeVocab | None = None) -> list[ManifestEntry]:
+    """The entries of a manifest; with a vocab, a transcript holding a
+    grapheme outside it raises MalformedManifest at its row."""
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
         header = next(reader, ())
@@ -117,6 +119,11 @@ def load_manifest(path) -> list[ManifestEntry]:
             raise MalformedManifest(
                 path, line, f"duration_ms {row[3]!r} is not an integer"
             ) from None
+        if vocab is not None:
+            try:
+                encode(row[1], vocab)
+            except UnknownGrapheme as e:
+                raise MalformedManifest(path, line, f"{e} in the transcript") from None
     return entries
 
 

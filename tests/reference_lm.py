@@ -1,8 +1,9 @@
-"""Reference oracle: the per-word recursive backoff lookup csasr shipped
-before `lm.log10_row`, kept verbatim (with its rolling-context `LmState`
-and `initial_state`, plus `sentence_log10` and `perplexity` on top of
-it) so test_lm_differential.py can demand exact equality with it. It
-reads the model's tables and nothing of `csasr.lm` that it checks.
+"""Reference oracle: the per-word recursive backoff lookup over full
+contexts that csasr shipped before LM states, kept verbatim (with its
+rolling-context `LmState` and `initial_state`, plus `sentence_log10` and
+`perplexity` on top of it) so test_lm_differential.py can demand exact
+equality with it. It reads the model's tables and nothing of `csasr.lm`
+that it checks.
 
 Not part of the package.
 """

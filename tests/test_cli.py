@@ -283,6 +283,58 @@ def test_diverging_train_exits_1_naming_the_epoch_and_writes_no_checkpoint(
     assert not ckpt.exists()
 
 
+def _manifest_of(pipeline, path, transcripts):
+    """A manifest at path whose rows take the first cs utterances' audio,
+    by absolute path, with these transcripts, and a blank line after the
+    first row."""
+    data = pipeline["data"]
+    header, *rows = (data / "cs_manifest.csv").read_text(encoding="utf-8").splitlines()
+    lines = [header]
+    for row, transcript in zip(rows, transcripts):
+        audio, _, language, duration = row.split(",")
+        lines.append(f"{data / audio},{transcript},{language},{duration}")
+    lines.insert(2, "")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "finetune"])
+def test_manifest_transcript_outside_vocab_exits_2_naming_its_line(
+    pipeline, tmp_path, capsys, command
+):
+    manifest = _manifest_of(pipeline, tmp_path / "m.csv", ["ab", "a", "ab 龍"])
+    ckpt = tmp_path / "out.ckpt"
+    argv = [command, "--vocab", str(pipeline["vocab"]), "--manifest", str(manifest)]
+    if command == "finetune":
+        argv += ["--checkpoint", str(pipeline["ckpt"])]
+    assert main(argv + ["--hidden", "12", "--out", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {manifest}: line 5: unknown grapheme '龍' at byte offset 3"
+        " in the transcript\n"
+    )
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("fraction, transcripts", [("0.1", ["ab", "a", "b", "a"]), ("1", [])])
+def test_finetune_fraction_selecting_no_utterance_exits_2(
+    pipeline, tmp_path, capsys, fraction, transcripts
+):
+    manifest = _manifest_of(pipeline, tmp_path / "m.csv", transcripts)
+    ckpt = tmp_path / "out.ckpt"
+    assert main([
+        "finetune", "--vocab", str(pipeline["vocab"]), "--manifest", str(manifest),
+        "--checkpoint", str(pipeline["ckpt"]), "--hidden", "12",
+        "--fraction", fraction, "--out", str(ckpt),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: --fraction {fraction} selects none of the "
+        f"{len(transcripts)} utterances in {manifest}\n"
+    )
+    assert not ckpt.exists()
+
+
 def test_internal_error_exits_1(pipeline, tmp_path, capsys):
     # a well-formed grid whose width does not match the vocabulary
     grid = tmp_path / "narrow.grid"
@@ -318,6 +370,20 @@ def test_malformed_vocab_and_arpa_exit_2_naming_file_and_line(pipeline, tmp_path
     assert code == 2
     line = lines.index("\\1-grams:") + 2
     assert f"{arpa}: line {line}: non-numeric probability field" in capsys.readouterr().err
+
+
+def test_arpa_with_a_repeated_ngram_exits_2_naming_both_lines(pipeline, tmp_path, capsys):
+    # the header still declares the distinct count, so only the repeat is wrong
+    arpa = tmp_path / "repeated.arpa"
+    lines = pipeline["arpa"].read_text(encoding="utf-8").splitlines()
+    n = lines.index("\\2-grams:") + 1
+    lines.insert(n + 1, lines[n])
+    arpa.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = tmp_path / "ppl.txt"
+    text.write_text("a\n", encoding="utf-8")
+    assert main(["perplexity", "--lm", str(arpa), "--corpus", str(text)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {arpa}: line {n + 2}: repeated 2-gram, first at line {n + 1}\n"
 
 
 @pytest.mark.parametrize("column", ["probability", "backoff"])

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -186,21 +187,26 @@ def _cache_model():
 
 def _record_lm(monkeypatch):
     """Lists of the (model id, context, word) that `lm.score` sees and of
-    the (model id, state) of every CJK row that `lm.log10_row` builds."""
-    calls, rows = [], []
-    real_score, real_row = lm_mod.score, lm_mod.log10_row
+    the (model id, state, word) of every CJK row element, an `lm.log10`
+    call from outside `lm.score`."""
+    calls, rows, scoring = [], [], []
+    real_score, real_log10 = lm_mod.score, lm_mod.log10
 
     def recording_score(model, context, token):
         calls.append((id(model), context, token))
-        return real_score(model, context, token)
+        scoring.append(True)
+        try:
+            return real_score(model, context, token)
+        finally:
+            scoring.pop()
 
-    def recording_row(model, state, words, lower):
-        if len(words) > 1:  # a CJK row, not `score`
-            rows.append((id(model), state))
-        return real_row(model, state, words, lower)
+    def recording_log10(model, state, w, lower=None):
+        if not scoring:
+            rows.append((id(model), state, w))
+        return real_log10(model, state, w, lower)
 
     monkeypatch.setattr(lm_mod, "score", recording_score)
-    monkeypatch.setattr(lm_mod, "log10_row", recording_row)
+    monkeypatch.setattr(lm_mod, "log10", recording_log10)
     return calls, rows
 
 
@@ -218,10 +224,12 @@ def test_lm_cache_scores_each_context_token_pair_once(monkeypatch):
     # each model has one table, and no state's row is built twice in it,
     # however many decodes reach that state
     assert len(model.decoding_tables) == len(other.decoding_tables) == 1
-    assert {m for m, _ in rows} == {id(model), id(other)}
-    built = [state for m, state in rows if m == id(model)]
+    assert {m for m, _, _ in rows} == {id(model), id(other)}
+    built = [(state, w) for m, state, w in rows if m == id(model)]
     assert len(built) == len(set(built))
-    assert {len(c) for c in built} == {0, 1, 2, 3, 4}
+    per_state = Counter(state for state, _ in built)
+    assert set(per_state.values()) == {3}  # 你, 好 and <unk> for 他
+    assert {len(c) for c in per_state} == {0, 1, 2, 3, 4}
 
 
 def test_second_decode_with_the_same_model_scores_and_builds_nothing(monkeypatch):

@@ -96,7 +96,8 @@ def test_beam_decode_equals_reference_with_an_lm_lacking_prefixes(width, tmp_pat
     path = tmp_path / "closure.arpa"
     path.write_text(CLOSURE_ARPA, encoding="utf-8")
     model = lm_mod.read_arpa(path)
-    assert ("你", "好") in model.followers and ("你",) not in model.followers
+    assert ("你", "好", "a") in model.tables[3]
+    assert not any(g[0] == "你" for g in model.tables[2])
     assert model.tables[1][("你",)][1] is None
     rng = np.random.default_rng(3000 + width)
     for case in range(150):

@@ -202,6 +202,20 @@ def test_read_arpa_rejects_unigrams_without_unk_at_their_section(tmp_path):
     assert "<unk>" in info.value.reason
 
 
+def test_read_arpa_rejects_a_repeated_ngram_at_its_second_line(tmp_path):
+    # the count header counts the copy, so only the repeat is wrong
+    path = tmp_path / "bad.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=3\nngram 2=2\n\n\\1-grams:\n-0.3 <unk>\n-0.3 a\n-0.3 b\n\n"
+        "\\2-grams:\n-0.1 a b\n-0.2 a b\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedArpa) as info:
+        read_arpa(path)
+    assert info.value.line_number == 12
+    assert info.value.reason == "repeated 2-gram, first at line 11"
+
+
 def test_read_arpa_reports_line_1_for_an_empty_file(tmp_path):
     path = tmp_path / "empty.arpa"
     path.write_text("", encoding="utf-8")

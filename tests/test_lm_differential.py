@@ -1,4 +1,4 @@
-"""Differential test: the LM state queries (`lm.score`, `lm.log10_row`)
+"""Differential test: the LM state queries (`lm.log10`, `lm.score`)
 and the `sentence_log10` and `perplexity` built on them, against the
 verbatim per-word recursion over full contexts that they replaced
 (tests/reference_lm.py).
@@ -51,16 +51,16 @@ def _contexts(model, rng):
     return sorted(c for c in stored | drawn if len(c) <= n)
 
 
-def _check_rows(model):
-    """Each state's row, built from its suffix state's row, against the
-    recursion over the state itself."""
+def _check_log10(model):
+    """`log10` of every word at each state, given the word's value at the
+    suffix state and computing it, against the recursion over the state."""
     words = tuple(sorted(model.vocabulary)) + (UNK,)
-    rows = {}
-    for state in sorted(model.states, key=len):
-        lower = rows[lm_mod.state_of(model, state[1:])] if state else None
-        rows[state] = lm_mod.log10_row(model, state, words, lower)
-        want = [reference_lm._cond_log10(model, state, w) for w in words]
-        assert rows[state].tolist() == want, state
+    for state, w in itertools.product(sorted(model.states), words):
+        want = reference_lm._cond_log10(model, state, w)
+        suffix = lm_mod.state_of(model, state[1:])
+        lower = reference_lm._cond_log10(model, suffix, w) if state else None
+        assert lm_mod.log10(model, state, w) == want, (state, w)
+        assert lm_mod.log10(model, state, w, lower) == want, (state, w)
 
 
 def _state_of(model, context):
@@ -99,7 +99,7 @@ def test_kn_rows_and_scores_equal_the_recursion(order, seed):
     if order > 1:
         assert any(c not in model.tables[len(c)] for c in contexts if c)
         assert any(c[:1] == (BOS,) for c in contexts)
-    _check_rows(model)
+    _check_log10(model)
     _check_score(model, contexts)
     unseen = _corpus(rng, 10) + [["zz", "你", "龍"], []]
     _check_sentences(model, corpus + unseen)
@@ -145,7 +145,7 @@ def test_arpa_with_unlisted_context_and_missing_bows(tmp_path):
     vocab = sorted(model.vocabulary)
     contexts = [()] + [(w,) for w in vocab + [UNK]]
     contexts += [tuple(p) for p in itertools.product(vocab + [UNK], repeat=2)]
-    _check_rows(model)
+    _check_log10(model)
     _check_score(model, contexts)
     _check_sentences(
         model, [["a", "b", "你"], ["b", "a", "你"], ["你", "a", "b"], ["zz"], []]
@@ -156,11 +156,12 @@ def test_arpa_whose_contexts_need_the_prefix_closure(tmp_path):
     path = tmp_path / "closure.arpa"
     path.write_text(CLOSURE_ARPA, encoding="utf-8")
     model = read_arpa(path)
-    assert ("你",) in model.states and ("你",) not in model.followers
+    # "你" is a state only as the prefix of the stored 3-grams "你 好 ·"
+    assert ("你",) in model.states and not any(g[0] == "你" for g in model.tables[2])
     vocab = sorted(model.vocabulary)
     contexts = [()] + [(w,) for w in vocab + [UNK]]
     contexts += [tuple(p) for p in itertools.product(vocab + [UNK], repeat=2)]
-    _check_rows(model)
+    _check_log10(model)
     _check_score(model, contexts)
     _check_sentences(
         model,
@@ -178,6 +179,6 @@ _SENTENCE_TOKENS = ("a", "b", "ab", "ba'", "你", "好", "zz")
     sentences=st.lists(st.lists(st.sampled_from(_SENTENCE_TOKENS), max_size=8)),
 )
 def test_random_lm_tables_score_as_the_recursion(model, contexts, sentences):
-    _check_rows(model)
+    _check_log10(model)
     _check_score(model, sorted({()} | set(map(tuple, contexts))))
     _check_sentences(model, sentences + [["你", "好", "a"]])

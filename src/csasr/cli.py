@@ -79,10 +79,24 @@ def _one_source(single, pair: tuple, usage: str) -> bool:
     return bool(single)
 
 
-def _load_examples(manifest_path, vocab):
+def _check_widths(manifest, entries, frames, width=None) -> None:
+    """Each entry's frames have `width` columns, by default the first
+    entry's; else MalformedManifest at the row of the first that has not."""
+    for entry, f in zip(entries, frames):
+        width = f.shape[1] if width is None else width
+        if f.shape[1] != width:
+            raise training.MalformedManifest(
+                manifest, entry.line,
+                f"{entry.path} has {f.shape[1]} feature columns, the model takes {width}",
+            )
+
+
+def _load_examples(manifest_path, vocab, width=None):
     p = _require_file(manifest_path)
     entries = training.load_manifest(p, vocab)
-    return training.load_examples(entries, vocab, base_dir=p.parent)
+    examples = training.load_examples(entries, vocab, base_dir=p.parent)
+    _check_widths(p, entries, [x.frames for x in examples], width)
+    return examples
 
 
 def cmd_synth(args) -> None:
@@ -139,7 +153,7 @@ def cmd_train(args) -> None:
     vocab = load_vocab(_require_file(args.vocab))
     if joint:
         l1 = _load_examples(args.l1_manifest, vocab)
-        l2 = _load_examples(args.l2_manifest, vocab)
+        l2 = _load_examples(args.l2_manifest, vocab, l1[0].frames.shape[1] if l1 else None)
         pool = l1 + l2
     else:
         pool = _load_examples(args.manifest, vocab)
@@ -160,7 +174,7 @@ def cmd_train(args) -> None:
 def cmd_finetune(args) -> None:
     vocab = load_vocab(_require_file(args.vocab))
     model = model_mod.load_checkpoint(_require_file(args.checkpoint), vocab)
-    examples = _load_examples(args.manifest, vocab)
+    examples = _load_examples(args.manifest, vocab, model.input_dim)
     if not training.stratified_subset(examples, args.fraction):
         raise UsageError(
             f"--fraction {args.fraction:g} selects none of the "
@@ -179,14 +193,18 @@ def cmd_decode(args) -> None:
     lm_model = lm.read_arpa(_require_file(args.lm)) if args.lm else None
     cfg = decoder.FusionConfig(args.alpha, args.beta, args.beam)
     if from_grid:
-        grids = [ctc.read_grid(_require_file(args.grid))]
+        path = _require_file(args.grid)
+        grids = [ctc.read_grid(path)]
+        V = grids[0].logp.shape[1]
+        if V != len(vocab):
+            raise ctc.MalformedGrid(path, 1, f"grid V={V} does not match vocab size {len(vocab)}")
     else:
         am = model_mod.load_checkpoint(_require_file(args.checkpoint), vocab)
         manifest = _require_file(args.manifest)
-        grids = [
-            model_mod.forward(am, training.load_frames(e, manifest.parent))
-            for e in training.load_manifest(manifest)
-        ]
+        entries = training.load_manifest(manifest)
+        frames = [training.load_frames(e, manifest.parent) for e in entries]
+        _check_widths(manifest, entries, frames, am.input_dim)
+        grids = [model_mod.forward(am, f) for f in frames]
 
     top_texts = []
     for grid in grids:

@@ -8,14 +8,16 @@ utterance terminates it. Partial Latin words therefore carry no bonus,
 and the final fused score telescopes to Q evaluated on the whole
 transcript.
 
-Beam search layout. Prefixes are nodes of a per-decode trie: node 0 is
-the empty prefix, and every other node is hash-consed from its (parent
-node, last unit) pair, so a prefix keeps one node id even after it was
-pruned and re-created. The beam of K prefixes is a set of parallel
-arrays: node, parent node and last unit; blank- and non-blank-ending
-masses pb/pnb; LM state id, log10 LM sum and word count, and the same
-three as they are once the pending Latin run is scored as a word, which
-is done when the prefix is created. Only the pending runs stay strings.
+Beam search layout. `beam_decode` is one CTC prefix beam search core
+plus one `_Fusion` state. Prefixes are nodes of a per-decode trie: node
+0 is the empty prefix, and every other node is hash-consed from its
+(parent node, last unit) pair, so a prefix keeps one node id even after
+it was pruned and re-created. The core's beam of K prefixes is a set of
+parallel arrays: node, parent node and last unit, and the blank- and
+non-blank-ending masses pb/pnb. `_Fusion` keeps, per beam entry, the LM
+state id, log10 LM sum and word count, and the same three as they are
+once the pending Latin run is scored as a word, which is done when the
+prefix is created. Only the pending runs stay strings.
 
 Each frame is a fixed number of whole-beam numpy operations on a K x V
 candidate array: column 0 is the prefix itself (pb from total + blank,
@@ -23,16 +25,24 @@ pnb from repeating the last unit), column v its extension by unit v
 (total + row[v], or pb + row[v] when v repeats the last unit). A prefix
 whose parent is in the beam, found as pos[parent] through a node ->
 beam-slot array, takes the parent's extension mass into its own pnb,
-and that extension is masked out. Each candidate's log10 sum and word
-count are gathered from small per-beam tables: the beam's own fields
-(itself, or a Latin unit, which only grows the pending run), the
-completed ones (a separator), or those plus the CJK row of the LM
-state, taken from the model's matrix of rows (without an LM, one zero
-row). The top K survive by np.partition. Exact score ties at the cut go
-to the smallest prefix, the only place besides the returned n-best
-where prefixes are spelled out as tuples. Which tied candidates survive
-is the only thing the order of the beam could change, so the beam is
-kept in candidate order, unsorted.
+and that extension is masked out. `_Fusion.scores` adds each
+candidate's fused bonus, its log10 sum and word count gathered from
+small per-beam tables: the beam's own fields (itself, or a Latin unit,
+which only grows the pending run), the completed ones (a separator), or
+those plus the CJK row of the LM state, taken from the model's matrix of
+rows (without an LM, one zero row). The top K survive by np.partition.
+Exact score ties at the cut go to the smallest prefix, the only place
+besides the returned n-best where prefixes are spelled out as tuples.
+Which tied candidates survive is the only thing the order of the beam
+could change, so the beam is kept in candidate order, unsorted.
+
+Zero weights. A decode drops an LM whose alpha * ln 10 is zero, and one
+left with neither an LM nor a word bonus keeps no fusion state
+(`_CtcOnly`): the cut ranks the candidate masses themselves, and a
+hypothesis scores its total mass. That is exact. Every term left out is
+0.0 times a finite log10 sum or word count (the counts do not depend on
+the LM), so +0.0 or -0.0, and a mass plus either zero is that mass to
+the bit, no mass being -0.0 (see below).
 
 LM states. The fused score needs only p(word | context), so each prefix
 carries the id of its LM state (`lm.state_of`), which gives every log10
@@ -176,8 +186,9 @@ class _LmCache:
             if model is not None:
                 words = self.cjk_words
                 lower = self.rows[suffix].tolist() if state else [None] * len(words)
+                bow = lm_mod.backoff(model, state) if state else None
                 self.rows[i] = [
-                    lm_mod.log10(model, state, w, lo) for w, lo in zip(words, lower)
+                    lm_mod.log10(model, state, w, lo, bow) for w, lo in zip(words, lower)
                 ]
         return i
 
@@ -219,6 +230,104 @@ def _best(scores: np.ndarray, n: int, spell) -> np.ndarray:
     return kept
 
 
+class _Fusion:
+    """The fusion fields of each beam entry (module docstring), in beam
+    order. `scores` adds the fused bonus to the K x V candidate masses,
+    `keep` gives the survivors their fields, and `final` adds the
+    completed terms to the total masses. Without a model every log10
+    field stays +0.0."""
+
+    def __init__(self, vocab: GraphemeVocab, cfg: FusionConfig, model):
+        units = vocab.units
+        scripts = [None] + [vocab.script_of_id(v) for v in range(1, len(units))]
+        self.latin_cols = np.array([s == SCRIPT_LATIN for s in scripts])
+        cjk_cols = np.array([s == SCRIPT_CJK for s in scripts])
+        cjk_ids = np.flatnonzero(cjk_cols)
+        self.latin_unit = [u if latin else "" for u, latin in zip(units, self.latin_cols)]
+        # which column of the per-frame log10 and word tables candidate
+        # column v reads: 0 the beam's own fields (the beam itself, or a
+        # Latin unit that only grows the pending run), 1 those with the
+        # pending word completed (a separator), 2 + j that plus the j-th
+        # CJK unit
+        log10_col = np.where(self.latin_cols, 0, 1)
+        log10_col[0] = 0
+        log10_col[cjk_ids] = 2 + np.arange(len(cjk_ids))
+        self.log10_col, self.words_col = log10_col, np.minimum(log10_col, 2)
+        # the column of the LM state transitions unit v takes: 1 + j for
+        # the j-th CJK unit, 0 (the state itself) for every other unit
+        self.next_col = np.where(cjk_cols, log10_col - 1, 0)
+        self.lm_weight, self.beta, self.model = cfg.alpha * LN10, cfg.beta, model
+        vocabulary = model.vocabulary if model is not None else ()
+        self.cache = _LmCache.of(
+            model, tuple(units[v] if units[v] in vocabulary else lm_mod.UNK for v in cjk_ids)
+        )
+        self.ctx = np.array([self.cache.id_of(model, (lm_mod.BOS,))])
+        self.log10, self.words = np.zeros(1), np.zeros(1)
+        self.done_ctx, self.done_log10, self.done_words = self.ctx, self.log10, self.words
+        self.pending = [""]
+
+    def scores(self, cand: np.ndarray) -> np.ndarray:
+        """The fused partial score of every candidate."""
+        done = self.done_log10[:, None]
+        self.log10_tab = np.concatenate(
+            (self.log10[:, None], done, done + self.cache.rows[self.done_ctx]), axis=1
+        )
+        done = self.done_words[:, None]
+        self.words_tab = np.concatenate((self.words[:, None], done, done + 1), axis=1)
+        return (
+            cand
+            + (self.lm_weight * self.log10_tab)[:, self.log10_col]
+            + (self.beta * self.words_tab)[:, self.words_col]
+        )
+
+    def keep(self, ks: np.ndarray, vs: np.ndarray, ext: np.ndarray) -> None:
+        """Survivor i is entry ks[i] itself, or its extension by unit vs[i]
+        for i in ext; each new Latin run is scored as a word."""
+        model, cache = self.model, self.cache
+        k_ext, v_ext = ks[ext], vs[ext]
+        base = np.where(self.latin_cols[v_ext], self.ctx[k_ext], self.done_ctx[k_ext])
+        cols = self.next_col[v_ext]
+        ctx_ext = cache.next_ids[base, cols]
+        for j in np.flatnonzero(ctx_ext < 0).tolist():
+            ctx_ext[j] = cache.advance(model, int(base[j]), int(cols[j]) - 1)
+        ctx, done_ctx = self.ctx[ks], self.done_ctx[ks]
+        ctx[ext] = done_ctx[ext] = ctx_ext
+        log10 = self.log10_tab[ks, self.log10_col[vs]]
+        words = self.words_tab[ks, self.words_col[vs]]
+        done_log10, done_words = self.done_log10[ks], self.done_words[ks]
+        done_log10[ext] = log10[ext]
+        done_words[ext] = words[ext]
+
+        latin_unit, pending, vs = self.latin_unit, self.pending, vs.tolist()
+        self.pending = pending = [
+            pending[k] + latin_unit[v] if latin_unit[v] or not v else ""
+            for k, v in zip(ks.tolist(), vs)
+        ]
+        scored = [j for j, v in enumerate(vs) if latin_unit[v]]
+        if scored:
+            ids = ctx[scored].tolist()
+            lps, ids = zip(
+                *[cache.step(model, i, pending[j]) for i, j in zip(ids, scored)]
+            )
+            done_ctx[scored] = ids
+            done_log10[scored] += lps
+            done_words[scored] += 1
+        self.ctx, self.log10, self.words = ctx, log10, words
+        self.done_ctx, self.done_log10, self.done_words = done_ctx, done_log10, done_words
+
+    def final(self, totals: np.ndarray) -> np.ndarray:
+        """Q of every prefix in the beam, its pending run scored as a word."""
+        return totals + self.lm_weight * self.done_log10 + self.beta * self.done_words
+
+
+class _CtcOnly:
+    """The fusion state of a decode with no LM term and no word bonus:
+    candidates rank by their CTC mass, and a prefix scores its total mass."""
+
+    scores = final = staticmethod(lambda masses: masses)
+    keep = staticmethod(lambda ks, vs, ext: None)
+
+
 def beam_decode(
     grid: PosteriorGrid,
     vocab: GraphemeVocab,
@@ -236,29 +345,11 @@ def beam_decode(
     T, V = logp.shape
     if V != len(vocab):
         raise ValueError(f"grid V={V} does not match vocab size {len(vocab)}")
-    units = vocab.units
-    scripts = [None] + [vocab.script_of_id(v) for v in range(1, V)]
-    latin_cols = np.array([s == SCRIPT_LATIN for s in scripts])
-    cjk_cols = np.array([s == SCRIPT_CJK for s in scripts])
-    cjk_ids = np.flatnonzero(cjk_cols)
-    latin_unit = [units[v] if latin_cols[v] else "" for v in range(V)]
-    # which column of the per-frame log10 and word tables candidate column
-    # v reads: 0 the beam's own fields (the beam itself, or a Latin unit
-    # that only grows the pending run), 1 those with the pending word
-    # completed (a separator), 2 + j that plus the j-th CJK unit
-    log10_col = np.where(latin_cols, 0, 1)
-    log10_col[0] = 0
-    log10_col[cjk_ids] = 2 + np.arange(len(cjk_ids))
-    words_col = np.minimum(log10_col, 2)
-    # the column of the LM state transitions unit v takes: 1 + j for the
-    # j-th CJK unit, 0 (the state itself) for every other unit
-    next_col = np.where(cjk_cols, log10_col - 1, 0)
-    lm_weight = cfg.alpha * LN10
     width = cfg.beam_width
-    vocabulary = model.vocabulary if model is not None else ()
-    cache = _LmCache.of(
-        model, tuple(units[v] if units[v] in vocabulary else lm_mod.UNK for v in cjk_ids)
-    )
+    # zero weights do no fusion work ("Zero weights" above)
+    if not cfg.alpha * LN10:
+        model = None
+    fusion = _Fusion(vocab, cfg, model) if model is not None or cfg.beta else _CtcOnly
 
     # the trie: node n > 0 extends its parent by one unit and is keyed by
     # parent * V + unit; node 0 is the empty prefix
@@ -275,16 +366,10 @@ def beam_decode(
             out.append(tuple(reversed(path)))
         return out
 
-    # the beam: node, parent node and last unit of each prefix; its
-    # blank- and non-blank-ending masses; its LM state id, log10 LM sum
-    # and word count, also as they are once its pending Latin run is
-    # scored as a word ("done"); and that pending run
+    # the beam: node, parent node and last unit of each prefix, and its
+    # blank- and non-blank-ending masses
     node, par, last = np.zeros(1, int), np.full(1, -1), np.zeros(1, int)
     pb, pnb = np.zeros(1), np.full(1, NEG_INF)
-    ctx = np.array([cache.id_of(model, (lm_mod.BOS,))])
-    log10, words = np.zeros(1), np.zeros(1)
-    done_ctx, done_log10, done_words = ctx, log10, words
-    pending = [""]
     # beam slot of each node in the beam, -1 elsewhere; the last element
     # stays -1 for the empty prefix's parent (-1)
     pos = np.full(64, -1)
@@ -313,18 +398,7 @@ def beam_decode(
         same_pnb[merged] = np.logaddexp(same_pnb[merged], cand[from_k, col])
         cand[from_k, col] = NEG_INF
         cand[:, 0] = np.logaddexp(same_pb, same_pnb)
-
-        done = done_log10[:, None]
-        log10_tab = np.concatenate(
-            (log10[:, None], done, done + cache.rows[done_ctx]), axis=1
-        )
-        done = done_words[:, None]
-        words_tab = np.concatenate((words[:, None], done, done + 1), axis=1)
-        scores = (
-            cand
-            + (lm_weight * log10_tab)[:, log10_col]
-            + (cfg.beta * words_tab)[:, words_col]
-        )
+        scores = fusion.scores(cand)
 
         # candidates: every prefix itself, then each live extension
         live = cand != NEG_INF
@@ -339,8 +413,10 @@ def beam_decode(
         ks, vs = np.divmod(flat, V)
 
         # a survivor starts as its beam entry with the masses of the
-        # entry's own candidate; extensions then take their new fields
+        # entry's own candidate; extensions then take their new fields,
+        # and each extension's node is hash-consed
         ext = np.flatnonzero(vs)
+        fusion.keep(ks, vs, ext)
         k_ext, v_ext = ks[ext], vs[ext]
         pb, pnb = same_pb[ks], same_pnb[ks]
         pb[ext] = NEG_INF
@@ -349,42 +425,14 @@ def beam_decode(
         node, par, last = node[ks], par[ks], last[ks]
         par[ext] = parent_node
         last[ext] = v_ext
-        base = np.where(latin_cols[v_ext], ctx[k_ext], done_ctx[k_ext])
-        cols = next_col[v_ext]
-        ctx_ext = cache.next_ids[base, cols]
-        for j in np.flatnonzero(ctx_ext < 0).tolist():
-            ctx_ext[j] = cache.advance(model, int(base[j]), int(cols[j]) - 1)
-        ctx, done_ctx = ctx[ks], done_ctx[ks]
-        ctx[ext] = done_ctx[ext] = ctx_ext
-        log10 = log10_tab[ks, log10_col[vs]]
-        words = words_tab[ks, words_col[vs]]
-        done_log10, done_words = done_log10[ks], done_words[ks]
-        done_log10[ext] = log10[ext]
-        done_words[ext] = words[ext]
-
-        # hash-cons each extension's node; score each new Latin run
         node[ext] = [
             trie.setdefault(n * V + v, len(trie) + 1)
             for n, v in zip(parent_node.tolist(), v_ext.tolist())
         ]
         if len(trie) >= len(pos) - 1:
             pos = np.full(2 * len(trie) + 2, -1)
-        vs = vs.tolist()
-        pending = [
-            pending[k] + latin_unit[v] if latin_unit[v] or not v else ""
-            for k, v in zip(ks.tolist(), vs)
-        ]
-        scored = [j for j, v in enumerate(vs) if latin_unit[v]]
-        if scored:
-            ids = ctx[scored].tolist()
-            lps, ids = zip(
-                *[cache.step(model, i, pending[j]) for i, j in zip(ids, scored)]
-            )
-            done_ctx[scored] = ids
-            done_log10[scored] += lps
-            done_words[scored] += 1
 
-    q = np.logaddexp(pb, pnb) + lm_weight * done_log10 + cfg.beta * done_words
+    q = fusion.final(np.logaddexp(pb, pnb))
     top = _best(q, nbest if nbest is not None else width, lambda ks: spell(node[ks]))
     ranked = sorted(zip((-q[top]).tolist(), spell(node[top])))
     return [Hypothesis(p, decode_ids(p, vocab), -neg_q) for neg_q, p in ranked]

@@ -13,7 +13,7 @@ import io
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -78,6 +78,8 @@ class ManifestEntry:
     transcript: str
     language: str
     duration_ms: int
+    # the manifest row it was read from, 0 for an entry made in memory
+    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ def load_manifest(path, vocab: GraphemeVocab | None = None) -> list[ManifestEntr
                 path, line, f"expected {len(MANIFEST_FIELDS)} fields, found {len(row)}"
             )
         try:
-            entries.append(ManifestEntry(*row[:3], int(row[3])))
+            entries.append(ManifestEntry(*row[:3], int(row[3]), line))
         except ValueError:
             raise MalformedManifest(
                 path, line, f"duration_ms {row[3]!r} is not an integer"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from csasr import decoder
 from csasr.cli import build_parser, main
 from csasr.ctc import PosteriorGrid, write_grid
 from csasr.lm import read_arpa
@@ -335,14 +336,68 @@ def test_finetune_fraction_selecting_no_utterance_exits_2(
     assert not ckpt.exists()
 
 
-def test_internal_error_exits_1(pipeline, tmp_path, capsys):
+def test_internal_error_exits_1(pipeline, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("the decoder broke")
+
+    monkeypatch.setattr(decoder, "beam_decode", broken)
+    code = _decode_with_checkpoint(pipeline, pipeline["tuned"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: the decoder broke\n"
+
+
+def test_grid_not_fitting_the_vocab_exits_2_naming_its_header(pipeline, tmp_path, capsys):
     # a well-formed grid whose width does not match the vocabulary
     grid = tmp_path / "narrow.grid"
     half = "-0.69314718055994529"
     grid.write_text(f"CTCGRID v1 T=1 V=2\n{half} {half}\n", encoding="utf-8")
-    code = main(["decode", "--vocab", str(pipeline["vocab"]), "--grid", str(grid)])
-    assert code == 1
-    assert "does not match vocab size" in capsys.readouterr().err
+    hyp = tmp_path / "hyp.txt"
+    code = main([
+        "decode", "--vocab", str(pipeline["vocab"]), "--grid", str(grid),
+        "--hyp-out", str(hyp),
+    ])
+    assert code == 2
+    n = len(load_vocab(pipeline["vocab"]))
+    assert capsys.readouterr().err == (
+        f"error: {grid}: line 1: grid V=2 does not match vocab size {n}\n"
+    )
+    assert not hyp.exists()
+
+
+@pytest.fixture(scope="module")
+def narrow(tmp_path_factory):
+    """A manifest of 3 code-switched utterances with 8 feature columns,
+    where the pipeline's models take 12."""
+    out = tmp_path_factory.mktemp("narrow")
+    assert main([
+        "--seed", "1", "--output-dir", str(out), "synth", "--language", "mixed",
+        "--count", "3", "--latin", LATIN, "--cjk", CJK, "--tag", "narrow",
+        "--feature-dim", "8",
+    ]) == 0
+    return out / "narrow_manifest.csv"
+
+
+@pytest.mark.parametrize("command", ["decode", "finetune", "train"])
+def test_feature_width_not_fitting_the_model_exits_2_naming_the_row(
+    pipeline, narrow, tmp_path, capsys, command
+):
+    out = tmp_path / "out"
+    vocab = ["--vocab", str(pipeline["vocab"])]
+    argv = {
+        "decode": ["decode", *vocab, "--checkpoint", str(pipeline["tuned"]),
+                   "--manifest", str(narrow), "--hyp-out", str(out)],
+        "finetune": ["finetune", *vocab, "--checkpoint", str(pipeline["ckpt"]),
+                     "--manifest", str(narrow), "--hidden", "12", "--out", str(out)],
+        # the model takes the width of the L1 set's first utterance
+        "train": ["train", *vocab, "--l1-manifest", str(pipeline["data"] / "l1_manifest.csv"),
+                  "--l2-manifest", str(narrow), "--hidden", "12", "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    first = load_manifest(narrow)[0].path
+    assert capsys.readouterr().err == (
+        f"error: {narrow}: line 2: {first} has 8 feature columns, the model takes 12\n"
+    )
+    assert not out.exists()
 
 
 def test_malformed_grid_exits_2_naming_file_and_line(pipeline, tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csasr import decoder as decoder_mod
 from csasr import lm as lm_mod
 from csasr.ctc import InfeasibleTarget, PosteriorGrid, ctc_loss
 from csasr.decoder import FusionConfig, beam_decode, fused_score, greedy_decode
@@ -200,10 +201,10 @@ def _record_lm(monkeypatch):
         finally:
             scoring.pop()
 
-    def recording_log10(model, state, w, lower=None):
+    def recording_log10(model, state, w, *given):
         if not scoring:
             rows.append((id(model), state, w))
-        return real_log10(model, state, w, lower)
+        return real_log10(model, state, w, *given)
 
     monkeypatch.setattr(lm_mod, "score", recording_score)
     monkeypatch.setattr(lm_mod, "log10", recording_log10)
@@ -256,6 +257,55 @@ def test_equal_models_never_share_a_table(monkeypatch):
     (table_a,) = a.decoding_tables.values()
     (table_b,) = b.decoding_tables.values()
     assert table_a is not table_b
+
+
+def _record_fusion(monkeypatch):
+    """The list that gets one entry per fusion state a decode builds."""
+    built, real = [], decoder_mod._Fusion
+
+    def recording_fusion(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(decoder_mod, "_Fusion", recording_fusion)
+    return built
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0)])
+def test_zero_weight_decode_with_a_model_does_no_fusion_work(monkeypatch, alpha, beta):
+    model = _cache_model()
+    calls, rows = _record_lm(monkeypatch)
+    built = _record_fusion(monkeypatch)
+    grid = random_grid(np.random.default_rng(13), 12, len(CACHE_VOCAB))
+    cfg = FusionConfig(alpha, beta, 100)
+    hyps = beam_decode(grid, CACHE_VOCAB, cfg, model)
+    assert calls == [] and rows == [] and built == []
+    assert model.decoding_tables == {}
+    assert hyps == beam_decode(grid, CACHE_VOCAB, FusionConfig(0.0, 0.0, 100))
+    # a prefix scores its total mass: unpruned, that is its CTC marginal
+    grid = random_grid(np.random.default_rng(15), 4, len(CACHE_VOCAB))
+    for hyp in beam_decode(grid, CACHE_VOCAB, FusionConfig(alpha, beta, 100_000), model):
+        assert hyp.score == pytest.approx(-ctc_loss(grid, list(hyp.ids)).loss, abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.0])
+def test_word_bonus_without_lm_weight_decodes_as_without_the_model(monkeypatch, alpha):
+    model = _cache_model()
+    calls, rows = _record_lm(monkeypatch)
+    rng = np.random.default_rng(14)
+    cfg = FusionConfig(alpha, 1.0, 100_000)
+    for t in (1, 3, 5):
+        grid = random_grid(rng, t, len(CACHE_VOCAB))
+        hyps = beam_decode(grid, CACHE_VOCAB, cfg, model, nbest=10)
+        assert hyps == beam_decode(grid, CACHE_VOCAB, cfg, None, nbest=10)
+        # the word bonus is in every score: each telescopes to Q without an LM
+        for hyp in hyps:
+            ctc_logp = -ctc_loss(grid, list(hyp.ids)).loss
+            assert hyp.score == pytest.approx(
+                fused_score(hyp.text, ctc_logp, None, cfg), abs=1e-9
+            )
+    assert calls == [] and rows == []
+    assert model.decoding_tables == {}
 
 
 def test_decoded_model_is_freed_without_a_garbage_collection():

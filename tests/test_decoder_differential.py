@@ -30,12 +30,13 @@ MODELS = {
     order: lm_mod.train_kn([lm_mod.tokenize_lm(s) for s in CORPUS], order)
     for order in ORDERS
 }
-# (alpha, beta); alpha=0 with a model present still exercises the LM state
-WEIGHTS = ((0.0, 0.0), (0.0, 1.0), (0.2, 1.0), (1.5, -0.5))
+# (alpha, beta); a zero alpha, of either sign, drops the model, and with a
+# zero beta too the decode keeps no fusion state
+WEIGHTS = ((0.0, 0.0), (0.0, 1.0), (0.2, 1.0), (1.5, -0.5), (-0.0, -0.0), (-0.0, -0.5))
 
 
-def _grid(rng) -> PosteriorGrid:
-    t = int(rng.integers(1, 9))
+def _grid(rng, t=None) -> PosteriorGrid:
+    t = int(rng.integers(1, 9)) if t is None else t
     kind = rng.integers(4)
     if kind == 0:  # coarse logits: many exactly tied masses
         logits = rng.integers(0, 3, size=(t, len(VOCAB))).astype(float)
@@ -59,7 +60,7 @@ def _nbest(decode, grid, cfg, model):
 def test_beam_decode_equals_reference_decoder(width):
     rng = np.random.default_rng(1000 + width)
     for case in range(300):
-        grid = _grid(rng)
+        grid = _grid(rng, 1 if case < len(WEIGHTS) else None)  # T = 1 at every weight
         alpha, beta = WEIGHTS[case % len(WEIGHTS)]
         cfg = FusionConfig(alpha, beta, width)
         order = ORDERS[(case // len(WEIGHTS)) % len(ORDERS)]

@@ -53,7 +53,8 @@ def _contexts(model, rng):
 
 def _check_log10(model):
     """`log10` of every word at each state, given the word's value at the
-    suffix state and computing it, against the recursion over the state."""
+    suffix state and the state's backoff weight and computing them, against
+    the recursion over the state."""
     words = tuple(sorted(model.vocabulary)) + (UNK,)
     for state, w in itertools.product(sorted(model.states), words):
         want = reference_lm._cond_log10(model, state, w)
@@ -61,6 +62,11 @@ def _check_log10(model):
         lower = reference_lm._cond_log10(model, suffix, w) if state else None
         assert lm_mod.log10(model, state, w) == want, (state, w)
         assert lm_mod.log10(model, state, w, lower) == want, (state, w)
+        if state:
+            bow = lm_mod.backoff(model, state)
+            assert lm_mod.log10(model, state, w, lower, bow) == want, (state, w)
+            if state + (w,) not in model.tables[len(state) + 1]:
+                assert bow + lower == want, (state, w)
 
 
 def _state_of(model, context):

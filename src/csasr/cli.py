@@ -151,22 +151,19 @@ def cmd_train(args) -> None:
     usage = "provide either --manifest or both --l1-manifest and --l2-manifest"
     joint = not _one_source(args.manifest, (args.l1_manifest, args.l2_manifest), usage)
     vocab = load_vocab(_require_file(args.vocab))
-    if joint:
-        l1 = _load_examples(args.l1_manifest, vocab)
-        l2 = _load_examples(args.l2_manifest, vocab, l1[0].frames.shape[1] if l1 else None)
-        pool = l1 + l2
-    else:
-        pool = _load_examples(args.manifest, vocab)
-    if not pool:
-        raise UsageError("no training examples in manifest")
+    sets, width = [], None
+    for manifest in (args.l1_manifest, args.l2_manifest) if joint else (args.manifest,):
+        examples = _load_examples(manifest, vocab, width)
+        if not examples:
+            raise UsageError(f"no training examples in {manifest}")
+        sets.append(examples)
+        width = examples[0].frames.shape[1]
     cfg = _train_config(args, args.epochs, args.seed)
-    model = model_mod.init_model(
-        pool[0].frames.shape[1], len(vocab), args.hidden, args.seed
-    )
+    model = model_mod.init_model(width, len(vocab), args.hidden, args.seed)
     if joint:
-        training.run_joint_training(model, l1, l2, cfg)
+        training.run_joint_training(model, *sets, cfg)
     else:
-        training.train_epochs(model, pool, cfg)
+        training.train_epochs(model, *sets, cfg)
     model_mod.save_checkpoint(model, args.out, vocab)
     print(f"wrote {args.out}")
 

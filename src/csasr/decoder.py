@@ -48,8 +48,8 @@ LM states. The fused score needs only p(word | context), so each prefix
 carries the id of its LM state (`lm.state_of`), which gives every log10
 sum to the bit as the full context would (the `lm` module docstring says
 why). A state's CJK row holds `lm.log10` of every CJK unit
-(out-of-vocabulary ones as `<unk>`), each one backoff step from its
-element of the suffix state's row, rather than one `lm.score` per unit.
+(out-of-vocabulary ones as `<unk>`) at that state, rather than one
+`lm.score` per unit.
 Rows, the state after each CJK unit, and Latin words (one `lm.score` per
 state and word) are kept in one `_LmCache` per model, shared by every
 decode with that model, so a decode builds only what no earlier one
@@ -132,15 +132,14 @@ def fused_score(
 class _LmCache:
     """LM tables of one model and one tuple of CJK words, by state id.
 
-    `rows[i]` holds log10 p(word | state i) for each CJK word in order and
-    is built from the row of state i's suffix state when state i is first
-    reached. `next_ids[i, 1 + j]` is the state after CJK word j, -1 until
-    asked for; `next_ids[i, 0]` is i itself, the state that a unit which
-    completes no CJK token leaves. `steps` maps (state id, Latin word) to
-    (log10 p, next state id), a word outside the LM vocabulary keyed as
-    `<unk>`, so each pair costs one `lm.score` call. Every table is
-    bounded by the model: at most |states| rows, |states| x CJK words
-    transitions and |states| x |vocabulary| steps.
+    `rows[i]` holds `lm.log10` of each CJK word in order at state i and is
+    built when state i is first reached. `next_ids[i, 1 + j]` is the state
+    after CJK word j, -1 until asked for; `next_ids[i, 0]` is i itself, the
+    state that a unit which completes no CJK token leaves. `steps` maps
+    (state id, Latin word) to (log10 p, next state id), a word outside the
+    LM vocabulary keyed as `<unk>`, so each pair costs one `lm.score` call.
+    Every table is bounded by the model: at most |states| rows, |states| x
+    CJK words transitions and |states| x |vocabulary| steps.
 
     A model keeps one cache per tuple of CJK words in its
     `decoding_tables`, shared by every decode with it; the methods take
@@ -169,12 +168,11 @@ class _LmCache:
         return cache
 
     def id_of(self, model, context) -> int:
-        """The id of the state that context is looked up as; a new state's
-        suffix state gets its id and row first."""
+        """The id of the state that context is looked up as, its row built
+        when the state is new."""
         state = lm_mod.state_of(model, context) if model is not None else ()
         i = self.ids.get(state)
         if i is None:
-            suffix = self.id_of(model, state[1:]) if state else None
             i = self.ids[state] = len(self.states)
             self.states.append(state)
             if i == len(self.rows):
@@ -184,12 +182,7 @@ class _LmCache:
                 )
             self.next_ids[i, 0] = i
             if model is not None:
-                words = self.cjk_words
-                lower = self.rows[suffix].tolist() if state else [None] * len(words)
-                bow = lm_mod.backoff(model, state) if state else None
-                self.rows[i] = [
-                    lm_mod.log10(model, state, w, lo, bow) for w, lo in zip(words, lower)
-                ]
+                self.rows[i] = [lm_mod.log10(model, state, w) for w in self.cjk_words]
         return i
 
     def step(self, model, i: int, word: str) -> tuple[float, int]:

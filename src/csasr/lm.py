@@ -18,9 +18,8 @@ longest suffix in `NGramModel.states`, the contexts that can still change
 a score, as in KenLM (Heafield 2011). `log10` gives a word's log10
 probability at a state, one backoff level at a time: a stored n-gram's
 probability, else the state's backoff weight plus the word's value at
-its suffix state; a caller that holds the weight or that value passes
-it in. `score` gives it at any context, with the next state. States
-stand exactly for the contexts they replace:
+its suffix state. `score` gives it at any context, with the next state.
+States stand exactly for the contexts they replace:
 - A context that is not a state has no follower and no backoff weight,
   so each of its scores is that of its suffix plus 0.0. By induction on
   the length, every score of a state differs from the backoff walk over
@@ -223,36 +222,23 @@ def initial_state(model: NGramModel) -> tuple[str, ...]:
     return state_of(model, (BOS,))
 
 
-def log10(
-    model: NGramModel,
-    state: tuple[str, ...],
-    w: str,
-    lower: float | None = None,
-    bow: float | None = None,
-) -> float:
+def log10(model: NGramModel, state: tuple[str, ...], w: str) -> float:
     """log10 p(w | state) under ARPA backoff semantics.
 
     w must be in the vocabulary or be `UNK`. A stored n-gram state + (w,)
     gives its probability, and `()` falls back to the `UNK` unigram; any
-    other state gives its backoff weight `bow` plus `lower`, w's value at
-    `state_of(model, state[1:])`. Either is computed here when not given.
+    other state gives its backoff weight (0.0 when it has none) plus w's
+    value at `state_of(model, state[1:])`.
     """
     entry = model.tables[len(state) + 1].get(state + (w,))
     if entry is not None:
         return entry[0]
     if not state:
         return model.tables[1][(UNK,)][0]
-    if lower is None:
-        lower = log10(model, state_of(model, state[1:]), w)
+    bow = model.tables[len(state)].get(state, (0.0, None))[1]
     if bow is None:
-        bow = backoff(model, state)
-    return bow + lower
-
-
-def backoff(model: NGramModel, state: tuple[str, ...]) -> float:
-    """The log10 backoff weight of a non-empty state, 0.0 when it has none."""
-    entry = model.tables[len(state)].get(state)
-    return entry[1] if entry is not None and entry[1] is not None else 0.0
+        bow = 0.0
+    return bow + log10(model, state_of(model, state[1:]), w)
 
 
 def score(

@@ -174,14 +174,17 @@ class SgdTrainer:
         self.cfg = cfg
         self.velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
 
-    def step(self, batch: Sequence[Example]) -> tuple[float, int, dict[str, float]]:
+    def step(
+        self, batch: Sequence[Example]
+    ) -> tuple[float, int, dict[str, list[float]]]:
         """One update from the mean CTC gradient over the feasible batch items.
 
         Forward, CTC and BPTT each run one frame loop for the whole batch,
         and BPTT sums the per-utterance gradients in batch order, so the
         update is bit-identical to one built an utterance at a time.
 
-        Returns (mean loss, count skipped as infeasible, per-language mean loss).
+        Returns (mean loss, count skipped as infeasible, the feasible
+        losses by language).
         """
         if not batch:
             raise EmptyBatch("batch has no items")
@@ -213,8 +216,7 @@ class SgdTrainer:
             v += g
             step = g + cfg.momentum * v if cfg.nesterov else v
             p -= cfg.learning_rate * step
-        lang_means = {k: float(np.mean(v)) for k, v in by_language.items()}
-        return float(np.mean(losses)), skipped, lang_means
+        return float(np.mean(losses)), skipped, by_language
 
 
 def train_epochs(
@@ -237,22 +239,22 @@ def train_epochs(
     for epoch in range(1, cfg.epochs + 1):
         batches = make_batches(examples, cfg.batch_size, cfg.seed + epoch - 1)
         epoch_losses = []
-        lang_sums: dict[str, list[float]] = {}
+        lang_losses: dict[str, list[float]] = {}
         skipped = 0
         for b, batch in enumerate(batches, 1):
-            loss, n_skip, lang_means = trainer.step(batch)
+            loss, n_skip, by_language = trainer.step(batch)
             if not math.isfinite(loss):
                 raise Diverged(tag, epoch, b, f"batch loss is {loss}")
             if not all(np.isfinite(v).all() for v in model.params.values()):
                 raise Diverged(tag, epoch, b, "the update left non-finite parameters")
             epoch_losses.append(loss)
             skipped += n_skip
-            for lang, val in lang_means.items():
-                lang_sums.setdefault(lang, []).append(val)
+            for lang, vals in by_language.items():
+                lang_losses.setdefault(lang, []).extend(vals)
         mean_loss = float(np.mean(epoch_losses))
         history.append(mean_loss)
         per_lang = " ".join(
-            f"{lang}={np.mean(vals):.4f}" for lang, vals in sorted(lang_sums.items())
+            f"{lang}={np.mean(vals):.4f}" for lang, vals in sorted(lang_losses.items())
         )
         logger.info(
             "%s epoch %d/%d loss=%.4f %s skipped=%d",

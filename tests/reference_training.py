@@ -128,7 +128,9 @@ def forward_states(model: ToyAcousticModel, frames: np.ndarray):
     return hs, _log_softmax(logits)
 
 
-def reference_step(self, batch: Sequence[Example]) -> tuple[float, int, dict[str, float]]:
+def reference_step(
+    self, batch: Sequence[Example]
+) -> tuple[float, int, dict[str, list[float]]]:
     """SgdTrainer.step with one forward, CTC and BPTT per utterance; takes
     the trainer as `self` so it can stand in for the method."""
     if not batch:
@@ -161,5 +163,4 @@ def reference_step(self, batch: Sequence[Example]) -> tuple[float, int, dict[str
         v += g
         step = g + cfg.momentum * v if cfg.nesterov else v
         p -= cfg.learning_rate * step
-    lang_means = {k: float(np.mean(v)) for k, v in by_language.items()}
-    return float(np.mean(losses)), skipped, lang_means
+    return float(np.mean(losses)), skipped, by_language

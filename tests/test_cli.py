@@ -336,6 +336,30 @@ def test_finetune_fraction_selecting_no_utterance_exits_2(
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize(
+    "sources",
+    [
+        ["--l1-manifest", "empty", "--l2-manifest", "l2"],
+        ["--l1-manifest", "l1", "--l2-manifest", "empty"],
+        ["--manifest", "empty"],
+    ],
+)
+def test_train_on_an_empty_manifest_exits_2_naming_it(pipeline, tmp_path, capsys, sources):
+    data = pipeline["data"]
+    empty = tmp_path / "empty.csv"
+    empty.write_text("path,transcript,language,duration_ms\n", encoding="utf-8")
+    paths = {"empty": empty, "l1": data / "l1_manifest.csv", "l2": data / "l2_manifest.csv"}
+    ckpt = tmp_path / "out.ckpt"
+    assert main([
+        "train", "--vocab", str(pipeline["vocab"]), *[str(paths.get(a, a)) for a in sources],
+        "--hidden", "12", "--out", str(ckpt),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no training examples in {empty}\n"
+    assert captured.out == ""
+    assert not ckpt.exists()
+
+
 def test_internal_error_exits_1(pipeline, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("the decoder broke")

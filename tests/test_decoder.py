@@ -189,22 +189,26 @@ def _cache_model():
 def _record_lm(monkeypatch):
     """Lists of the (model id, context, word) that `lm.score` sees and of
     the (model id, state, word) of every CJK row element, an `lm.log10`
-    call from outside `lm.score`."""
-    calls, rows, scoring = [], [], []
+    call from outside `lm.score` and outside `lm.log10`'s own recursion."""
+    calls, rows, inside = [], [], []
     real_score, real_log10 = lm_mod.score, lm_mod.log10
 
     def recording_score(model, context, token):
         calls.append((id(model), context, token))
-        scoring.append(True)
+        inside.append(True)
         try:
             return real_score(model, context, token)
         finally:
-            scoring.pop()
+            inside.pop()
 
-    def recording_log10(model, state, w, *given):
-        if not scoring:
+    def recording_log10(model, state, w):
+        if not inside:
             rows.append((id(model), state, w))
-        return real_log10(model, state, w, *given)
+        inside.append(True)
+        try:
+            return real_log10(model, state, w)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(lm_mod, "score", recording_score)
     monkeypatch.setattr(lm_mod, "log10", recording_log10)

@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from csasr import lm as lm_mod
 from csasr.ctc import PosteriorGrid
-from csasr.decoder import FusionConfig, beam_decode
+from csasr.decoder import FusionConfig, _LmCache, beam_decode
 from csasr.vocab import GraphemeVocab
 from conftest import CLOSURE_ARPA, random_lms
 
 import reference_decoder
+import reference_lm
 
 WIDTHS = (1, 2, 3, 7, 30, 100)
 ORDERS = (1, 2, 3, 5)
@@ -142,6 +143,51 @@ def test_shared_tables_decode_as_a_fresh_model_does():
 
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
+
+
+def _check_rows(model, cache):
+    """Every built row is the recursion's value of each CJK word at the
+    row's state. `==` ignores only the sign of a zero, in which a state's
+    value may differ from the recursion's and which no log10 sum keeps
+    (the `lm` module docstring says why)."""
+    for i, state in enumerate(cache.states):
+        want = [reference_lm._cond_log10(model, state, w) for w in cache.cjk_words]
+        assert cache.rows[i].tolist() == want, state
+
+
+def test_rows_of_states_reached_before_their_suffix_states(tmp_path):
+    path = tmp_path / "closure.arpa"
+    path.write_text(CLOSURE_ARPA, encoding="utf-8")
+    model = lm_mod.read_arpa(path)
+    # a one-wide beam over 你 then 好 reaches "<s> 你" and "你 好", and
+    # none of their suffix states
+    logits = np.full((2, len(VOCAB)), -5.0)
+    logits[[0, 1], [5, 6]] = 5.0
+    grid = PosteriorGrid(logits - np.logaddexp.reduce(logits, axis=1, keepdims=True))
+    assert beam_decode(grid, VOCAB, FusionConfig(0.2, 1.0, 1), model)[0].text == "你好"
+    (cache,) = model.decoding_tables.values()
+    assert cache.states == [("<s>",), ("<s>", "你"), ("你", "好")]
+    _check_rows(model, cache)
+    rng = np.random.default_rng(5000)
+    for width in (1, 3, 10, 100):
+        beam_decode(_grid(rng), VOCAB, FusionConfig(0.2, 1.0, width), model)
+    _check_rows(model, cache)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=random_lms(), seed=st.integers(0, 2**32 - 1))
+def test_rows_built_at_the_deepest_state_first_on_random_lm_tables(model, seed):
+    deepest = max(sorted(model.states), key=len)
+    cjk_words = tuple(w if w in model.vocabulary else lm_mod.UNK for w in ("你", "好"))
+    cache = _LmCache(cjk_words)
+    cache.id_of(model, deepest)
+    assert cache.states == [deepest]
+    _check_rows(model, cache)
+    rng = np.random.default_rng(seed)
+    for width in (1, 10):
+        beam_decode(_grid(rng), VOCAB, FusionConfig(0.2, 1.0, width), model)
+    (cache,) = model.decoding_tables.values()
+    _check_rows(model, cache)
 
 
 # -0.0 is left out: the decoder never holds it, since every mass is a sum

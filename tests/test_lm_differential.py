@@ -52,21 +52,17 @@ def _contexts(model, rng):
 
 
 def _check_log10(model):
-    """`log10` of every word at each state, given the word's value at the
-    suffix state and the state's backoff weight and computing them, against
-    the recursion over the state."""
+    """`log10` of every word at each state against the recursion over the
+    state; where the n-gram is not stored, it is to the bit the state's
+    backoff weight plus the word's value at the suffix state."""
     words = tuple(sorted(model.vocabulary)) + (UNK,)
     for state, w in itertools.product(sorted(model.states), words):
-        want = reference_lm._cond_log10(model, state, w)
-        suffix = lm_mod.state_of(model, state[1:])
-        lower = reference_lm._cond_log10(model, suffix, w) if state else None
-        assert lm_mod.log10(model, state, w) == want, (state, w)
-        assert lm_mod.log10(model, state, w, lower) == want, (state, w)
-        if state:
-            bow = lm_mod.backoff(model, state)
-            assert lm_mod.log10(model, state, w, lower, bow) == want, (state, w)
-            if state + (w,) not in model.tables[len(state) + 1]:
-                assert bow + lower == want, (state, w)
+        got = lm_mod.log10(model, state, w)
+        assert got == reference_lm._cond_log10(model, state, w), (state, w)
+        if state and state + (w,) not in model.tables[len(state) + 1]:
+            bow = model.tables[len(state)].get(state, (0.0, None))[1]
+            lower = lm_mod.log10(model, lm_mod.state_of(model, state[1:]), w)
+            assert got.hex() == ((0.0 if bow is None else bow) + lower).hex(), (state, w)
 
 
 def _state_of(model, context):
@@ -173,6 +169,23 @@ def test_arpa_whose_contexts_need_the_prefix_closure(tmp_path):
         model,
         [["你", "好", "a"], ["a", "你", "好", "你", "好", "a"], ["b", "你", "好"], []],
     )
+
+
+def test_a_state_backs_off_past_the_contexts_that_are_no_states():
+    # "a b" is a state by its weight -0.0, and "b" has neither a weight nor
+    # a follower, so "a b" backs off straight to (): a walk through "b", as
+    # the recursion over full contexts takes, adds +0.0 to the -0.0 of 你
+    tables = {
+        1: {(UNK,): (-1.0, None), ("a",): (-0.5, None), ("b",): (-0.5, None),
+            ("你",): (-0.0, None)},
+        2: {("a", "b"): (-0.3, -0.0)},
+        3: {},
+    }
+    model = lm_mod.NGramModel(3, tables, frozenset(g[0] for g in tables[1]))
+    assert ("a", "b") in model.states and ("b",) not in model.states
+    assert lm_mod.log10(model, ("a", "b"), "你").hex() == "-0x0.0p+0"
+    assert reference_lm._cond_log10(model, ("a", "b"), "你").hex() == "0x0.0p+0"
+    _check_log10(model)
 
 
 _SENTENCE_TOKENS = ("a", "b", "ab", "ba'", "你", "好", "zz")

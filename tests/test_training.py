@@ -246,8 +246,32 @@ def test_per_language_losses_reported():
         _example(rng, 5, [2], language="L2"),
     ]
     trainer = SgdTrainer(init_model(3, 3, hidden_dim=4, seed=10), TrainConfig())
-    _, _, lang_means = trainer.step(batch)
-    assert set(lang_means) == {"L1", "L2"}
+    _, _, by_language = trainer.step(batch)
+    assert set(by_language) == {"L1", "L2"}
+    assert all(len(losses) == 1 for losses in by_language.values())
+
+
+def test_logged_language_losses_are_per_utterance_means(caplog):
+    # two batches of three, one with one L1 and two L2 utterances and one
+    # with two L1 and one L2, so a mean of batch means weighs them unequally
+    rng = np.random.default_rng(16)
+    languages = ("L1", "L2", "L2", "L1", "L1", "L2")
+    examples = [
+        _example(rng, 6 + i, [1, 2] if i % 2 else [2], duration=i, language=lang)
+        for i, lang in enumerate(languages)
+    ]
+    model = init_model(3, 3, hidden_dim=4, seed=17)
+    losses = {"L1": [], "L2": []}
+    for ex in examples:
+        losses[ex.language].append(ctc_loss(forward(model, ex.frames), ex.target).loss)
+    with caplog.at_level("INFO", logger="csasr.training"):
+        train_epochs(model, examples, TrainConfig(learning_rate=0.0, batch_size=3))
+    (message,) = caplog.messages
+    want = {lang: np.mean(v) for lang, v in losses.items()}
+    assert f"L1={want['L1']:.4f} L2={want['L2']:.4f} " in message
+    # the mean of the two batch means differs at the logged precision
+    l1 = losses["L1"]
+    assert f"{(l1[0] + np.mean(l1[1:])) / 2:.4f}" != f"{want['L1']:.4f}"
 
 
 def test_joint_training_learns_both_languages():

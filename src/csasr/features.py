@@ -108,4 +108,13 @@ def write_feat(frames: np.ndarray, path) -> None:
 
 
 def read_feat(path) -> np.ndarray:
-    return read_matrix(path, "FEAT v1", "F", MalformedFeatures)
+    """Inverse of write_feat; a header with no frames, or a value that is
+    not finite, raises MalformedFeatures at its line."""
+    frames = read_matrix(path, "FEAT v1", "F", MalformedFeatures)
+    if not len(frames):
+        raise MalformedFeatures(path, 1, "no frames (T=0)")
+    finite = np.isfinite(frames)
+    if not finite.all():
+        t, f = map(int, np.argwhere(~finite)[0])
+        raise MalformedFeatures(path, t + 2, f"value {frames[t, f]} is not finite")
+    return frames

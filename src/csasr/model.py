@@ -97,6 +97,12 @@ def forward_batch(model: ToyAcousticModel, batch_frames: Sequence[np.ndarray]):
     states is ruled out: BLAS may order its sums unlike gemv, and on some
     shapes the bits differ. For the same reason the input and output layers
     stay one gemm per utterance, of that utterance's own shape.
+
+    The output gemms write their rows into one stacked (sum T, V) array,
+    which gets the bias and one log-softmax; each utterance's logp is a
+    view of its rows of the result. The log-softmax reduces each row on its
+    own, over that row's V contiguous values, so no row's bits depend on
+    the rows around it.
     """
     batch = [np.asarray(frames, dtype=np.float64) for frames in batch_frames]
     for frames in batch:
@@ -114,11 +120,16 @@ def forward_batch(model: ToyAcousticModel, batch_frames: Sequence[np.ndarray]):
     for hs_t in hs:  # holds the input term until it becomes h_t
         hs_t += w_hh @ h
         h = np.tanh(hs_t, out=hs_t)
-    states = []
-    for b, frames in enumerate(batch):
-        hs_b = np.ascontiguousarray(hs[: len(frames), b, :, 0])
-        states.append((hs_b, _log_softmax(hs_b @ p["w_hy"].T + p["b_y"])))
-    return states
+    batch_hs = [np.ascontiguousarray(hs[: len(f), b, :, 0]) for b, f in enumerate(batch)]
+    bounds = np.cumsum([0] + [len(frames) for frames in batch])
+    logits = np.empty((bounds[-1], model.vocab_size))
+    for hs_b, start, stop in zip(batch_hs, bounds, bounds[1:]):
+        np.matmul(hs_b, p["w_hy"].T, out=logits[start:stop])
+    logits += p["b_y"]
+    logp = _log_softmax(logits)
+    return [
+        (hs_b, logp[start:stop]) for hs_b, start, stop in zip(batch_hs, bounds, bounds[1:])
+    ]
 
 
 def forward_states(model: ToyAcousticModel, frames: np.ndarray):

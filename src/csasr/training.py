@@ -22,7 +22,7 @@ import numpy as np
 from . import model as model_mod
 from .ctc import CtcLossResult, PosteriorGrid, ctc_loss_batch
 from .ctc import ctc_loss  # noqa: F401 - bench/tracer.py wraps training.ctc_loss by name
-from .features import extract_features, read_feat, read_wav
+from .features import TooShort, extract_features, read_feat, read_wav
 from .vocab import GraphemeVocab, MalformedFile, UnknownGrapheme, encode, read_utf8
 
 logger = logging.getLogger(__name__)
@@ -131,11 +131,17 @@ def load_manifest(path, vocab: GraphemeVocab | None = None) -> list[ManifestEntr
 
 def load_frames(entry: ManifestEntry, base_dir=None) -> np.ndarray:
     """Features of one entry, its path taken relative to base_dir: .wav
-    files go through extraction, other files are read as .feat matrices."""
+    files go through extraction, other files are read as .feat matrices.
+    A .wav shorter than one analysis window raises MalformedFile at it."""
     p = Path(entry.path)
     if base_dir is not None and not p.is_absolute():
         p = Path(base_dir) / p
-    return extract_features(read_wav(p)) if p.suffix == ".wav" else read_feat(p)
+    if p.suffix != ".wav":
+        return read_feat(p)
+    try:
+        return extract_features(read_wav(p))
+    except TooShort as e:
+        raise MalformedFile(p, 1, str(e)) from None
 
 
 def load_examples(
@@ -181,7 +187,11 @@ class SgdTrainer:
 
         Forward, CTC and BPTT each run one frame loop for the whole batch,
         and BPTT sums the per-utterance gradients in batch order, so the
-        update is bit-identical to one built an utterance at a time.
+        update is bit-identical to one built an utterance at a time. The
+        set-up is done once per batch too: one log-softmax over the stacked
+        output rows, one check that each of those rows is normalized (the
+        rows of infeasible items included), and CTC's labels and emissions
+        built as batch arrays.
 
         Returns (mean loss, count skipped as infeasible, the feasible
         losses by language).
@@ -190,7 +200,7 @@ class SgdTrainer:
             raise EmptyBatch("batch has no items")
         states = model_mod.forward_batch(self.model, [ex.frames for ex in batch])
         results = ctc_loss_batch(
-            [PosteriorGrid(logp) for _, logp in states], [ex.target for ex in batch]
+            PosteriorGrid.batch([logp for _, logp in states]), [ex.target for ex in batch]
         )
         feasible = [i for i, r in enumerate(results) if isinstance(r, CtcLossResult)]
         skipped = len(batch) - len(feasible)

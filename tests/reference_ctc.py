@@ -1,8 +1,9 @@
-"""Reference oracle: the CTC loss by enumerating every frame-level path
+"""Reference oracles: the CTC loss by enumerating every frame-level path
 (Graves et al., 2006), the gate for `ctc.ctc_loss` in test_ctc.py and
-acceptance criterion 1.
+acceptance criterion 1; and each row's log-mass by `np.logaddexp.reduce`,
+as PosteriorGrid measured it before, the gate for its row check.
 
-Exponential in T, so it refuses grids with more than
+The enumeration is exponential in T, so it refuses grids with more than
 BRUTEFORCE_PATH_LIMIT paths; not part of the package.
 """
 
@@ -38,3 +39,8 @@ def ctc_loss_bruteforce(grid: PosteriorGrid, target: Sequence[int]) -> float:
     if not matched:
         raise InfeasibleTarget("no path collapses to the target")
     return -float(np.logaddexp.reduce(np.array(matched)))
+
+
+def row_mass(logp: np.ndarray) -> np.ndarray:
+    """Each row's log-mass, log(sum(exp(row))), by np.logaddexp.reduce."""
+    return np.logaddexp.reduce(logp, axis=1)

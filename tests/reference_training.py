@@ -1,9 +1,11 @@
 """Reference oracle: the CTC loss with separate alpha and beta loops and
 the BPTT that accumulated every gradient inside its frame loop, as csasr
 shipped them before the one-loop CTC and the reduce-after-loop BPTT; the
-forward pass with its recurrence run over one utterance; and the SGD step
-that ran forward, CTC and BPTT once per utterance, as csasr shipped it
-before the batched step. All kept verbatim so test_training_differential.py
+forward pass with its recurrence run over one utterance; the extended
+labels built one target at a time, as csasr shipped them before CTC built
+them for a whole batch; and the SGD step that ran forward, CTC and BPTT
+once per utterance, as csasr shipped it before the batched step. All kept
+verbatim so test_training_differential.py
 can demand exact equality.
 
 Not part of the package.
@@ -21,10 +23,21 @@ from csasr.ctc import (
     InfeasibleTarget,
     PosteriorGrid,
     _check_target,
-    _extended_labels,
 )
 from csasr.model import ShapeMismatch, ToyAcousticModel, _log_softmax
 from csasr.training import AllInfeasible, EmptyBatch, Example
+from csasr.vocab import BLANK_ID
+
+
+def _extended_labels(target: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Blank-interleaved labels and the mask of positions allowing an s-2 skip."""
+    S = 2 * len(target) + 1
+    ext = np.full(S, BLANK_ID, dtype=np.int64)
+    ext[1::2] = np.asarray(target, dtype=np.int64)
+    skip = np.zeros(S, dtype=bool)
+    if S > 2:
+        skip[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
+    return ext, skip
 
 
 def ctc_loss(grid: PosteriorGrid, target: Sequence[int]) -> CtcLossResult:

@@ -6,6 +6,7 @@ import pytest
 from csasr import decoder
 from csasr.cli import build_parser, main
 from csasr.ctc import PosteriorGrid, write_grid
+from csasr.features import write_wav
 from csasr.lm import read_arpa
 from csasr.training import load_manifest
 from csasr.vocab import load_vocab
@@ -673,6 +674,56 @@ def test_wav_entry_that_is_not_riff_exits_2_naming_it(
     ])
     assert code == 2
     assert f"{wav}: line 1: {reason}" in capsys.readouterr().err
+
+
+def _one_entry_command(pipeline, tmp_path, command, audio):
+    """Run train or decode on a manifest whose one entry is `audio`."""
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(
+        f"path,transcript,language,duration_ms\n{audio.name},ab,mixed,40\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    vocab = ["--vocab", str(pipeline["vocab"]), "--manifest", str(manifest)]
+    argv = {
+        "decode": ["decode", *vocab, "--checkpoint", str(pipeline["tuned"]),
+                   "--hyp-out", str(out)],
+        "train": ["train", *vocab, "--hidden", "12", "--out", str(out)],
+    }[command]
+    code = main(argv)
+    assert not out.exists()
+    return code
+
+
+@pytest.mark.parametrize("command", ["decode", "train"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_feat_entry_with_a_non_finite_value_exits_2_naming_file_and_line(
+    pipeline, tmp_path, capsys, command, value
+):
+    feat = tmp_path / "u0.feat"
+    cells = ["0.5"] * 12
+    cells[3] = value
+    feat.write_text(
+        "FEAT v1 T=2 F=12\n" + " ".join(["0.5"] * 12) + "\n" + " ".join(cells) + "\n",
+        encoding="utf-8",
+    )
+    assert _one_entry_command(pipeline, tmp_path, command, feat) == 2
+    assert capsys.readouterr().err == f"error: {feat}: line 3: value {value} is not finite\n"
+
+
+@pytest.mark.parametrize("command", ["decode", "train"])
+def test_entry_with_no_frames_exits_2_naming_it(pipeline, tmp_path, capsys, command):
+    feat = tmp_path / "u0.feat"
+    feat.write_text("FEAT v1 T=0 F=12\n", encoding="utf-8")
+    assert _one_entry_command(pipeline, tmp_path, command, feat) == 2
+    assert capsys.readouterr().err == f"error: {feat}: line 1: no frames (T=0)\n"
+
+    wav = tmp_path / "u1.wav"
+    write_wav(np.zeros(100), wav)
+    assert _one_entry_command(pipeline, tmp_path, command, wav) == 2
+    assert capsys.readouterr().err == (
+        f"error: {wav}: line 1: 100 samples < one window of 160\n"
+    )
 
 
 def test_decode_defaults():

@@ -8,13 +8,14 @@ from csasr.ctc import (
     InfeasibleTarget,
     MalformedGrid,
     PosteriorGrid,
+    _check_rows,
     collapse,
     ctc_loss,
     read_grid,
     write_grid,
 )
 from conftest import random_grid
-from reference_ctc import TooLarge, ctc_loss_bruteforce
+from reference_ctc import TooLarge, ctc_loss_bruteforce, row_mass
 
 
 def test_collapse_merges_then_drops_blanks():
@@ -35,6 +36,64 @@ def test_collapse_output_has_no_blanks_and_round_trips(path):
 def test_grid_rejects_unnormalized_rows():
     with pytest.raises(ValueError):
         PosteriorGrid(np.zeros((2, 3)))
+
+
+def _passes_check(rows) -> bool:
+    try:
+        _check_rows(rows)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_row_check_gives_the_logaddexp_verdict(seed):
+    """Rows whose log-mass lies 1e-9 to 1e-3 off zero, log-uniformly and of
+    either sign, get the verdict |mass| <= 1e-6 of the np.logaddexp.reduce
+    oracle. Only a mass within rounding of the bound may get the other
+    verdict, so rows within 1e-12 of it are not judged."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        t, v = rng.integers(1, 20), rng.integers(2, 42)
+        logits = rng.normal(0.0, rng.choice((0.3, 1.0, 4.0)), (t, v))
+        lp = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+        lp += rng.choice((-1.0, 1.0), (t, 1)) * 10.0 ** rng.uniform(-9.0, -3.0, (t, 1))
+        want = row_mass(lp)
+        for row, mass in zip(lp, want):
+            if abs(abs(mass) - 1e-6) > 1e-12:
+                assert _passes_check(row[None]) == (abs(mass) <= 1e-6), mass
+        judged = np.abs(np.abs(want) - 1e-6) > 1e-12
+        if judged.all():  # a grid passes only if every row does
+            assert _passes_check(lp) == bool(np.all(np.abs(want) <= 1e-6))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", ["nan", "inf", "all -inf"])
+def test_grid_rejects_a_non_finite_row_without_numpy_warnings(bad):
+    lp = np.log(np.full((3, 4), 0.25))
+    if bad == "all -inf":
+        lp[1] = -np.inf
+    else:
+        lp[1, 2] = float(bad)
+    with pytest.raises(ValueError, match="row 1 not normalized"):
+        PosteriorGrid(lp)
+    with pytest.raises(ValueError, match="row 4 not normalized"):
+        PosteriorGrid.batch([np.log(np.full((3, 4), 0.25)), lp])
+
+
+def test_grid_batch_checks_every_row():
+    good = [random_grid(np.random.default_rng(t), t, 5).logp for t in (1, 3, 2)]
+    grids = PosteriorGrid.batch(good)
+    assert [g.logp.tobytes() for g in grids] == [lp.tobytes() for lp in good]
+    for n, lp in enumerate(good):
+        for t in range(len(lp)):
+            batch = [x.copy() for x in good]
+            batch[n][t] += 1e-5  # log-mass 1e-5 off zero
+            with pytest.raises(ValueError, match="not normalized"):
+                PosteriorGrid.batch(batch)
+    with pytest.raises(ValueError, match="need T >= 1"):
+        PosteriorGrid.batch([good[0], good[1][:0]])
 
 
 def test_grid_rejects_wrong_shapes():

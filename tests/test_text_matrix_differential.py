@@ -1,15 +1,17 @@
 """Differential test: `write_feat`/`write_grid`, now thin wrappers over the
 one text-matrix writer in `features`, against the two writers they
 replaced, kept verbatim below. Files must be byte-identical and read back
-to the same array.
+to the same array, except a `.feat` with no frames or an infinity, which
+`read_feat` refuses at its line.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from csasr.ctc import PosteriorGrid, read_grid, write_grid
-from csasr.features import read_feat, write_feat
+from csasr.features import MalformedFeatures, read_feat, write_feat
 
 
 def old_write_feat(frames: np.ndarray, path) -> None:
@@ -43,6 +45,14 @@ def test_write_feat_is_byte_identical_and_round_trips(tmp_path_factory, frames):
     old_write_feat(frames, d / "old.feat")
     write_feat(frames, d / "new.feat")
     assert (d / "new.feat").read_bytes() == (d / "old.feat").read_bytes()
+    if not len(frames) or not np.isfinite(frames).all():
+        # the writer writes them; the reader refuses no frames at the header
+        # and an infinity at its row
+        with pytest.raises(MalformedFeatures) as info:
+            read_feat(d / "new.feat")
+        rows = np.flatnonzero(~np.isfinite(frames).all(axis=1))
+        assert info.value.line_number == (rows[0] + 2 if len(frames) else 1)
+        return
     back = read_feat(d / "new.feat")
     assert back.shape == frames.shape
     np.testing.assert_array_equal(back, frames)

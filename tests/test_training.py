@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csasr import ctc as ctc_mod
 from csasr.ctc import ctc_loss
 from csasr.features import write_feat
 from csasr.model import forward, init_model
@@ -185,6 +186,41 @@ def test_step_skips_infeasible_and_counts_them():
         trainer.step([bad])
     with pytest.raises(EmptyBatch):
         trainer.step([])
+
+
+def _rows_checked(monkeypatch):
+    """The row counts of each call to the row check from now on."""
+    calls = []
+    check = ctc_mod._check_rows
+
+    def counted(rows):
+        calls.append(len(rows))
+        check(rows)
+
+    monkeypatch.setattr(ctc_mod, "_check_rows", counted)
+    return calls
+
+
+def test_step_checks_each_row_reaching_ctc_once(monkeypatch):
+    rng = np.random.default_rng(9)
+    batch = [_example(rng, t, [1]) for t in (1, 4, 2)] + [_example(rng, 1, [1, 2])]
+    calls = _rows_checked(monkeypatch)
+    _, skipped, _ = SgdTrainer(init_model(3, 3, hidden_dim=4, seed=1), TrainConfig()).step(batch)
+    assert skipped == 1  # the infeasible item's rows are checked too
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("bad", range(3))
+def test_step_refuses_a_non_finite_row_in_any_utterance(bad):
+    rng = np.random.default_rng(10)
+    batch = [_example(rng, t, [1]) for t in (1, 4, 2)]
+    batch[bad].frames[-1, 0] = np.nan  # only the utterance's last row is NaN
+    model = init_model(3, 3, hidden_dim=4, seed=1)
+    before = model.copy()
+    with pytest.raises(ValueError, match="not normalized: logsumexp = nan"):
+        SgdTrainer(model, TrainConfig()).step(batch)
+    for k in model.params:
+        assert model.params[k].tobytes() == before.params[k].tobytes()
 
 
 def test_training_overfits_a_tiny_set():

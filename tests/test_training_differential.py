@@ -134,7 +134,10 @@ def test_backward_equals_reference(hidden, width, V, lengths, seed):
 @st.composite
 def step_cases(draw):
     """A model, a config and a batch of 1-20 utterances of 1-31 frames whose
-    targets are random, empty, one repeated unit, or too long to align."""
+    targets are random, empty, one repeated unit, or too long to align; half
+    the batches that are not all infeasible also get, at drawn places, one
+    frame aligning one unit or none, a target too long for its frames, and
+    one unit repeated in the fewest frames that align it."""
     V = draw(st.integers(2, 12))
     hidden = draw(st.sampled_from((1, 2, 5, 12)))
     width = draw(st.integers(1, 6))
@@ -164,6 +167,16 @@ def step_cases(draw):
         frames[rng.random(T) < 0.1] = 0.0
         language = draw(st.sampled_from(training.LANGUAGES))
         batch.append(Example(frames, tuple(target), 0, language))
+    if not all_infeasible and draw(st.booleans()):
+        unit = draw(st.integers(1, V - 1))
+        k = draw(st.integers(2, 8))
+        for T, target in (
+            (1, [unit] * draw(st.integers(0, 1))),
+            (k, [unit] * (k + 1)),
+            (2 * k - 1, [unit] * k),
+        ):
+            frames = rng.normal(0.0, 1.0, (T, width))
+            batch.insert(draw(st.integers(0, len(batch))), Example(frames, tuple(target), 0, "L1"))
     cfg = TrainConfig(
         learning_rate=draw(st.sampled_from((0.0, 0.01, 0.3))),
         momentum=draw(st.sampled_from((0.0, 0.9))),

@@ -247,34 +247,37 @@ def cmd_evaluate(args) -> None:
     print(f"switch_precision={precision:.4f} switch_recall={recall:.4f}")
 
 
+def _synth_examples(spec, vocab, language: str, count: int, tag: str):
+    """The transcripts and training examples of the corpus synth_corpus
+    writes for tag, kept in memory: nothing is written or read back."""
+    utterances = list(synth.synth_utterances(spec, language, count, tag))
+    examples = [training.make_example(e, frames, vocab) for e, frames in utterances]
+    return [e.transcript for e, _ in utterances], examples
+
+
 TABLE_ROWS = ("scratch", "joint+finetune")
 TABLE_COLS = ("10%", "50%", "100%", "100%+LM")
 
 
 def run_matrix(out_dir: Path, seed: int, opts) -> dict[tuple[str, str], float]:
     """Train the 2x{10%,50%,100%,100%+LM} grid on synthetic data and write
-    the CER matrix; identical seeds give byte-identical artifacts."""
+    the CER matrix; identical seeds give byte-identical artifacts. The
+    corpora stay in memory: only vocab.txt, lm.arpa and cer_matrix.csv
+    are written."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    data_dir = out_dir / "data"
     spec = _spec(opts, seed)
     vocab = _inventory_vocab(spec)
     save_vocab(vocab, out_dir / "vocab.txt")
 
-    l1 = synth.synth_corpus(spec, "L1", opts.mono_count, data_dir, tag="l1_train")
-    l2 = synth.synth_corpus(spec, "L2", opts.mono_count, data_dir, tag="l2_train")
-    cs_train = synth.synth_corpus(spec, "mixed", opts.cs_count, data_dir, tag="cs_train")
-    cs_test = synth.synth_corpus(spec, "mixed", opts.test_count, data_dir, tag="cs_test")
+    _, l1_x = _synth_examples(spec, vocab, "L1", opts.mono_count, "l1_train")
+    _, l2_x = _synth_examples(spec, vocab, "L2", opts.mono_count, "l2_train")
+    cs_texts, cs_x = _synth_examples(spec, vocab, "mixed", opts.cs_count, "cs_train")
+    refs, test_x = _synth_examples(spec, vocab, "mixed", opts.test_count, "cs_test")
 
     lm_text = synth.sample_text_corpus(spec, "mixed", opts.lm_text_count, "lm_text")
-    lm_lines = [e.transcript for e in cs_train] + lm_text
+    lm_lines = cs_texts + lm_text
     lm_model = lm.train_kn([lm.tokenize_lm(s) for s in lm_lines], order=opts.lm_order)
     lm.write_arpa(lm_model, out_dir / "lm.arpa")
-
-    l1_x = training.load_examples(l1, vocab, data_dir)
-    l2_x = training.load_examples(l2, vocab, data_dir)
-    cs_x = training.load_examples(cs_train, vocab, data_dir)
-    test_x = training.load_examples(cs_test, vocab, data_dir)
-    refs = [e.transcript for e in cs_test]
 
     feature_dim = opts.feature_dim
     base_cfg = decoder.FusionConfig(alpha=0.0, beta=0.0, beam_width=opts.beam)

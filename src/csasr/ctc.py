@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import read_matrix, write_matrix
+from .features import read_matrix
 from .vocab import BLANK_ID, MalformedFile
 
 NEG_INF = float("-inf")
@@ -246,10 +246,6 @@ def ctc_loss(grid: PosteriorGrid, target: Sequence[int]) -> CtcLossResult:
     if isinstance(result, InfeasibleTarget):
         raise result
     return result
-
-
-def write_grid(grid: PosteriorGrid, path) -> None:
-    write_matrix(grid.logp, path, "CTCGRID v1", "V")
 
 
 def read_grid(path) -> PosteriorGrid:

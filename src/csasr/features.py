@@ -16,7 +16,6 @@ from .vocab import MalformedFile, read_utf8
 
 SAMPLE_RATE = 8000
 WINDOW_SAMPLES = 160  # 20 ms
-NUM_BINS = WINDOW_SAMPLES // 2 + 1
 LOG_FLOOR = 1e-10
 FRAME_MS = 1000 * WINDOW_SAMPLES // SAMPLE_RATE
 
@@ -58,15 +57,6 @@ def read_wav(path) -> np.ndarray:
     if rate != SAMPLE_RATE:
         raise MalformedFile(path, 1, f"expected {SAMPLE_RATE} Hz, got {rate}")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-
-
-def write_wav(waveform: np.ndarray, path) -> None:
-    samples = np.clip(np.asarray(waveform) * 32767.0, -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as f:
-        f.setnchannels(1)
-        f.setsampwidth(2)
-        f.setframerate(SAMPLE_RATE)
-        f.writeframes(samples.tobytes())
 
 
 def write_matrix(matrix, path, magic: str, cols: str) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -158,21 +159,27 @@ def sample_text_corpus(
     return [sample_transcript(spec, language, rng) for _ in range(count)]
 
 
+def synth_utterances(
+    spec: SynthSpec, language: str, count: int, tag: str
+) -> Iterator[tuple[ManifestEntry, np.ndarray]]:
+    """The transcripts sample_text_corpus draws for tag, each with its
+    frames and the manifest entry synth_corpus writes for it."""
+    for i, transcript in enumerate(sample_text_corpus(spec, language, count, tag)):
+        frames = synth_utterance(spec, transcript)
+        name = f"{tag}_{i:04d}.feat"
+        yield ManifestEntry(name, transcript, language, frames.shape[0] * FRAME_MS), frames
+
+
 def synth_corpus(
     spec: SynthSpec, language: str, count: int, out_dir, tag: str
 ) -> list[ManifestEntry]:
-    """Write the transcripts sample_text_corpus draws for tag as feature
-    files plus the manifest `<tag>_manifest.csv`; returns the entries."""
-    transcripts = sample_text_corpus(spec, language, count, tag)
+    """Write synth_utterances' frames as feature files plus the manifest
+    `<tag>_manifest.csv`; returns the entries."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, transcript in enumerate(transcripts):
-        frames = synth_utterance(spec, transcript)
-        name = f"{tag}_{i:04d}.feat"
-        write_feat(frames, out / name)
-        entries.append(
-            ManifestEntry(name, transcript, language, frames.shape[0] * FRAME_MS)
-        )
+    for entry, frames in synth_utterances(spec, language, count, tag):
+        write_feat(frames, out / entry.path)
+        entries.append(entry)
     save_manifest(entries, out / f"{tag}_manifest.csv")
     return entries

@@ -144,15 +144,15 @@ def load_frames(entry: ManifestEntry, base_dir=None) -> np.ndarray:
         raise MalformedFile(p, 1, str(e)) from None
 
 
+def make_example(entry: ManifestEntry, frames: np.ndarray, vocab: GraphemeVocab) -> Example:
+    target = tuple(encode(entry.transcript, vocab))
+    return Example(frames, target, entry.duration_ms, entry.language)
+
+
 def load_examples(
     entries: Iterable[ManifestEntry], vocab: GraphemeVocab, base_dir=None
 ) -> list[Example]:
-    return [
-        Example(
-            load_frames(e, base_dir), tuple(encode(e.transcript, vocab)), e.duration_ms, e.language
-        )
-        for e in entries
-    ]
+    return [make_example(e, load_frames(e, base_dir), vocab) for e in entries]
 
 
 def make_batches(

@@ -5,11 +5,11 @@ import pytest
 
 from csasr import decoder
 from csasr.cli import build_parser, main
-from csasr.ctc import PosteriorGrid, write_grid
-from csasr.features import write_wav
+from csasr.ctc import PosteriorGrid
 from csasr.lm import read_arpa
 from csasr.training import load_manifest
 from csasr.vocab import load_vocab
+from writers import write_grid, write_wav
 
 LATIN = "abc"
 CJK = "你我"

@@ -12,10 +12,10 @@ from csasr.ctc import (
     collapse,
     ctc_loss,
     read_grid,
-    write_grid,
 )
 from conftest import random_grid
 from reference_ctc import TooLarge, ctc_loss_bruteforce, row_mass
+from writers import write_grid
 
 
 def test_collapse_merges_then_drops_blanks():

@@ -208,5 +208,8 @@ def test_np_logaddexp_equals_scalar_logaddexp_bit_for_bit(a, b, equal):
     if equal:
         b = a
     want = _bits(reference_decoder._logaddexp(a, b))
-    got = np.logaddexp(np.array([a, b]), np.array([b, a])).tolist()
+    # near the float64 limits numpy's internal a - b overflows to inf and
+    # warns, though the result still agrees; only the bits are under test
+    with np.errstate(over="ignore"):
+        got = np.logaddexp(np.array([a, b]), np.array([b, a])).tolist()
     assert [_bits(x) for x in got] == [want, want]

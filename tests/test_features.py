@@ -4,7 +4,6 @@ import pytest
 from csasr.features import (
     FRAME_MS,
     LOG_FLOOR,
-    NUM_BINS,
     SAMPLE_RATE,
     WINDOW_SAMPLES,
     MalformedFeatures,
@@ -13,13 +12,16 @@ from csasr.features import (
     read_feat,
     read_wav,
     write_feat,
-    write_wav,
 )
+from writers import write_wav
+
+# the one-sided spectrum of a real window: bins 0 to WINDOW_SAMPLES / 2
+NUM_BINS = WINDOW_SAMPLES // 2 + 1
 
 
 def test_constants_are_consistent():
     assert WINDOW_SAMPLES == SAMPLE_RATE * FRAME_MS // 1000
-    assert NUM_BINS == WINDOW_SAMPLES // 2 + 1
+    assert extract_features(np.zeros(WINDOW_SAMPLES)).shape == (1, NUM_BINS)
 
 
 def test_frame_count_drops_trailing_partial_window():

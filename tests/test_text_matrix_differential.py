@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from csasr.ctc import PosteriorGrid, read_grid, write_grid
+from csasr.ctc import PosteriorGrid, read_grid
 from csasr.features import MalformedFeatures, read_feat, write_feat
+from writers import write_grid
 
 
 def old_write_feat(frames: np.ndarray, path) -> None:

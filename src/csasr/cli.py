@@ -286,35 +286,33 @@ def run_matrix(out_dir: Path, seed: int, opts) -> dict[tuple[str, str], float]:
     scratch_cfg = _train_config(opts, opts.finetune_epochs, seed + 2)
     tune_cfg = _train_config(opts, opts.finetune_epochs, seed + 3)
 
-    def test_cer(am, cfg, fusion_lm) -> float:
-        hyps = []
-        for ex in test_x:
-            grid = model_mod.forward(am, ex.frames)
-            hyps.append(decoder.beam_decode(grid, vocab, cfg, fusion_lm, nbest=1)[0].text)
+    test_frames = [ex.frames for ex in test_x]
+
+    def test_cer(grids, cfg, fusion_lm) -> float:
+        hyps = [decoder.beam_decode(g, vocab, cfg, fusion_lm, nbest=1)[0].text for g in grids]
         return metrics.corpus_cer(refs, hyps).rate
 
     joint = model_mod.init_model(feature_dim, len(vocab), opts.hidden, seed + 11)
     training.run_joint_training(joint, l1_x, l2_x, pretrain_cfg)
 
     matrix: dict[tuple[str, str], float] = {}
-    full_models = {}
+    grids = {}  # each row's test grids, one forward per model
     for fraction, col in ((0.1, "10%"), (0.5, "50%"), (1.0, "100%")):
         scratch = model_mod.init_model(feature_dim, len(vocab), opts.hidden, seed + 12)
         training.run_finetune(scratch, cs_x, scratch_cfg, fraction)
-        matrix[("scratch", col)] = test_cer(scratch, base_cfg, None)
-
         tuned = joint.copy()
         training.run_finetune(tuned, cs_x, tune_cfg, fraction)
-        matrix[("joint+finetune", col)] = test_cer(tuned, base_cfg, None)
+        for row, am in zip(TABLE_ROWS, (scratch, tuned)):
+            grids[row] = model_mod.forward_grids(am, test_frames)
+            matrix[(row, col)] = test_cer(grids[row], base_cfg, None)
         logger.info(
             "fraction %s: scratch %.2f, joint+finetune %.2f",
             col, matrix[("scratch", col)], matrix[("joint+finetune", col)],
         )
-        if fraction == 1.0:
-            full_models = {"scratch": scratch, "joint+finetune": tuned}
 
+    # the 100% models' grids, kept from the last fraction
     for row in TABLE_ROWS:
-        matrix[(row, "100%+LM")] = test_cer(full_models[row], fused_cfg, lm_model)
+        matrix[(row, "100%+LM")] = test_cer(grids[row], fused_cfg, lm_model)
 
     lines = ["training," + ",".join(TABLE_COLS)]
     for row in TABLE_ROWS:

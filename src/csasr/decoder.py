@@ -30,11 +30,26 @@ candidate's fused bonus, its log10 sum and word count gathered from
 small per-beam tables: the beam's own fields (itself, or a Latin unit,
 which only grows the pending run), the completed ones (a separator), or
 those plus the CJK row of the LM state, taken from the model's matrix of
-rows (without an LM, one zero row). The top K survive by np.partition.
+rows (without an LM, one zero row). The top K survive by a partition.
 Exact score ties at the cut go to the smallest prefix, the only place
 besides the returned n-best where prefixes are spelled out as tuples.
 Which tied candidates survive is the only thing the order of the beam
 could change, so the beam is kept in candidate order, unsorted.
+
+The frame loop makes only calls that do array work. At beam 10 a
+frame's arrays hold a few hundred elements, so a numpy call costs about
+its fixed dispatch (~0.5 us for a 1-D index, a ufunc or `nonzero`), and
+a call that adds its own overhead costs several of them. So a frame
+uses no `np.flatnonzero` (3.0 us; `x.nonzero()[0]` is 0.5), no
+`np.divmod` of flat candidate indices (3.5 us; the beam slot and unit
+of each are gathered from the tables `k_of` and `v_of`), no new
+`np.arange` (a slice of one), no `np.partition` wrapper (a copy, then
+`ndarray.partition`), no 2-D fancy index where a flat index or `take`
+does (the parent merge indexes the flat candidates), and no Python list
+as an index more than once (it is converted to an array first). The
+tables grow with the beam, to twice its size when it outgrows them, and
+are never sized by the width alone. The fusion state's per-unit tables
+are built once per vocabulary, not once per decode.
 
 Zero weights. A decode drops an LM whose alpha * ln 10 is zero, and one
 left with neither an LM nor a word bonus keeps no fusion state
@@ -68,6 +83,7 @@ logaddexp is symmetric, so the merge order cannot change a result.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -205,22 +221,56 @@ class _LmCache:
         return k
 
 
-def _best(scores: np.ndarray, n: int, spell) -> np.ndarray:
-    """Positions of the n highest scores, unordered; exact ties at the
-    cut go to the smallest prefixes, spell(positions) giving those."""
+def _best(scores: np.ndarray, n: int, spell):
+    """Positions of the n highest scores, unordered, as an index (a slice
+    when all or none are kept); exact ties at the cut go to the smallest
+    prefixes, spell(positions) giving those."""
     if len(scores) <= n:
-        return np.arange(len(scores))
+        return slice(None)
     if n < 1:
-        return np.arange(0)
+        return slice(0)
     cut = len(scores) - n
-    threshold = np.partition(scores, cut)[cut]
-    kept = np.flatnonzero(scores >= threshold)
+    part = scores.copy()
+    part.partition(cut)
+    threshold = part[cut]
+    kept = (scores >= threshold).nonzero()[0]
     if len(kept) > n:
         above = kept[scores[kept] > threshold]
         tied = kept[scores[kept] == threshold]
         tied = [i for _, i in sorted(zip(spell(tied), tied.tolist()))]
         kept = np.concatenate([above, np.array(tied[: n - len(above)], dtype=int)])
     return kept
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_tables(vocab: GraphemeVocab):
+    """The per-unit tables of a fusion state, built once per vocabulary:
+    whether unit v is Latin, the run it adds to a pending word, the column
+    of the per-frame log10 and word tables it reads, the column of the LM
+    state transitions it takes, and the CJK units in order. Every decode
+    with the vocabulary shares them, so they are read-only."""
+    units = vocab.units
+    scripts = [None] + [vocab.script_of_id(v) for v in range(1, len(units))]
+    latin_cols = np.array([s == SCRIPT_LATIN for s in scripts])
+    cjk_cols = np.array([s == SCRIPT_CJK for s in scripts])
+    cjk_ids = np.flatnonzero(cjk_cols)
+    latin_unit = tuple(u if latin else "" for u, latin in zip(units, latin_cols))
+    # which column of the per-frame log10 and word tables candidate
+    # column v reads: 0 the beam's own fields (the beam itself, or a
+    # Latin unit that only grows the pending run), 1 those with the
+    # pending word completed (a separator), 2 + j that plus the j-th
+    # CJK unit
+    log10_col = np.where(latin_cols, 0, 1)
+    log10_col[0] = 0
+    log10_col[cjk_ids] = 2 + np.arange(len(cjk_ids))
+    # the column of the LM state transitions unit v takes: 1 + j for
+    # the j-th CJK unit, 0 (the state itself) for every other unit
+    next_col = np.where(cjk_cols, log10_col - 1, 0)
+    words_col = np.minimum(log10_col, 2)
+    for table in (latin_cols, log10_col, words_col, next_col):
+        table.flags.writeable = False
+    cjk_units = tuple(units[v] for v in cjk_ids)
+    return latin_cols, latin_unit, log10_col, words_col, next_col, cjk_units
 
 
 class _Fusion:
@@ -231,28 +281,14 @@ class _Fusion:
     field stays +0.0."""
 
     def __init__(self, vocab: GraphemeVocab, cfg: FusionConfig, model):
-        units = vocab.units
-        scripts = [None] + [vocab.script_of_id(v) for v in range(1, len(units))]
-        self.latin_cols = np.array([s == SCRIPT_LATIN for s in scripts])
-        cjk_cols = np.array([s == SCRIPT_CJK for s in scripts])
-        cjk_ids = np.flatnonzero(cjk_cols)
-        self.latin_unit = [u if latin else "" for u, latin in zip(units, self.latin_cols)]
-        # which column of the per-frame log10 and word tables candidate
-        # column v reads: 0 the beam's own fields (the beam itself, or a
-        # Latin unit that only grows the pending run), 1 those with the
-        # pending word completed (a separator), 2 + j that plus the j-th
-        # CJK unit
-        log10_col = np.where(self.latin_cols, 0, 1)
-        log10_col[0] = 0
-        log10_col[cjk_ids] = 2 + np.arange(len(cjk_ids))
-        self.log10_col, self.words_col = log10_col, np.minimum(log10_col, 2)
-        # the column of the LM state transitions unit v takes: 1 + j for
-        # the j-th CJK unit, 0 (the state itself) for every other unit
-        self.next_col = np.where(cjk_cols, log10_col - 1, 0)
+        (
+            self.latin_cols, self.latin_unit, self.log10_col, self.words_col,
+            self.next_col, cjk_units,
+        ) = _unit_tables(vocab)
         self.lm_weight, self.beta, self.model = cfg.alpha * LN10, cfg.beta, model
         vocabulary = model.vocabulary if model is not None else ()
         self.cache = _LmCache.of(
-            model, tuple(units[v] if units[v] in vocabulary else lm_mod.UNK for v in cjk_ids)
+            model, tuple(u if u in vocabulary else lm_mod.UNK for u in cjk_units)
         )
         self.ctx = np.array([self.cache.id_of(model, (lm_mod.BOS,))])
         self.log10, self.words = np.zeros(1), np.zeros(1)
@@ -260,33 +296,31 @@ class _Fusion:
         self.pending = [""]
 
     def scores(self, cand: np.ndarray) -> np.ndarray:
-        """The fused partial score of every candidate."""
+        """The fused partial score of every candidate; each candidate's
+        log10 sum and word count are kept for `keep`."""
         done = self.done_log10[:, None]
-        self.log10_tab = np.concatenate(
-            (self.log10[:, None], done, done + self.cache.rows[self.done_ctx]), axis=1
-        )
+        rows = self.cache.rows.take(self.done_ctx, axis=0)
+        tab = np.concatenate((self.log10[:, None], done, done + rows), axis=1)
+        self.cand_log10 = tab.take(self.log10_col, axis=1)
         done = self.done_words[:, None]
-        self.words_tab = np.concatenate((self.words[:, None], done, done + 1), axis=1)
-        return (
-            cand
-            + (self.lm_weight * self.log10_tab)[:, self.log10_col]
-            + (self.beta * self.words_tab)[:, self.words_col]
-        )
+        tab = np.concatenate((self.words[:, None], done, done + 1), axis=1)
+        self.cand_words = tab.take(self.words_col, axis=1)
+        return cand + self.lm_weight * self.cand_log10 + self.beta * self.cand_words
 
-    def keep(self, ks: np.ndarray, vs: np.ndarray, ext: np.ndarray) -> None:
-        """Survivor i is entry ks[i] itself, or its extension by unit vs[i]
-        for i in ext; each new Latin run is scored as a word."""
+    def keep(self, flat, ks, vs, ext, k_ext, v_ext) -> None:
+        """Survivor i is candidate flat[i]: entry ks[i] itself, or its
+        extension by unit vs[i] for i in ext (ks[ext] and vs[ext] being
+        k_ext and v_ext); each new Latin run is scored as a word."""
         model, cache = self.model, self.cache
-        k_ext, v_ext = ks[ext], vs[ext]
         base = np.where(self.latin_cols[v_ext], self.ctx[k_ext], self.done_ctx[k_ext])
         cols = self.next_col[v_ext]
         ctx_ext = cache.next_ids[base, cols]
-        for j in np.flatnonzero(ctx_ext < 0).tolist():
+        for j in (ctx_ext < 0).nonzero()[0].tolist():
             ctx_ext[j] = cache.advance(model, int(base[j]), int(cols[j]) - 1)
         ctx, done_ctx = self.ctx[ks], self.done_ctx[ks]
         ctx[ext] = done_ctx[ext] = ctx_ext
-        log10 = self.log10_tab[ks, self.log10_col[vs]]
-        words = self.words_tab[ks, self.words_col[vs]]
+        log10 = self.cand_log10.ravel()[flat]
+        words = self.cand_words.ravel()[flat]
         done_log10, done_words = self.done_log10[ks], self.done_words[ks]
         done_log10[ext] = log10[ext]
         done_words[ext] = words[ext]
@@ -298,10 +332,9 @@ class _Fusion:
         ]
         scored = [j for j, v in enumerate(vs) if latin_unit[v]]
         if scored:
-            ids = ctx[scored].tolist()
-            lps, ids = zip(
-                *[cache.step(model, i, pending[j]) for i, j in zip(ids, scored)]
-            )
+            ids = ctx.tolist()
+            lps, ids = zip(*[cache.step(model, ids[j], pending[j]) for j in scored])
+            scored = np.array(scored)  # one conversion for the three updates
             done_ctx[scored] = ids
             done_log10[scored] += lps
             done_words[scored] += 1
@@ -318,7 +351,7 @@ class _CtcOnly:
     candidates rank by their CTC mass, and a prefix scores its total mass."""
 
     scores = final = staticmethod(lambda masses: masses)
-    keep = staticmethod(lambda ks, vs, ext: None)
+    keep = staticmethod(lambda *survivors: None)
 
 
 def beam_decode(
@@ -335,7 +368,7 @@ def beam_decode(
     by prefix ids, so identical inputs give identical outputs.
     """
     logp = grid.logp
-    T, V = logp.shape
+    V = logp.shape[1]
     if V != len(vocab):
         raise ValueError(f"grid V={V} does not match vocab size {len(vocab)}")
     width = cfg.beam_width
@@ -359,6 +392,10 @@ def beam_decode(
             out.append(tuple(reversed(path)))
         return out
 
+    def spell_candidates(positions):
+        f = flat[positions]
+        return [p + (u,) if u else p for p, u in zip(spell(node[k_of[f]]), v_of[f].tolist())]
+
     # the beam: node, parent node and last unit of each prefix, and its
     # blank- and non-blank-ending masses
     node, par, last = np.zeros(1, int), np.full(1, -1), np.zeros(1, int)
@@ -366,10 +403,18 @@ def beam_decode(
     # beam slot of each node in the beam, -1 elsewhere; the last element
     # stays -1 for the empty prefix's parent (-1)
     pos = np.full(64, -1)
+    # slot numbers, each slot's first flat K x V candidate index, and the
+    # beam slot and unit of each flat index, for beams of up to
+    # len(slots_of) entries
+    slots_of = starts_of = k_of = v_of = np.zeros(0, int)
 
-    for t in range(T):
-        row = logp[t]
-        slots = np.arange(len(node))
+    for row in logp:
+        K = len(node)
+        if K > len(slots_of):
+            slots_of = np.arange(2 * K)
+            starts_of = slots_of * V
+            k_of, v_of = np.divmod(np.arange(2 * K * V), V)
+        slots = slots_of[:K]
         totals = np.logaddexp(pb, pnb)
         row_last = row[last]
 
@@ -377,43 +422,46 @@ def beam_decode(
         # last unit only continues from the blank-ending mass. Column 0 is
         # filled with the mass of prefix k itself below.
         cand = totals[:, None] + row
-        cand[slots, last] = pb + row_last
+        flat_cand = cand.ravel()
+        flat_cand[starts_of[:K] + last] = pb + row_last
         same_pb = totals + row[0]
         same_pnb = pnb + row_last
 
         # a prefix whose parent is in the beam takes the parent's extension
-        # into its own pnb; each prefix gets at most this one extra term
+        # into its own pnb; each prefix gets at most this one extra term.
+        # into[k] is that extension's flat candidate index, negative for a
+        # prefix whose parent is not in the beam.
         pos[node] = slots
-        from_k = pos[par]
+        into = pos[par] * V + last
         pos[node] = -1
-        merged = np.flatnonzero(from_k >= 0)
-        from_k, col = from_k[merged], last[merged]
-        same_pnb[merged] = np.logaddexp(same_pnb[merged], cand[from_k, col])
-        cand[from_k, col] = NEG_INF
+        merged = (into >= 0).nonzero()[0]
+        if len(merged):
+            into = into[merged]
+            same_pnb[merged] = np.logaddexp(same_pnb[merged], flat_cand[into])
+            flat_cand[into] = NEG_INF
         cand[:, 0] = np.logaddexp(same_pb, same_pnb)
         scores = fusion.scores(cand)
 
         # candidates: every prefix itself, then each live extension
         live = cand != NEG_INF
         live[:, 0] = True
-        flat = np.flatnonzero(live)
+        flat = live.ravel().nonzero()[0]
+        if len(flat) > width:
+            flat = flat[_best(scores.ravel()[flat], width, spell_candidates)]
+        ks, vs = k_of[flat], v_of[flat]
 
-        def spell_candidates(positions):
-            k, v = np.divmod(flat[positions], V)
-            return [p + (u,) if u else p for p, u in zip(spell(node[k]), v.tolist())]
-
-        flat = flat[_best(scores.ravel()[flat], width, spell_candidates)]
-        ks, vs = np.divmod(flat, V)
-
-        # a survivor starts as its beam entry with the masses of the
-        # entry's own candidate; extensions then take their new fields,
-        # and each extension's node is hash-consed
-        ext = np.flatnonzero(vs)
-        fusion.keep(ks, vs, ext)
+        # a survivor's masses: pb and pnb of its beam entry's own
+        # candidate, or no pb and the candidate mass for an extension (so
+        # with column 0 set to the pnbs, pnb is one gather of the ranked
+        # candidates); then extensions take their new fields, and each
+        # extension's node is hash-consed
+        ext = vs.nonzero()[0]
         k_ext, v_ext = ks[ext], vs[ext]
-        pb, pnb = same_pb[ks], same_pnb[ks]
+        fusion.keep(flat, ks, vs, ext, k_ext, v_ext)
+        pb = same_pb[ks]
         pb[ext] = NEG_INF
-        pnb[ext] = cand.ravel()[flat[ext]]
+        cand[:, 0] = same_pnb
+        pnb = flat_cand[flat]
         parent_node = node[k_ext]
         node, par, last = node[ks], par[ks], last[ks]
         par[ext] = parent_node

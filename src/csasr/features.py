@@ -64,10 +64,10 @@ def write_matrix(matrix, path, magic: str, cols: str) -> None:
     "%.17g" values per row, so floats (and infinities) round-trip exactly."""
     matrix = np.asarray(matrix, dtype=np.float64)
     t, width = matrix.shape
+    row = " ".join(["%.17g"] * width) + "\n"
+    rows = "".join(row % tuple(r) for r in matrix.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{magic} T={t} {cols}={width}\n")
-        for row in matrix:
-            f.write(" ".join("%.17g" % x for x in row) + "\n")
+        f.write(f"{magic} T={t} {cols}={width}\n" + rows)
 
 
 def read_matrix(path, magic: str, cols: str, error: type[MalformedFile]) -> np.ndarray:

@@ -142,6 +142,14 @@ def forward(model: ToyAcousticModel, frames: np.ndarray) -> PosteriorGrid:
     return PosteriorGrid(logp)
 
 
+def forward_grids(
+    model: ToyAcousticModel, batch_frames: Sequence[np.ndarray]
+) -> list[PosteriorGrid]:
+    """forward's grid of each utterance of a batch, bit for bit, from one
+    forward_batch and one PosteriorGrid.batch row check over them all."""
+    return PosteriorGrid.batch([logp for _, logp in forward_batch(model, batch_frames)])
+
+
 def backward_batch(
     model: ToyAcousticModel,
     batch_frames: Sequence[np.ndarray],

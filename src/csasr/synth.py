@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -50,11 +51,11 @@ class SynthSpec:
     def feature_dim(self) -> int:
         return next(iter(self.templates.values())).shape[0]
 
-    @property
+    @cached_property
     def latin_letters(self) -> list[str]:
         return sorted(g for g in self.templates if "a" <= g <= "z")
 
-    @property
+    @cached_property
     def cjk_chars(self) -> list[str]:
         return sorted(g for g in self.templates if is_cjk(g))
 

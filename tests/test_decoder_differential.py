@@ -7,6 +7,7 @@ approximate: the rewrite only reorders exact float work.
 
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,25 @@ def test_beam_decode_equals_reference_on_long_tied_grids(width):
             got = _nbest(beam_decode, grid, cfg, model)
             want = _nbest(reference_decoder.beam_decode, grid, cfg, model)
             assert got == want, (case, width, cfg, model and model.order)
+
+
+def test_width_far_above_the_candidates_decodes_in_memory_sized_by_the_beam():
+    # every candidate survives each of the 4 frames; the decoder's tables
+    # grow with the beam, never with the width (10**6 x V floats is 56 MB)
+    rng = np.random.default_rng(2500)
+    for case, (alpha, beta) in enumerate(WEIGHTS):
+        cfg = FusionConfig(alpha, beta, 10**6)
+        grid = _grid(rng, 4)
+        for model in (None, MODELS[ORDERS[case % len(ORDERS)]]):
+            want = _nbest(reference_decoder.beam_decode, grid, cfg, model)
+            tracemalloc.start()
+            try:
+                got = _nbest(beam_decode, grid, cfg, model)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want, (case, cfg, model and model.order)
+            assert peak < 2**20, (case, peak)
 
 
 @pytest.mark.parametrize("width", (1, 3, 10, 100))

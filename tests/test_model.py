@@ -10,6 +10,7 @@ from csasr.model import (
     ShapeMismatch,
     backward,
     forward,
+    forward_grids,
     forward_states,
     init_model,
     load_checkpoint,
@@ -46,6 +47,27 @@ def test_forward_rejects_wrong_width():
     m = init_model(3, 4)
     with pytest.raises(ShapeMismatch):
         forward(m, np.zeros((2, 5)))
+
+
+def test_forward_grids_equal_forward_per_utterance_bit_for_bit():
+    rng = np.random.default_rng(4)
+    m = init_model(3, 5, hidden_dim=4, seed=5)
+    batch = [rng.normal(size=(t, 3)) for t in (6, 1, 9, 3, 1, 4)]
+    grids = forward_grids(m, batch)
+    assert len(grids) == len(batch)
+    for grid, frames in zip(grids, batch):
+        alone = forward(m, frames).logp
+        assert grid.logp.shape == alone.shape
+        assert grid.logp.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("bad", range(3))
+def test_forward_grids_refuse_a_nan_row_in_any_utterance(bad):
+    rng = np.random.default_rng(6)
+    batch = [rng.normal(size=(t, 3)) for t in (2, 1, 4)]
+    batch[bad][-1, 0] = np.nan  # only the utterance's last row is NaN
+    with pytest.raises(ValueError, match="not normalized: logsumexp = nan"):
+        forward_grids(init_model(3, 5, hidden_dim=4, seed=5), batch)
 
 
 def test_recurrence_matches_manual_unroll():

@@ -16,7 +16,10 @@ batch of one. Values are bit-identical to separate loops per utterance:
 every element is the same `emit + logaddexp(stay, logaddexp(step, jump))`
 of the same float64 operands, and numpy's elementwise ufuncs round each
 element alike whatever the array around it. The occupancy and gradient
-that follow, with their sums, are computed per utterance.
+that follow are computed once for the padded batch too: each is the same
+elementwise operation, and each gamma cell adds its states' occupancies
+in s order from 0.0, as it did one utterance at a time, with the padded
+cells adding +0.0.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ def _grid_array(logp) -> np.ndarray:
 @dataclass(frozen=True)
 class PosteriorGrid:
     """T x V grid of per-frame log-probabilities; rows normalized, which
-    construction checks (PosteriorGrid.batch with one check per batch)."""
+    construction checks (PosteriorGrid.split with one check per batch)."""
 
     logp: np.ndarray
 
@@ -81,18 +84,19 @@ class PosteriorGrid:
         object.__setattr__(self, "logp", lp)
 
     @classmethod
-    def batch(cls, logps: Sequence[np.ndarray]) -> list["PosteriorGrid"]:
-        """One grid per array, in order, the arrays all of one width; their
-        rows are checked by one _check_rows call over all of them stacked,
-        not once per array, so each row is still checked exactly once. A
-        row that fails is named by its index in that stack."""
-        arrays = [_grid_array(lp) for lp in logps]
-        _check_rows(np.concatenate(arrays))
+    def split(cls, logp: np.ndarray, lengths: Sequence[int]) -> list["PosteriorGrid"]:
+        """One grid per run of rows of a stacked (sum of lengths, V) array,
+        in order, each a view of its rows. The rows are checked by one
+        _check_rows call over the whole stack, so each row is still checked
+        exactly once; a row that fails is named by its index in the stack."""
         grids = []
-        for lp in arrays:
+        start = 0
+        for n in lengths:
             grid = object.__new__(cls)
-            object.__setattr__(grid, "logp", lp)
+            object.__setattr__(grid, "logp", _grid_array(logp[start : start + n]))
             grids.append(grid)
+            start += n
+        _check_rows(logp)
         return grids
 
     @property
@@ -164,6 +168,16 @@ def ctc_loss_batch(
     at or left of it one step earlier, and a pair's result is read at its
     own last step. So each of its cells is the same elementwise operation
     on the same operands as with no batch around it.
+
+    The rest runs once for the batch as well. Each pair's loglik comes
+    from one gather of the last alpha rows. Alpha is read in place and
+    beta with one gather, at each pair's own T and S, into one
+    (T_max, B, S_max) occupancy whose padded cells are -inf. One
+    np.add.at adds the occupancies into a zero (B, T_max, V_max) gamma;
+    its indices run t, pair, s in C order, so each cell adds its states
+    in s order from 0.0, as with one pair, and a padded cell adds +0.0,
+    which leaves every sum as it was. One `exp(logp) - gamma` then makes
+    all the gradients, and each result's grad is a view of it.
     """
     results: list = [None] * len(grids)
     items = []
@@ -181,7 +195,9 @@ def ctc_loss_batch(
         return results
 
     B = len(items)
+    pairs = np.arange(B)
     n_frames = np.array([lp.shape[0] for _, lp, _ in items])
+    n_states = np.array([2 * len(target) + 1 for *_, target in items])
     t_max = int(n_frames.max())
     l_max = max(len(target) for *_, target in items)
     labels = np.full((2, B, l_max), BLANK_ID)
@@ -194,13 +210,16 @@ def ctc_loss_batch(
     # frame t of a reversed pair is frame T-1-t; past T it wraps into the
     # -inf padding, as frame t does forwards
     steps = np.arange(t_max)[:, None]
-    first = np.arange(B) * t_max  # each pair's frame 0 among padded's rows
-    rows = np.stack((first + steps, first + (n_frames - 1 - steps) % t_max), axis=1)
-    emit = np.take(padded, rows[..., None] * padded.shape[2] + ext)
+    reversed_steps = (n_frames - 1 - steps) % t_max
+    first = pairs * t_max  # each pair's frame 0 among padded's rows
+    rows = np.stack((first + steps, first + reversed_steps), axis=1)
+    cells = rows[..., None] * padded.shape[2] + ext  # (t, row, pair, s) in padded
+    emit = np.take(padded, cells)
 
     # both recursions start in their first two states; each later step adds
     # the recursion to its emissions
-    ab = np.full((t_max, 2, B, 2 * l_max + 3), NEG_INF)
+    width = 2 * l_max + 3
+    ab = np.full((t_max, 2, B, width), NEG_INF)
     ab[0, ..., 2:4] = emit[0, ..., :2]
     for t in range(1, t_max):
         prev = ab[t - 1]
@@ -208,31 +227,39 @@ def ctc_loss_batch(
         step_or_jump = np.logaddexp(prev[..., 1:-1], jump)
         np.add(emit[t], np.logaddexp(prev[..., 2:], step_or_jump), out=ab[t, ..., 2:])
 
-    for j, (i, lp, target) in enumerate(items):
-        T, V = lp.shape
-        S = 2 * len(target) + 1
-        alpha = ab[:T, 0, j, 2 : S + 2]
-        # beta[t, s] = ab[T-1-t, 1, j, S+1-s]
-        beta = ab[T - 1 :: -1, 1, j, S + 1 : 1 : -1]
+    # alpha of the last frame in the last two states (the state left of
+    # state 0 is a -inf pad column)
+    last = ab[n_frames - 1, 0, pairs]
+    tail = last[pairs, n_states + 1]
+    tail = np.where(n_states > 1, np.logaddexp(tail, last[pairs, n_states]), tail)
+    logliks = [min(x, 0.0) for x in tail.tolist()]
 
-        tail = alpha[T - 1, S - 1]
-        if S > 1:
-            tail = np.logaddexp(tail, alpha[T - 1, S - 2])
-        loglik = min(float(tail), 0.0)
-        if loglik == NEG_INF:
+    # occupancy of extended state s at frame t; alpha and beta both include
+    # the frame-t emission, so divide it out once. beta[t, j, s] is
+    # ab[T-1-t, 1, j, S+1-s]: past T the time wraps into rows the -inf
+    # frames left at -inf, and past S the state clips to a -inf pad column,
+    # so padded cells get -inf or NaN and then -inf, as do all cells of a
+    # pair whose loglik is -inf
+    beta_rows = ((reversed_steps * 2 + 1) * B + pairs) * width
+    beta_cols = np.maximum(n_states[:, None] + 1 - np.arange(2 * l_max + 1), 0)
+    with np.errstate(invalid="ignore"):
+        occ = ab[:, 0, :, 2:] + np.take(ab, beta_rows[..., None] + beta_cols)
+        occ -= emit[:, 0]
+        occ -= np.array(logliks)[:, None]
+    occ[np.isnan(occ)] = NEG_INF
+
+    # gamma[j, t, v] adds exp(occ[t, j, s]) over the s with ext[j, s] == v,
+    # in s order from 0.0; padded cells add +0.0
+    gamma = np.zeros(padded.shape)
+    np.add.at(gamma.reshape(-1), cells[:, 0].ravel(), np.exp(occ, out=occ).ravel())
+    grads = np.exp(padded, out=padded)
+    grads -= gamma
+    for j, (i, lp, _) in enumerate(items):
+        if logliks[j] == NEG_INF:
             results[i] = InfeasibleTarget("no feasible path despite length check")
-            continue
-
-        # occupancy of extended state s at frame t; alpha and beta both
-        # include the frame-t emission, so divide it out once
-        with np.errstate(invalid="ignore"):
-            occ = alpha + beta - emit[:T, 0, j, :S] - loglik
-        occ[np.isnan(occ)] = NEG_INF
-
-        gamma = np.zeros((T, V))
-        np.add.at(gamma.T, ext[0, j, :S], np.exp(occ).T)
-        grad = np.exp(lp) - gamma
-        results[i] = CtcLossResult(loss=-loglik, grad=grad)
+        else:
+            T, V = lp.shape
+            results[i] = CtcLossResult(loss=-logliks[j], grad=grads[j, :T, :V])
     return results
 
 

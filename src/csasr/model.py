@@ -82,13 +82,17 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(model: ToyAcousticModel, batch_frames: Sequence[np.ndarray]):
-    """Hidden states and normalized log-probabilities of each utterance in a
-    batch, kept for backward: one (hs, logp) pair per utterance, in order.
+    """Hidden states and normalized log-probabilities of a batch, kept for
+    backward_batch: (hs, logp). hs is (B, T_max + 1, H, 1): hs[b, t + 1]
+    is utterance b's state h_t and hs[b, 0] the zero initial state, so b's
+    states are the contiguous rows hs[b, 1 : T_b + 1, :, 0], and the states
+    past its end are finite but meaningless. logp stacks the utterances'
+    (T_b, V) log-probabilities in order.
 
-    The tanh recurrence runs once over the batch, time-major and padded to
-    the longest utterance, and each state is bit-equal to what a loop over
-    one utterance computes. `w_hh @ h` with h of shape (B, H, 1) is a
-    stacked matmul that makes one BLAS gemv per utterance, the same call as
+    The tanh recurrence runs once over the batch, padded to the longest
+    utterance, and each state is bit-equal to what a loop over one
+    utterance computes. `w_hh @ h` with h of shape (B, H, 1) is a stacked
+    matmul that makes one BLAS gemv per utterance, the same call as
     `w_hh @ h` on one utterance's (H,) state; adding it in place to the
     input term is the same sum, and the add and the tanh are elementwise,
     so they round each element alike whatever the array around it. Padded
@@ -99,10 +103,9 @@ def forward_batch(model: ToyAcousticModel, batch_frames: Sequence[np.ndarray]):
     stay one gemm per utterance, of that utterance's own shape.
 
     The output gemms write their rows into one stacked (sum T, V) array,
-    which gets the bias and one log-softmax; each utterance's logp is a
-    view of its rows of the result. The log-softmax reduces each row on its
-    own, over that row's V contiguous values, so no row's bits depend on
-    the rows around it.
+    which gets the bias and one log-softmax. The log-softmax reduces each
+    row on its own, over that row's V contiguous values, so no row's bits
+    depend on the rows around it.
     """
     batch = [np.asarray(frames, dtype=np.float64) for frames in batch_frames]
     for frames in batch:
@@ -111,30 +114,26 @@ def forward_batch(model: ToyAcousticModel, batch_frames: Sequence[np.ndarray]):
                 f"frames shape {frames.shape} vs model input width {model.input_dim}"
             )
     p = model.params
-    t_max = max(map(len, batch))
-    hs = np.zeros((t_max, len(batch), model.hidden_dim, 1))
+    steps = np.zeros((max(map(len, batch)) + 1, len(batch), model.hidden_dim, 1))
     for b, frames in enumerate(batch):
-        hs[: len(frames), b, :, 0] = frames @ p["w_xh"].T + p["b_h"]
-    h = np.zeros(hs.shape[1:])
-    w_hh = p["w_hh"]
-    for hs_t in hs:  # holds the input term until it becomes h_t
+        steps[1 : len(frames) + 1, b, :, 0] = frames @ p["w_xh"].T + p["b_h"]
+    w_hh, h = p["w_hh"], steps[0]
+    for hs_t in steps[1:]:  # holds the input term until it becomes h_t
         hs_t += w_hh @ h
         h = np.tanh(hs_t, out=hs_t)
-    batch_hs = [np.ascontiguousarray(hs[: len(f), b, :, 0]) for b, f in enumerate(batch)]
+    hs = np.ascontiguousarray(steps.swapaxes(0, 1))
     bounds = np.cumsum([0] + [len(frames) for frames in batch])
     logits = np.empty((bounds[-1], model.vocab_size))
-    for hs_b, start, stop in zip(batch_hs, bounds, bounds[1:]):
-        np.matmul(hs_b, p["w_hy"].T, out=logits[start:stop])
+    for b, (frames, start, stop) in enumerate(zip(batch, bounds, bounds[1:])):
+        np.matmul(hs[b, 1 : len(frames) + 1, :, 0], p["w_hy"].T, out=logits[start:stop])
     logits += p["b_y"]
-    logp = _log_softmax(logits)
-    return [
-        (hs_b, logp[start:stop]) for hs_b, start, stop in zip(batch_hs, bounds, bounds[1:])
-    ]
+    return hs, _log_softmax(logits)
 
 
 def forward_states(model: ToyAcousticModel, frames: np.ndarray):
     """Hidden states and normalized log-probabilities, kept for backward."""
-    return forward_batch(model, [frames])[0]
+    hs, logp = forward_batch(model, [frames])
+    return hs[0, 1:, :, 0], logp
 
 
 def forward(model: ToyAcousticModel, frames: np.ndarray) -> PosteriorGrid:
@@ -146,71 +145,90 @@ def forward_grids(
     model: ToyAcousticModel, batch_frames: Sequence[np.ndarray]
 ) -> list[PosteriorGrid]:
     """forward's grid of each utterance of a batch, bit for bit, from one
-    forward_batch and one PosteriorGrid.batch row check over them all."""
-    return PosteriorGrid.batch([logp for _, logp in forward_batch(model, batch_frames)])
+    forward_batch and one PosteriorGrid.split row check over them all."""
+    _, logp = forward_batch(model, batch_frames)
+    return PosteriorGrid.split(logp, [len(frames) for frames in batch_frames])
 
 
 def backward_batch(
     model: ToyAcousticModel,
     batch_frames: Sequence[np.ndarray],
-    batch_hs: Sequence[np.ndarray],
-    batch_dlogits: Sequence[np.ndarray],
+    hs: np.ndarray,
+    batch_dlogits: Sequence[np.ndarray | None],
 ) -> dict[str, np.ndarray]:
-    """Backpropagation through time for a batch; returns the gradients per
-    parameter summed over it, from zeros, one utterance at a time in order.
+    """Backpropagation through time for a batch, from forward_batch's padded
+    states hs; returns the gradients per parameter summed over the
+    utterances whose dlogits is not None (at least one), in batch order
+    from 0.0.
 
     Only the dh recursion runs per frame, once over the batch, and each
-    step is bit-equal to one utterance's. Each utterance is reversed at its
-    own length, so its frame t is step T_b-1-t, and the padded steps after
-    its frame 0 have a zero w_hy term and a zero tanh derivative. The w_hy
-    and w_hh products are stacked gemvs, the same BLAS call per frame as
-    `w_hy.T @ dlogits[t]` on one utterance (the gemm form is ruled out as
-    in forward_batch), and the rest is elementwise.
+    step is bit-equal to one utterance's. Utterance j's step k is its frame
+    T_j-1-k, and the frames, states and gradients of every step are
+    gathered once before the loop from the stacked frames and gradients
+    and from hs. Steps past frame 0 read frame 0's rows and the zero
+    initial state and get a zero tanh derivative, so their da is +-0.0.
+    The w_hy and w_hh products are stacked gemvs, the same BLAS call per
+    frame as `w_hy.T @ dlogits[t]` on one utterance (the gemm form is ruled
+    out as in forward_batch), and the rest is elementwise.
 
-    Each utterance's da is kept last frame first, and its w_xh, b_h and
-    w_hh gradients are one reduce over the per-frame outer products of da
-    with [x_t, 1, h_{t-1}] in that order (frame 0, which has no h_{t-1}, is
-    added to w_xh and b_h alone). The values are bit-identical to
-    accumulating `+= np.outer(...)` inside the loop: the products are the
-    same, and `np.add.reduce` over axis 0 adds them one frame at a time from
-    0.0 when each frame's block has more than one element, which [x_t, 1,
-    ...] ensures (a one-element block, such as b_h alone with one hidden
-    unit, is summed pairwise). A matrix product such as `das.T @ X` would
-    let BLAS reorder the sums, and so would one reduce over the whole batch,
-    so the reduces stay one per utterance.
+    Each step adds the outer products of da with [x_t, 1, h_{t-1}] into a
+    (B, H, F+1+H) accumulator, so each utterance's w_xh, b_h and w_hh
+    gradients add frame by frame, last frame first, from 0.0. Frame 0 has
+    the zero state as h_{-1}, and the padded steps' products are +-0.0, so
+    what they add leaves every sum as it was: a sum that starts from +0.0
+    is never -0.0. After the loop the accumulator is summed over axis 0
+    from 0.0, which adds the utterances in batch order, one H x (F+1+H)
+    block at a time. A matrix product such as `das.T @ X` would let BLAS
+    reorder the sums, and so would one reduce over frames and utterances
+    at once. Two things stay per utterance: the w_hy gradient
+    `dlogits.T @ hs`, a gemm whose bits depend on its shape, and the b_y
+    sum, as `np.add.reduceat` differed from `sum(axis=0)` in the last
+    bits; both are written into stacks summed over axis 0 in the same way.
     """
     p = model.params
-    batch = [np.asarray(frames, dtype=np.float64) for frames in batch_frames]
-    t_max = max(map(len, batch))
+    kept = [b for b, dlogits in enumerate(batch_dlogits) if dlogits is not None]
+    frames = [np.asarray(batch_frames[b], dtype=np.float64) for b in kept]
+    dlogits = [batch_dlogits[b] for b in kept]
+    lengths = np.array([len(x) for x in frames])
+    n_steps, f, hidden = int(lengths.max()), model.input_dim, model.hidden_dim
+    # left[k, j] = T_j - k, the frames of utterance j not yet backpropagated
+    # at step k, and 0 past its frame 0
+    left = np.maximum(lengths - np.arange(n_steps + 1)[:, None], 0)
+    valid = left[:-1, :, None] > 0
+    # step k reads frame left[k + 1] of the stacked rows: T_j-1-k, or frame 0
+    rows = np.cumsum(lengths) - lengths + left[1:]
+    x_rev = np.take(np.concatenate(frames), rows, axis=0)
+    dl_rev = np.take(np.concatenate(dlogits), rows, axis=0)
+    # utterance j's h_{T_j-1-k} sits at hs[kept[j], left[k]], and left 0
+    # is the zero initial state
+    h_rev = np.take(hs.reshape(-1, hidden), np.array(kept) * hs.shape[1] + left, axis=0)
+    dtanh = (1.0 - h_rev[:-1] ** 2) * valid
+    inputs = np.concatenate((x_rev, np.ones(valid.shape), h_rev[1:]), axis=2)
+
     w_hy_t, w_hh_t = p["w_hy"].T, p["w_hh"].T
-    das = np.zeros((t_max, len(batch), model.hidden_dim, 1))  # w_hy term, then da
-    dtanh_rev = np.zeros_like(das)
-    for b, (hs, dlogits) in enumerate(zip(batch_hs, batch_dlogits)):
-        das[: len(hs), b] = w_hy_t @ dlogits[::-1, :, None]
-        dtanh_rev[: len(hs), b, :, 0] = (1.0 - hs**2)[::-1]
+    das = w_hy_t @ dl_rev[..., None]  # the w_hy term, then da
     dh_next = np.zeros(das.shape[1:])
-    for da_t, dtanh_t in zip(das, dtanh_rev):
+    acc = np.zeros((len(kept), hidden, inputs.shape[2]))
+    outer = np.empty_like(acc)
+    for da_t, dtanh_t, inputs_t in zip(das, dtanh[..., None], inputs):
         da_t += dh_next
         da_t *= dtanh_t
         dh_next = w_hh_t @ da_t
+        acc += np.multiply(da_t, inputs_t[:, None, :], out=outer)
+    summed = np.add.reduce(acc, axis=0, initial=0.0)
 
-    total = {k: np.zeros_like(v) for k, v in p.items()}
-    for b, (frames, hs, dlogits) in enumerate(zip(batch, batch_hs, batch_dlogits)):
-        t_len, f = frames.shape
-        inputs = np.zeros((t_len, f + 1 + model.hidden_dim))
-        inputs[:, :f] = frames[::-1]
-        inputs[:, f] = 1.0
-        inputs[:-1, f + 1 :] = hs[-2::-1]
-        da = np.ascontiguousarray(das[:t_len, b, :, 0])  # frame t at row t_len-1-t
-        terms = da[:, :, None] * inputs[:, None, :]
-        reduced = np.add.reduce(terms[:-1], axis=0, initial=0.0)
-        reduced[:, : f + 1] += terms[-1, :, : f + 1]
-        total["w_hy"] += dlogits.T @ hs
-        total["b_y"] += dlogits.sum(axis=0)
-        total["w_xh"] += reduced[:, :f]
-        total["w_hh"] += reduced[:, f + 1 :]
-        total["b_h"] += reduced[:, f]
-    return total
+    w_hy = np.empty((len(kept),) + p["w_hy"].shape)
+    b_y = np.empty((len(kept),) + p["b_y"].shape)
+    for j, (b, t_len) in enumerate(zip(kept, lengths.tolist())):
+        np.matmul(dlogits[j].T, hs[b, 1 : t_len + 1, :, 0], out=w_hy[j])
+        dlogits[j].sum(axis=0, out=b_y[j])
+    return {
+        "w_xh": summed[:, :f],
+        "w_hh": summed[:, f + 1 :],
+        "b_h": summed[:, f],
+        "w_hy": np.add.reduce(w_hy, axis=0, initial=0.0),
+        "b_y": np.add.reduce(b_y, axis=0, initial=0.0),
+    }
 
 
 def backward(
@@ -219,9 +237,12 @@ def backward(
     hs: np.ndarray,
     dlogits: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Backpropagation through time for one utterance; returns gradients
-    per parameter, added to zeros as backward_batch does."""
-    return backward_batch(model, [frames], [hs], [dlogits])
+    """Backpropagation through time for one utterance from its (T, H)
+    states; returns gradients per parameter, added to zeros as
+    backward_batch does."""
+    padded = np.zeros((1, len(hs) + 1, model.hidden_dim, 1))
+    padded[0, 1:, :, 0] = hs
+    return backward_batch(model, [frames], padded, [dlogits])
 
 
 def vocab_fingerprint(vocab: GraphemeVocab) -> str:

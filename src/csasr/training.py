@@ -186,21 +186,27 @@ class SgdTrainer:
         """One update from the mean CTC gradient over the feasible batch items.
 
         Forward, CTC and BPTT each run one frame loop for the whole batch,
-        and BPTT sums the per-utterance gradients in batch order, so the
-        update is bit-identical to one built an utterance at a time. The
-        set-up is done once per batch too: one log-softmax over the stacked
-        output rows, one check that each of those rows is normalized (the
-        rows of infeasible items included), and CTC's labels and emissions
-        built as batch arrays.
+        and the layers hand each other batch arrays: forward's stacked
+        log-probabilities get one check that each row is normalized (the
+        rows of infeasible items included) and become the grids as views;
+        CTC's gradients are views of one padded array; BPTT gathers its
+        states from forward's padded ones. The update is bit-identical to
+        one built an utterance at a time: every value is the same
+        elementwise operation or per-utterance BLAS call, each gamma cell
+        adds in s order from 0.0, each utterance's w_xh, b_h and w_hh
+        gradients add frame by frame from 0.0, padded cells add +-0.0,
+        which leaves a sum from 0.0 as it was, and the per-utterance
+        gradients are summed in batch order.
 
         Returns (mean loss, count skipped as infeasible, the feasible
         losses by language).
         """
         if not batch:
             raise EmptyBatch("batch has no items")
-        states = model_mod.forward_batch(self.model, [ex.frames for ex in batch])
+        frames = [ex.frames for ex in batch]
+        hs, logp = model_mod.forward_batch(self.model, frames)
         results = ctc_loss_batch(
-            PosteriorGrid.batch([logp for _, logp in states]), [ex.target for ex in batch]
+            PosteriorGrid.split(logp, [len(x) for x in frames]), [ex.target for ex in batch]
         )
         feasible = [i for i, r in enumerate(results) if isinstance(r, CtcLossResult)]
         skipped = len(batch) - len(feasible)
@@ -208,9 +214,9 @@ class SgdTrainer:
             raise AllInfeasible(f"all {len(batch)} items infeasible")
         total = model_mod.backward_batch(
             self.model,
-            [batch[i].frames for i in feasible],
-            [states[i][0] for i in feasible],
-            [results[i].grad for i in feasible],
+            frames,
+            hs,
+            [r.grad if isinstance(r, CtcLossResult) else None for r in results],
         )
         losses = [results[i].loss for i in feasible]
         by_language: dict[str, list[float]] = {}

@@ -477,3 +477,18 @@ def test_criterion_8_seed_0_cer_matrix_matches_the_recorded_sha256(matrix_run):
     digest = hashlib.sha256((out_dir / "cer_matrix.csv").read_bytes()).hexdigest()
     ok = digest == SEED_0_CER_MATRIX_SHA256
     _report(8, ok, f"seed-0 cer_matrix.csv sha256 {digest}")
+
+
+# run-matrix --beam 10 at seed 0, the table the benchmark's recipe workload
+# demands at its default sizes, writes exactly these bytes
+SEED_0_BEAM_10_CER_MATRIX_SHA256 = (
+    "88a192ac2161fd341584a402f34b8d7971976fd980f424bfb37a232e734cf2e7"
+)
+
+
+def test_criterion_8_seed_0_cer_matrix_at_beam_10_matches_the_recorded_sha256(tmp_path):
+    argv = ["--seed", "0", "--output-dir", str(tmp_path), "run-matrix", "--beam", "10"]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "cer_matrix.csv").read_bytes()).hexdigest()
+    ok = digest == SEED_0_BEAM_10_CER_MATRIX_SHA256
+    _report(8, ok, f"seed-0 beam-10 cer_matrix.csv sha256 {digest}")

@@ -79,21 +79,23 @@ def test_grid_rejects_a_non_finite_row_without_numpy_warnings(bad):
     with pytest.raises(ValueError, match="row 1 not normalized"):
         PosteriorGrid(lp)
     with pytest.raises(ValueError, match="row 4 not normalized"):
-        PosteriorGrid.batch([np.log(np.full((3, 4), 0.25)), lp])
+        PosteriorGrid.split(np.concatenate([np.log(np.full((3, 4), 0.25)), lp]), [3, 3])
 
 
 def test_grid_batch_checks_every_row():
     good = [random_grid(np.random.default_rng(t), t, 5).logp for t in (1, 3, 2)]
-    grids = PosteriorGrid.batch(good)
+    lengths = [len(lp) for lp in good]
+    stacked = np.concatenate(good)
+    grids = PosteriorGrid.split(stacked, lengths)
     assert [g.logp.tobytes() for g in grids] == [lp.tobytes() for lp in good]
-    for n, lp in enumerate(good):
-        for t in range(len(lp)):
-            batch = [x.copy() for x in good]
-            batch[n][t] += 1e-5  # log-mass 1e-5 off zero
-            with pytest.raises(ValueError, match="not normalized"):
-                PosteriorGrid.batch(batch)
+    assert all(g.logp.base is stacked for g in grids)  # views, no copies
+    for row in range(len(stacked)):
+        bad = stacked.copy()
+        bad[row] += 1e-5  # log-mass 1e-5 off zero
+        with pytest.raises(ValueError, match=f"row {row} not normalized"):
+            PosteriorGrid.split(bad, lengths)
     with pytest.raises(ValueError, match="need T >= 1"):
-        PosteriorGrid.batch([good[0], good[1][:0]])
+        PosteriorGrid.split(good[0], [1, 0])
 
 
 def test_grid_rejects_wrong_shapes():

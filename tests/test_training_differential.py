@@ -36,7 +36,7 @@ import reference_training
 @st.composite
 def ctc_cases(draw):
     V = draw(st.integers(2, 41))
-    kind = draw(st.sampled_from(("random", "repeats", "tight", "empty")))
+    kind = draw(st.sampled_from(("random", "repeats", "tight", "empty", "too long")))
     if kind == "empty":
         target = []
     elif kind == "repeats":  # every neighbour equal: no skip anywhere
@@ -44,10 +44,19 @@ def ctc_cases(draw):
     else:
         target = draw(st.lists(st.integers(1, V - 1), max_size=15))
     need = len(target) + _adjacent_equal_pairs(target)
-    T = max(need, 1) if kind == "tight" else draw(st.integers(1, 30))
+    if kind == "tight":
+        T = max(need, 1)
+    elif kind == "too long" and need > 1:  # fails the length check
+        T = draw(st.integers(1, need - 1))
+    else:
+        T = draw(st.integers(1, 30))
     cells = draw(st.sampled_from(("finite", "scattered", "blank")))
     scale = draw(st.sampled_from((0.3, 1.0, 4.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _grid(rng, T, V, cells, scale), target
+
+
+def _grid(rng, T, V, cells="finite", scale=1.0):
     logits = rng.normal(0.0, scale, (T, V))
     if cells == "blank":  # the blank column is never emitted
         logits[:, 0] = -np.inf
@@ -55,29 +64,50 @@ def ctc_cases(draw):
         mask = rng.random(logits.shape) < 0.4
         mask[np.arange(T), rng.integers(V, size=T)] = False
         logits[mask] = -np.inf
-    grid = PosteriorGrid(logits - np.logaddexp.reduce(logits, axis=1, keepdims=True))
-    return grid, target
+    return PosteriorGrid(logits - np.logaddexp.reduce(logits, axis=1, keepdims=True))
 
 
-@settings(max_examples=600, deadline=None)
-@given(st.lists(ctc_cases(), min_size=1, max_size=6))
-def test_ctc_loss_equals_reference(cases):
-    got = ctc_loss_batch([grid for grid, _ in cases], [target for _, target in cases])
-    assert len(got) == len(cases)
-    for (grid, target), result in zip(cases, got):
+def _assert_ctc_equals_reference(grids, targets):
+    got = ctc_loss_batch(grids, targets)
+    assert len(got) == len(grids)
+    for grid, target, result in zip(grids, targets, got):
         try:
             want = reference_training.ctc_loss(grid, target)
         except InfeasibleTarget:
             assert isinstance(result, InfeasibleTarget)
             continue
         assert result.loss == want.loss
+        assert result.grad.shape == want.grad.shape
         assert result.grad.tobytes() == want.grad.tobytes()
+    return got
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(ctc_cases(), min_size=1, max_size=20))
+def test_ctc_loss_equals_reference(cases):
+    got = _assert_ctc_equals_reference([grid for grid, _ in cases], [t for _, t in cases])
     grid, target = cases[0]  # the per-utterance entry point is the same code
     if isinstance(got[0], InfeasibleTarget):
         with pytest.raises(InfeasibleTarget):
             ctc_loss(grid, target)
     else:
         assert ctc_loss(grid, target).grad.tobytes() == got[0].grad.tobytes()
+
+
+def test_ctc_loss_with_one_feasible_pair_of_the_shortest_t_equals_reference():
+    """Two pairs pass the length check but have no path; they share the
+    padded arrays, up to the longest T and target, with the one pair that
+    aligns, whose frames are the fewest."""
+    rng = np.random.default_rng(19)
+    cases = [
+        (_grid(rng, 30, 41, "blank"), []),  # passes the length check, no path
+        (_grid(rng, 4, 41), [5, 5, 6, 7]),  # too long for its frames
+        (_grid(rng, 1, 3), [1]),  # the feasible pair
+        (_grid(rng, 25, 7, "blank"), [2, 2, 3]),  # no path: blanks needed
+        (_grid(rng, 12, 41), list(range(1, 14))),  # too long
+    ]
+    got = _assert_ctc_equals_reference(*zip(*cases))
+    assert [isinstance(r, InfeasibleTarget) for r in got] == [True, True, False, True, True]
 
 
 def _summed(m, per_utterance):
@@ -101,33 +131,42 @@ def _assert_same_grads(got, want):
     st.integers(1, 16),
     st.integers(1, 20),
     st.integers(2, 41),
-    st.lists(st.integers(1, 30), min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(1, 30), st.booleans()), min_size=1, max_size=20),
     st.integers(0, 2**32 - 1),
 )
-def test_backward_equals_reference(hidden, width, V, lengths, seed):
+def test_backward_equals_reference(hidden, width, V, utterances, seed):
+    """Utterances drawn False are left out, as the step leaves out the
+    infeasible ones; the first is always kept."""
     rng = np.random.default_rng(seed)
     m = init_model(width, V, hidden, seed=seed % 1000)
     batch_frames, batch_dlogits = [], []
-    for T in lengths:
+    for T, _ in utterances:
         frames = rng.normal(0.0, 2.0, (T, width))
         frames[rng.random(T) < 0.2] = 0.0  # zero inputs give signed-zero products
         dlogits = rng.normal(0.0, 1.0, (T, V))
         dlogits[rng.random((T, V)) < 0.2] = 0.0
         batch_frames.append(frames)
         batch_dlogits.append(dlogits)
-    states = forward_batch(m, batch_frames)
-    got = backward_batch(m, batch_frames, [hs for hs, _ in states], batch_dlogits)
+    kept = [n == 0 or keep for n, (_, keep) in enumerate(utterances)]
+    hs, logp = forward_batch(m, batch_frames)
+    got = backward_batch(
+        m, batch_frames, hs, [d if k else None for d, k in zip(batch_dlogits, kept)]
+    )
     want = []
-    for frames, dlogits, (hs, logp) in zip(batch_frames, batch_dlogits, states):
+    start = 0
+    for b, (frames, dlogits) in enumerate(zip(batch_frames, batch_dlogits)):
+        T = len(frames)
         want_hs, want_logp = reference_training.forward_states(m, frames)
-        assert hs.tobytes() == want_hs.tobytes()
-        assert logp.tobytes() == want_logp.tobytes()
-        want.append(reference_training.backward(m, frames, hs, dlogits))
+        assert hs[b, 1 : T + 1, :, 0].tobytes() == want_hs.tobytes()
+        assert logp[start : start + T].tobytes() == want_logp.tobytes()
+        start += T
+        if kept[b]:
+            want.append(reference_training.backward(m, frames, want_hs, dlogits))
     _assert_same_grads(got, _summed(m, want))
     # the per-utterance entry points are the same code
-    hs, logp = forward_states(m, batch_frames[0])
-    assert logp.tobytes() == states[0][1].tobytes()
-    single = backward(m, batch_frames[0], hs, batch_dlogits[0])
+    one_hs, one_logp = forward_states(m, batch_frames[0])
+    assert one_logp.tobytes() == logp[: len(batch_frames[0])].tobytes()
+    single = backward(m, batch_frames[0], one_hs, batch_dlogits[0])
     _assert_same_grads(single, _summed(m, want[:1]))
 
 

@@ -257,6 +257,7 @@ def _synth_examples(spec, vocab, language: str, count: int, tag: str):
 
 TABLE_ROWS = ("scratch", "joint+finetune")
 TABLE_COLS = ("10%", "50%", "100%", "100%+LM")
+FRACTIONS = ((0.1, "10%"), (0.5, "50%"), (1.0, "100%"))  # smallest first
 
 
 def run_matrix(out_dir: Path, seed: int, opts) -> dict[tuple[str, str], float]:
@@ -297,7 +298,7 @@ def run_matrix(out_dir: Path, seed: int, opts) -> dict[tuple[str, str], float]:
 
     matrix: dict[tuple[str, str], float] = {}
     grids = {}  # each row's test grids, one forward per model
-    for fraction, col in ((0.1, "10%"), (0.5, "50%"), (1.0, "100%")):
+    for fraction, col in FRACTIONS:
         scratch = model_mod.init_model(feature_dim, len(vocab), opts.hidden, seed + 12)
         training.run_finetune(scratch, cs_x, scratch_cfg, fraction)
         tuned = joint.copy()
@@ -336,6 +337,19 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def cs_count(text: str) -> int:
+    """A code-switched corpus size whose smallest run-matrix fraction,
+    floor(count * fraction) utterances, holds at least one."""
+    value = positive_int(text)
+    fraction, col = FRACTIONS[0]
+    if math.floor(value * fraction) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {math.ceil(1 / fraction)} so that the {col} cells "
+            f"fine-tune on an utterance, got {value}"
+        )
     return value
 
 
@@ -467,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_spec_flags(p)
     p.add_argument("--mono-count", type=positive_int, default=150)
-    p.add_argument("--cs-count", type=positive_int, default=240)
+    p.add_argument("--cs-count", type=cs_count, default=240)
     p.add_argument("--test-count", type=positive_int, default=100)
     p.add_argument("--hidden", type=positive_int, default=12)
     p.add_argument("--lr", type=finite_float, default=0.008)

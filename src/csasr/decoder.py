@@ -30,8 +30,15 @@ candidate's fused bonus, its log10 sum and word count gathered from
 small per-beam tables: the beam's own fields (itself, or a Latin unit,
 which only grows the pending run), the completed ones (a separator), or
 those plus the CJK row of the LM state, taken from the model's matrix of
-rows (without an LM, one zero row). The top K survive by a partition.
-Exact score ties at the cut go to the smallest prefix, the only place
+rows (without an LM, one zero row). The cut is one partition of all
+K x V scores for the width-th best. A score is -inf exactly when its
+candidate is dead (no mass) or merged into its child, so when that
+threshold is finite the scores at or above it are exactly the top live
+candidates. Only when fewer than width candidates are finite (a
+decode's first frames, or rows holding -inf) does the cut rank the live
+candidates instead: every prefix itself, even at -inf, as the reference
+keeps it, and each finite extension. Exact score ties at the cut go to
+the smallest prefix, spelled from its candidate index, the only place
 besides the returned n-best where prefixes are spelled out as tuples.
 Which tied candidates survive is the only thing the order of the beam
 could change, so the beam is kept in candidate order, unsorted.
@@ -45,8 +52,10 @@ uses no `np.flatnonzero` (3.0 us; `x.nonzero()[0]` is 0.5), no
 of each are gathered from the tables `k_of` and `v_of`), no new
 `np.arange` (a slice of one), no `np.partition` wrapper (a copy, then
 `ndarray.partition`), no 2-D fancy index where a flat index or `take`
-does (the parent merge indexes the flat candidates), and no Python list
-as an index more than once (it is converted to an array first). The
+does (the parent merge indexes the flat candidates), no Python list as
+an index more than once (it is converted to an array first), and no
+live mask while the beam can fill (the mask, its `nonzero` and the two
+gathers through it were a tenth of a zero-weight beam-100 frame). The
 tables grow with the beam, to twice its size when it outgrows them, and
 are never sized by the width alone. The fusion state's per-unit tables
 are built once per vocabulary, not once per decode.
@@ -221,18 +230,20 @@ class _LmCache:
         return k
 
 
-def _best(scores: np.ndarray, n: int, spell):
-    """Positions of the n highest scores, unordered, as an index (a slice
-    when all or none are kept); exact ties at the cut go to the smallest
-    prefixes, spell(positions) giving those."""
-    if len(scores) <= n:
-        return slice(None)
-    if n < 1:
-        return slice(0)
+def _nth(scores: np.ndarray, n: int) -> float:
+    """The n-th highest score, or -inf when there are at most n."""
     cut = len(scores) - n
+    if cut <= 0:
+        return NEG_INF
     part = scores.copy()
     part.partition(cut)
-    threshold = part[cut]
+    return part[cut]
+
+
+def _best(scores: np.ndarray, n: int, spell, threshold: float) -> np.ndarray:
+    """Positions of the n highest scores, unordered, threshold being
+    `_nth(scores, n)`; exact ties at the cut go to the smallest prefixes,
+    spell(positions) giving those."""
     kept = (scores >= threshold).nonzero()[0]
     if len(kept) > n:
         above = kept[scores[kept] > threshold]
@@ -392,8 +403,7 @@ def beam_decode(
             out.append(tuple(reversed(path)))
         return out
 
-    def spell_candidates(positions):
-        f = flat[positions]
+    def spell_candidates(f):
         return [p + (u,) if u else p for p, u in zip(spell(node[k_of[f]]), v_of[f].tolist())]
 
     # the beam: node, parent node and last unit of each prefix, and its
@@ -442,12 +452,22 @@ def beam_decode(
         cand[:, 0] = np.logaddexp(same_pb, same_pnb)
         scores = fusion.scores(cand)
 
-        # candidates: every prefix itself, then each live extension
-        live = cand != NEG_INF
-        live[:, 0] = True
-        flat = live.ravel().nonzero()[0]
-        if len(flat) > width:
-            flat = flat[_best(scores.ravel()[flat], width, spell_candidates)]
+        # the survivors as flat candidate indices, ascending but for ties
+        # at the cut ("The cut" above): with a finite threshold, the scores
+        # at or above it; else the live candidates, cut if there are more
+        # than width
+        scores = scores.ravel()
+        threshold = _nth(scores, width)
+        if threshold != NEG_INF:
+            flat = _best(scores, width, spell_candidates, threshold)
+        else:
+            live = cand != NEG_INF
+            live[:, 0] = True
+            flat = live.ravel().nonzero()[0]
+            if len(flat) > width:
+                flat = flat[
+                    _best(scores[flat], width, lambda p: spell_candidates(flat[p]), NEG_INF)
+                ]
         ks, vs = k_of[flat], v_of[flat]
 
         # a survivor's masses: pb and pnb of its beam entry's own
@@ -474,6 +494,7 @@ def beam_decode(
             pos = np.full(2 * len(trie) + 2, -1)
 
     q = fusion.final(np.logaddexp(pb, pnb))
-    top = _best(q, nbest if nbest is not None else width, lambda ks: spell(node[ks]))
+    n = nbest if nbest is not None else width
+    top = _best(q, n, lambda ks: spell(node[ks]), _nth(q, n)) if n > 0 else slice(0)
     ranked = sorted(zip((-q[top]).tolist(), spell(node[top])))
     return [Hypothesis(p, decode_ids(p, vocab), -neg_q) for neg_q, p in ranked]

@@ -86,8 +86,8 @@ def read_matrix(path, magic: str, cols: str, error: type[MalformedFile]) -> np.n
         parts = line.split()
         if len(parts) != width:
             raise error(path, i, f"expected {width} values, found {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
+        try:  # numpy parses each value as float() does, message included
+            rows.append(np.array(parts, dtype=np.float64))
         except ValueError as e:
             raise error(path, i, str(e)) from None
     return np.array(rows, dtype=np.float64).reshape(t, width)

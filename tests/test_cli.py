@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from csasr import decoder
+from csasr import decoder, training
 from csasr.cli import build_parser, main
 from csasr.ctc import PosteriorGrid
 from csasr.lm import read_arpa
@@ -612,6 +612,27 @@ def test_bad_spec_flag_exits_2_before_any_work(
     assert info.value.code == 2
     assert f"argument {flag[0]}: must be" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("count", ["1", "9"])
+def test_run_matrix_cs_count_leaving_the_10_percent_cells_empty_exits_2_before_any_work(
+    count, tmp_path, capsys, monkeypatch
+):
+    # floor(0.1 * count) utterances fine-tune each 10% cell
+    monkeypatch.chdir(tmp_path)
+    trained = []
+    monkeypatch.setattr(training, "train_epochs", lambda *args, **kw: trained.append(args))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["--output-dir", str(out), "run-matrix", "--cs-count", count])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --cs-count: must be at least 10 so that the 10% cells"
+        f" fine-tune on an utterance, got {count}\n"
+    )
+    assert not trained
+    assert list(tmp_path.iterdir()) == []
+    assert build_parser().parse_args(["run-matrix", "--cs-count", "10"]).cs_count == 10
 
 
 def _decode_with_checkpoint(pipeline, ckpt) -> int:

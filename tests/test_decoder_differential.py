@@ -94,6 +94,45 @@ def test_beam_decode_equals_reference_on_long_tied_grids(width):
             assert got == want, (case, width, cfg, model and model.order)
 
 
+# the rows of a cut grid, each over coarse logits so that exact score ties
+# fall on the width cut: "F" every unit, "B" the blank alone (each prefix
+# keeps only itself, so a beam of K < width prefixes has K finite
+# candidates out of K x V), "S" the blank and one or two units, and "U" one
+# non-blank unit alone (every prefix not ending in it is left at -inf)
+CUT_PATTERNS = (
+    "B", "FB", "FFB", "FFFB", "FFFFB", "BFB", "UFB", "FUFB", "SSBSU", "FSUSB", "FFUUF", "UUFFB"
+)
+
+
+def _cut_grid(rng, pattern: str) -> PosteriorGrid:
+    logits = rng.integers(0, 3, size=(len(pattern), len(VOCAB))).astype(float)
+    for row, kind in zip(logits, pattern):
+        if kind == "B":
+            row[1:] = -np.inf
+        elif kind == "S":
+            row[1:][rng.permutation(len(VOCAB) - 1) >= int(rng.integers(1, 3))] = -np.inf
+        elif kind == "U":
+            row[np.arange(len(VOCAB)) != rng.integers(1, len(VOCAB))] = -np.inf
+    return PosteriorGrid(logits - np.logaddexp.reduce(logits, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("width", (1, 2, 10, 100))
+def test_beam_decode_equals_reference_on_both_paths_of_the_cut(width):
+    # frames with fewer than width finite candidates out of more than width
+    # (the live filter), with exactly width (the cut on all K x V scores,
+    # its threshold the last finite one), and with ties at a finite cut;
+    # a width-1 frame always has a finite candidate, so only the cut runs
+    rng = np.random.default_rng(6000 + width)
+    for case in range(4 * len(CUT_PATTERNS)):
+        grid = _cut_grid(rng, CUT_PATTERNS[case % len(CUT_PATTERNS)])
+        alpha, beta = WEIGHTS[case % len(WEIGHTS)]
+        cfg = FusionConfig(alpha, beta, width)
+        for model in (None, MODELS[ORDERS[case % len(ORDERS)]]):
+            got = _nbest(beam_decode, grid, cfg, model)
+            want = _nbest(reference_decoder.beam_decode, grid, cfg, model)
+            assert got == want, (case, width, cfg, model and model.order)
+
+
 def test_width_far_above_the_candidates_decodes_in_memory_sized_by_the_beam():
     # every candidate survives each of the 4 frames; the decoder's tables
     # grow with the beam, never with the width (10**6 x V floats is 56 MB)

@@ -199,9 +199,11 @@ def cmd_decode(args) -> None:
         am = model_mod.load_checkpoint(_require_file(args.checkpoint), vocab)
         manifest = _require_file(args.manifest)
         entries = training.load_manifest(manifest)
+        if not entries:
+            raise UsageError(f"no utterances in {args.manifest}")
         frames = [training.load_frames(e, manifest.parent) for e in entries]
         _check_widths(manifest, entries, frames, am.input_dim)
-        grids = [model_mod.forward(am, f) for f in frames]
+        grids = model_mod.forward_grids(am, frames)
 
     top_texts = []
     for grid in grids:

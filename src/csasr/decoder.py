@@ -15,9 +15,19 @@ plus one `_Fusion` state. Prefixes are nodes of a per-decode trie: node
 it was pruned and re-created. The core's beam of K prefixes is a set of
 parallel arrays: node, parent node and last unit, and the blank- and
 non-blank-ending masses pb/pnb. `_Fusion` keeps, per beam entry, the LM
-state id, log10 LM sum and word count, and the same three as they are
-once the pending Latin run is scored as a word, which is done when the
-prefix is created. Only the pending runs stay strings.
+state id, log10 LM sum and word count, the same three as they are once
+the pending Latin run is scored as a word, and that run, the only field
+that stays a string. A survivor that is its own beam entry keeps all of
+them, so `_Fusion.keep` gathers them, the runs with one C-level
+`itemgetter`. Only an extension, a new prefix, gets new fields: its LM
+state and sums by array lookups, and the rest in the one Python pass of
+a frame, over the extensions alone. Each sets its run (the old one plus
+a Latin unit, or "" after a separator or CJK unit) and scores a grown
+run as a word through the cache, and the pass collects the positions,
+log10 values and state ids of three array updates. This is exact: a
+pass over all survivors would make the same cache calls on the same
+operands, since a survivor that is its own entry grows no run, and the
+extensions are visited, and updated, in ascending survivor order.
 
 Each frame is a fixed number of whole-beam numpy operations on a K x V
 candidate array: column 0 is the prefix itself (pb from total + blank,
@@ -95,6 +105,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -318,10 +329,19 @@ class _Fusion:
         self.cand_words = tab.take(self.words_col, axis=1)
         return cand + self.lm_weight * self.cand_log10 + self.beta * self.cand_words
 
-    def keep(self, flat, ks, vs, ext, k_ext, v_ext) -> None:
-        """Survivor i is candidate flat[i]: entry ks[i] itself, or its
-        extension by unit vs[i] for i in ext (ks[ext] and vs[ext] being
-        k_ext and v_ext); each new Latin run is scored as a word."""
+    def keep(self, flat, ks, ext, k_ext, v_ext) -> None:
+        """Survivor i is candidate flat[i]: entry ks[i] itself, or for
+        i = ext[n] its extension by unit v_ext[n] (k_ext[n] being ks[i]).
+
+        Every survivor first takes its entry's fields, by whole-beam
+        gathers; the extensions' LM states and log10 sums and word counts
+        then come from array lookups. The rest is one Python pass over
+        the extensions alone, in ascending order: each sets its pending
+        run, and a run that a Latin unit grew is scored as a word, the
+        scored positions, log10 values and states collected for the three
+        updates of the completed fields. A survivor that is its own
+        entry keeps its run unchanged and scores nothing, so this makes
+        the cache calls of a pass over all survivors, in the same order."""
         model, cache = self.model, self.cache
         base = np.where(self.latin_cols[v_ext], self.ctx[k_ext], self.done_ctx[k_ext])
         cols = self.next_col[v_ext]
@@ -336,19 +356,26 @@ class _Fusion:
         done_log10[ext] = log10[ext]
         done_words[ext] = words[ext]
 
-        latin_unit, pending, vs = self.latin_unit, self.pending, vs.tolist()
-        self.pending = pending = [
-            pending[k] + latin_unit[v] if latin_unit[v] or not v else ""
-            for k, v in zip(ks.tolist(), vs)
-        ]
-        scored = [j for j, v in enumerate(vs) if latin_unit[v]]
+        ks, old = ks.tolist(), self.pending
+        pending = list(itemgetter(*ks)(old)) if len(ks) > 1 else [old[ks[0]]]
+        latin_unit, step = self.latin_unit, cache.step
+        scored, lps, ids = [], [], []
+        for j, v, i in zip(ext.tolist(), v_ext.tolist(), ctx_ext.tolist()):
+            unit = latin_unit[v]
+            if unit:
+                pending[j] = run = pending[j] + unit
+                lp, i = step(model, i, run)
+                scored.append(j)
+                lps.append(lp)
+                ids.append(i)
+            else:
+                pending[j] = ""
         if scored:
-            ids = ctx.tolist()
-            lps, ids = zip(*[cache.step(model, ids[j], pending[j]) for j in scored])
             scored = np.array(scored)  # one conversion for the three updates
             done_ctx[scored] = ids
             done_log10[scored] += lps
             done_words[scored] += 1
+        self.pending = pending
         self.ctx, self.log10, self.words = ctx, log10, words
         self.done_ctx, self.done_log10, self.done_words = done_ctx, done_log10, done_words
 
@@ -477,7 +504,7 @@ def beam_decode(
         # extension's node is hash-consed
         ext = vs.nonzero()[0]
         k_ext, v_ext = ks[ext], vs[ext]
-        fusion.keep(flat, ks, vs, ext, k_ext, v_ext)
+        fusion.keep(flat, ks, ext, k_ext, v_ext)
         pb = same_pb[ks]
         pb[ext] = NEG_INF
         cand[:, 0] = same_pnb

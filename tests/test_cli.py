@@ -361,6 +361,20 @@ def test_train_on_an_empty_manifest_exits_2_naming_it(pipeline, tmp_path, capsys
     assert not ckpt.exists()
 
 
+def test_decode_on_an_empty_manifest_exits_2_naming_it(pipeline, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("path,transcript,language,duration_ms\n", encoding="utf-8")
+    hyp = tmp_path / "hyp.txt"
+    assert main([
+        "decode", "--vocab", str(pipeline["vocab"]), "--checkpoint", str(pipeline["tuned"]),
+        "--manifest", str(empty), "--hyp-out", str(hyp),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no utterances in {empty}\n"
+    assert captured.out == ""
+    assert not hyp.exists()
+
+
 def test_internal_error_exits_1(pipeline, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("the decoder broke")

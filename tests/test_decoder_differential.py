@@ -133,6 +133,49 @@ def test_beam_decode_equals_reference_on_both_paths_of_the_cut(width):
             assert got == want, (case, width, cfg, model and model.order)
 
 
+# transcripts whose Latin runs stay pending over many frames: they cross
+# blanks, repeated letters and apostrophes, end at a separator, at a CJK
+# unit and at the utterance end, and many are outside the LM vocabulary
+# (ab, a'b, b'a, ba, a and b are in it), so they score as <unk>
+LATIN_RUNS = (
+    "abba'b ab", "a'b'ab你", "bb'aa b'a", "ab a'b 你好 baab", "''ab''ba 好", "aab'ba'bb",
+    "b'a 你abab'", "ba ab'b a'ba", "好a''a'bb", "ab'ab'ab'ab",
+)
+
+
+def _latin_run_grid(rng, transcript: str) -> PosteriorGrid:
+    # each unit holds 1-3 frames, a blank sits between repeated units and
+    # now and then elsewhere; coarse logits tie some candidates
+    frames = []
+    for prev, unit in zip(" " + transcript, transcript):
+        if unit == prev or rng.random() < 0.3:
+            frames.append(0)
+        frames += [VOCAB.id_of(unit)] * int(rng.integers(1, 4))
+    if rng.random() < 0.5:
+        logits = rng.integers(0, 3, size=(len(frames), len(VOCAB))).astype(float)
+    else:
+        logits = rng.normal(0.0, 1.0, size=(len(frames), len(VOCAB)))
+    logits[np.arange(len(frames)), frames] += 3.0
+    return PosteriorGrid(logits - np.logaddexp.reduce(logits, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("width", (1, 10, 100))
+def test_beam_decode_equals_reference_on_long_latin_runs(width):
+    # each grid decodes with a fresh model, first with its LM cache cold,
+    # then warm; both give the reference's full n-best
+    rng = np.random.default_rng(7000 + width)
+    for case in range(2 * len(LATIN_RUNS)):
+        grid = _latin_run_grid(rng, LATIN_RUNS[case % len(LATIN_RUNS)])
+        alpha, beta = WEIGHTS[2 + case % 2]
+        cfg = FusionConfig(alpha, beta, width)
+        model = dataclasses.replace(MODELS[ORDERS[case % len(ORDERS)]])
+        assert not model.decoding_tables
+        cold = _nbest(beam_decode, grid, cfg, model)
+        warm = _nbest(beam_decode, grid, cfg, model)
+        want = _nbest(reference_decoder.beam_decode, grid, cfg, model)
+        assert cold == warm == want, (case, width, cfg, model.order)
+
+
 def test_width_far_above_the_candidates_decodes_in_memory_sized_by_the_beam():
     # every candidate survives each of the 4 frames; the decoder's tables
     # grow with the beam, never with the width (10**6 x V floats is 56 MB)

@@ -17,17 +17,9 @@ parallel arrays: node, parent node and last unit, and the blank- and
 non-blank-ending masses pb/pnb. `_Fusion` keeps, per beam entry, the LM
 state id, log10 LM sum and word count, the same three as they are once
 the pending Latin run is scored as a word, and that run, the only field
-that stays a string. A survivor that is its own beam entry keeps all of
-them, so `_Fusion.keep` gathers them, the runs with one C-level
-`itemgetter`. Only an extension, a new prefix, gets new fields: its LM
-state and sums by array lookups, and the rest in the one Python pass of
-a frame, over the extensions alone. Each sets its run (the old one plus
-a Latin unit, or "" after a separator or CJK unit) and scores a grown
-run as a word through the cache, and the pass collects the positions,
-log10 values and state ids of three array updates. This is exact: a
-pass over all survivors would make the same cache calls on the same
-operands, since a survivor that is its own entry grows no run, and the
-extensions are visited, and updated, in ascending survivor order.
+that stays a string. `_Fusion.keep` gives the survivors of a frame their
+fields, with one Python pass over the new prefixes alone; its docstring
+says how, and why that is exact.
 
 Each frame is a fixed number of whole-beam numpy operations on a K x V
 candidate array: column 0 is the prefix itself (pb from total + blank,
@@ -334,14 +326,18 @@ class _Fusion:
         i = ext[n] its extension by unit v_ext[n] (k_ext[n] being ks[i]).
 
         Every survivor first takes its entry's fields, by whole-beam
-        gathers; the extensions' LM states and log10 sums and word counts
-        then come from array lookups. The rest is one Python pass over
-        the extensions alone, in ascending order: each sets its pending
-        run, and a run that a Latin unit grew is scored as a word, the
-        scored positions, log10 values and states collected for the three
-        updates of the completed fields. A survivor that is its own
-        entry keeps its run unchanged and scores nothing, so this makes
-        the cache calls of a pass over all survivors, in the same order."""
+        gathers, the pending runs with one C-level `itemgetter`; only an
+        extension, a new prefix, gets new ones. Its LM state and log10
+        sums and word counts come from array lookups. The rest is one
+        Python pass over the extensions alone, in ascending order: each
+        sets its pending run (the old one plus a Latin unit, or "" after
+        a separator or CJK unit), and a run that a Latin unit grew is
+        scored as a word through the cache, the scored positions, log10
+        values and states collected for the three updates of the
+        completed fields. This is exact: a survivor that is its own entry
+        keeps its run unchanged and scores nothing, so a pass over all
+        survivors would make the same cache calls on the same operands,
+        in the same order."""
         model, cache = self.model, self.cache
         base = np.where(self.latin_cols[v_ext], self.ctx[k_ext], self.done_ctx[k_ext])
         cols = self.next_col[v_ext]

@@ -95,7 +95,6 @@ class NGramModel:
 
     order: int
     tables: dict[int, NGramTable]
-    vocabulary: frozenset[str]
     discounts: dict[int, float] | None = None
     # orders whose count-of-counts gave no discount in (0,1); D=0.5 was used
     degenerate_orders: tuple[int, ...] = ()
@@ -104,6 +103,11 @@ class NGramModel:
     decoding_tables: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+
+    @cached_property
+    def vocabulary(self) -> frozenset[str]:
+        """The words of the 1-grams; `score` takes any other as `UNK`."""
+        return frozenset(g[0] for g in self.tables[1])
 
     @cached_property
     def states(self) -> frozenset[tuple[str, ...]]:
@@ -201,8 +205,7 @@ def train_kn(corpus: Iterable[Sequence[str]], order: int = 5) -> NGramModel:
     if order > 1:
         tables[1][(BOS,)] = (-99.0, _log10_bow(bows.get(1, {}).get((BOS,))))
 
-    vocabulary = frozenset(g[0] for g in tables[1])
-    return NGramModel(order, tables, vocabulary, discounts, tuple(degenerate))
+    return NGramModel(order, tables, discounts, tuple(degenerate))
 
 
 def _log10_bow(b: float | None) -> float | None:
@@ -315,6 +318,8 @@ def read_arpa(path) -> NGramModel:
         m = re.match(r"^ngram (\d+)=(\d+)$", line)
         if not m:
             fail(i, f"bad count line {line!r}")
+        if int(m.group(1)) in declared:
+            fail(i, f"second count for {m.group(1)}-grams")
         declared[int(m.group(1))] = int(m.group(2))
         i += 1
     if not declared or sorted(declared) != list(range(1, max(declared) + 1)):
@@ -324,27 +329,16 @@ def read_arpa(path) -> NGramModel:
     tables: dict[int, NGramTable] = {k: {} for k in range(1, order + 1)}
     first: dict[tuple[str, ...], int] = {}
     unigram_line = len(lines)
-    seen_end = False
-    while i < len(lines):
-        line = lines[i].strip()
+    # k is the order of the section being read, None after a blank line
+    k, sections, seen_end = None, set(), False
+    for i, raw in enumerate(lines[i:], i):
+        line = raw.strip()
         if not line:
-            i += 1
-            continue
-        if line == "\\end\\":
-            seen_end = True
-            i += 1
-            continue
-        m = re.match(r"^\\(\d+)-grams:$", line)
-        if not m:
-            fail(i, f"unexpected line {line!r}")
-        k = int(m.group(1))
-        if k not in tables:
-            fail(i, f"section order {k} not declared")
-        if k == 1:
-            unigram_line = i + 1
-        i += 1
-        while i < len(lines) and lines[i].strip() and not lines[i].startswith("\\"):
-            fields = lines[i].split()
+            k = None
+        elif seen_end:
+            fail(i, f"text after \\end\\: {line!r}")
+        elif k is not None and not raw.startswith("\\"):
+            fields = raw.split()
             if len(fields) not in (k + 1, k + 2):
                 fail(i, f"expected {k + 1} or {k + 2} fields, got {len(fields)}")
             try:
@@ -360,7 +354,20 @@ def read_arpa(path) -> NGramModel:
             if first.setdefault(gram, i + 1) != i + 1:
                 fail(i, f"repeated {k}-gram, first at line {first[gram]}")
             tables[k][gram] = (logp, bow)
-            i += 1
+        elif line == "\\end\\":
+            seen_end = True
+        else:
+            m = re.match(r"^\\(\d+)-grams:$", line)
+            if not m:
+                fail(i, f"unexpected line {line!r}")
+            k = int(m.group(1))
+            if k not in tables:
+                fail(i, f"section order {k} not declared")
+            if k in sections:
+                fail(i, f"second \\{k}-grams: section")
+            sections.add(k)
+            if k == 1:
+                unigram_line = i + 1
     if not seen_end:
         raise MalformedArpa(path, len(lines), "missing \\end\\ marker")
     for k, n in declared.items():
@@ -370,5 +377,4 @@ def read_arpa(path) -> NGramModel:
             )
     if (UNK,) not in tables[1]:
         raise MalformedArpa(path, unigram_line, f"1-grams lack {UNK}")
-    vocabulary = frozenset(g[0] for g in tables[1])
-    return NGramModel(order, tables, vocabulary)
+    return NGramModel(order, tables)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .lm import tokenize_lm
-from .vocab import SCRIPT_CJK, SCRIPT_LATIN, is_cjk
+from .vocab import script_of
 
 
 class EmptyReference(ValueError):
@@ -126,14 +126,8 @@ def corpus_wer(references: Sequence[str], hypotheses: Sequence[str]) -> ErrorRat
 
 
 def _switch_boundaries(tokens: list[str]) -> set[int]:
-    def script(tok: str) -> str:
-        return SCRIPT_CJK if is_cjk(tok[0]) else SCRIPT_LATIN
-
-    return {
-        i
-        for i in range(len(tokens) - 1)
-        if script(tokens[i]) != script(tokens[i + 1])
-    }
+    scripts = [script_of(tok[0]) for tok in tokens]
+    return {i for i in range(len(tokens) - 1) if scripts[i] != scripts[i + 1]}
 
 
 def switch_point_score(reference: str, hypothesis: str) -> tuple[float, float]:

@@ -154,12 +154,12 @@ def backward_batch(
     model: ToyAcousticModel,
     batch_frames: Sequence[np.ndarray],
     hs: np.ndarray,
-    batch_dlogits: Sequence[np.ndarray | None],
+    batch_dlogits: Sequence[np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """Backpropagation through time for a batch, from forward_batch's padded
-    states hs; returns the gradients per parameter summed over the
-    utterances whose dlogits is not None (at least one), in batch order
-    from 0.0.
+    """Backpropagation through time for a batch of at least one utterance,
+    from its padded states hs: forward_batch's, or a selection of their
+    rows. Returns the gradients per parameter summed over the utterances,
+    in batch order from 0.0.
 
     Only the dh recursion runs per frame, once over the batch, and each
     step is bit-equal to one utterance's. Utterance j's step k is its frame
@@ -186,9 +186,7 @@ def backward_batch(
     bits; both are written into stacks summed over axis 0 in the same way.
     """
     p = model.params
-    kept = [b for b, dlogits in enumerate(batch_dlogits) if dlogits is not None]
-    frames = [np.asarray(batch_frames[b], dtype=np.float64) for b in kept]
-    dlogits = [batch_dlogits[b] for b in kept]
+    frames = [np.asarray(x, dtype=np.float64) for x in batch_frames]
     lengths = np.array([len(x) for x in frames])
     n_steps, f, hidden = int(lengths.max()), model.input_dim, model.hidden_dim
     # left[k, j] = T_j - k, the frames of utterance j not yet backpropagated
@@ -198,17 +196,17 @@ def backward_batch(
     # step k reads frame left[k + 1] of the stacked rows: T_j-1-k, or frame 0
     rows = np.cumsum(lengths) - lengths + left[1:]
     x_rev = np.take(np.concatenate(frames), rows, axis=0)
-    dl_rev = np.take(np.concatenate(dlogits), rows, axis=0)
-    # utterance j's h_{T_j-1-k} sits at hs[kept[j], left[k]], and left 0
-    # is the zero initial state
-    h_rev = np.take(hs.reshape(-1, hidden), np.array(kept) * hs.shape[1] + left, axis=0)
+    dl_rev = np.take(np.concatenate(batch_dlogits), rows, axis=0)
+    # utterance j's h_{T_j-1-k} sits at hs[j, left[k]], and left 0 is the
+    # zero initial state
+    h_rev = np.take(hs.reshape(-1, hidden), np.arange(len(frames)) * hs.shape[1] + left, axis=0)
     dtanh = (1.0 - h_rev[:-1] ** 2) * valid
     inputs = np.concatenate((x_rev, np.ones(valid.shape), h_rev[1:]), axis=2)
 
     w_hy_t, w_hh_t = p["w_hy"].T, p["w_hh"].T
     das = w_hy_t @ dl_rev[..., None]  # the w_hy term, then da
     dh_next = np.zeros(das.shape[1:])
-    acc = np.zeros((len(kept), hidden, inputs.shape[2]))
+    acc = np.zeros((len(frames), hidden, inputs.shape[2]))
     outer = np.empty_like(acc)
     for da_t, dtanh_t, inputs_t in zip(das, dtanh[..., None], inputs):
         da_t += dh_next
@@ -217,11 +215,11 @@ def backward_batch(
         acc += np.multiply(da_t, inputs_t[:, None, :], out=outer)
     summed = np.add.reduce(acc, axis=0, initial=0.0)
 
-    w_hy = np.empty((len(kept),) + p["w_hy"].shape)
-    b_y = np.empty((len(kept),) + p["b_y"].shape)
-    for j, (b, t_len) in enumerate(zip(kept, lengths.tolist())):
-        np.matmul(dlogits[j].T, hs[b, 1 : t_len + 1, :, 0], out=w_hy[j])
-        dlogits[j].sum(axis=0, out=b_y[j])
+    w_hy = np.empty((len(frames),) + p["w_hy"].shape)
+    b_y = np.empty((len(frames),) + p["b_y"].shape)
+    for j, (dl, t_len) in enumerate(zip(batch_dlogits, lengths.tolist())):
+        np.matmul(dl.T, hs[j, 1 : t_len + 1, :, 0], out=w_hy[j])
+        dl.sum(axis=0, out=b_y[j])
     return {
         "w_xh": summed[:, :f],
         "w_hh": summed[:, f + 1 :],

@@ -106,7 +106,7 @@ def synth_utterance(spec: SynthSpec, transcript: str) -> np.ndarray:
     if spec.sigma > 0.0:
         rng = _hashed_rng(f"{spec.seed}|{transcript}")
         frames = frames + rng.normal(0.0, spec.sigma, frames.shape)
-    return frames.copy()
+    return frames
 
 
 def _sample_word(rng: np.random.Generator, letters: list[str], max_len: int) -> str:

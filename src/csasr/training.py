@@ -189,14 +189,15 @@ class SgdTrainer:
         and the layers hand each other batch arrays: forward's stacked
         log-probabilities get one check that each row is normalized (the
         rows of infeasible items included) and become the grids as views;
-        CTC's gradients are views of one padded array; BPTT gathers its
-        states from forward's padded ones. The update is bit-identical to
-        one built an utterance at a time: every value is the same
-        elementwise operation or per-utterance BLAS call, each gamma cell
-        adds in s order from 0.0, each utterance's w_xh, b_h and w_hh
-        gradients add frame by frame from 0.0, padded cells add +-0.0,
-        which leaves a sum from 0.0 as it was, and the per-utterance
-        gradients are summed in batch order.
+        CTC's gradients are views of one padded array; BPTT gets the
+        feasible items alone, with their rows of forward's padded states
+        (all of them, not copied, when none was skipped). The update is
+        bit-identical to one built an utterance at a time: every value is
+        the same elementwise operation or per-utterance BLAS call, each
+        gamma cell adds in s order from 0.0, each utterance's w_xh, b_h
+        and w_hh gradients add frame by frame from 0.0, padded cells add
+        +-0.0, which leaves a sum from 0.0 as it was, and the
+        per-utterance gradients are summed in batch order.
 
         Returns (mean loss, count skipped as infeasible, the feasible
         losses by language).
@@ -214,9 +215,9 @@ class SgdTrainer:
             raise AllInfeasible(f"all {len(batch)} items infeasible")
         total = model_mod.backward_batch(
             self.model,
-            frames,
-            hs,
-            [r.grad if isinstance(r, CtcLossResult) else None for r in results],
+            [frames[i] for i in feasible],
+            hs[feasible] if skipped else hs,
+            [results[i].grad for i in feasible],
         )
         losses = [results[i].loss for i in feasible]
         by_language: dict[str, list[float]] = {}

@@ -76,4 +76,4 @@ def random_lms(draw):
     for k in range(2, order + 1):
         grams = draw(st.sets(st.tuples(*[st.sampled_from(_TOKENS)] * k), max_size=12))
         tables[k] = {gram: (draw(_LOG10), draw(_BOW)) for gram in grams}
-    return lm_mod.NGramModel(order, tables, frozenset(g[0] for g in tables[1]))
+    return lm_mod.NGramModel(order, tables)

@@ -1,19 +1,25 @@
-"""Reference oracle: the dict-of-entries prefix beam search csasr shipped
+"""Reference oracles for beam search; not part of the package.
+
+`beam_decode` is the dict-of-entries prefix beam search csasr shipped
 before the array-native rewrite, kept verbatim so the differential test in
 test_decoder_differential.py can demand exact equality with it. It
 scores words through the LM oracle (reference_lm.py), never through the
-`csasr.lm` query path that the decoder uses.
+`csasr.lm` query path that the decoder uses. Deliberately slow
+(O(beam x V) Python work per frame).
 
-Deliberately slow (O(beam x V) Python work per frame); not part of the
-package.
+`exhaustive_best` is the exact argmax of the fused objective Q over every
+labeling CTC can align to the grid, its words scored by `csasr.lm.score`;
+test_decoder.py and test_acceptance.py demand it of a beam too wide to
+prune.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from csasr import lm as lm_mod
-from csasr.ctc import PosteriorGrid
+from csasr.ctc import InfeasibleTarget, PosteriorGrid, ctc_loss
 from csasr.decoder import FusionConfig, Hypothesis
 from csasr.vocab import (
     SCRIPT_CJK,
@@ -159,3 +165,37 @@ def beam_decode(
         ranked.append(Hypothesis(prefix, decode_ids(prefix, vocab), q))
     ranked.sort(key=lambda h: (-h.score, h.ids))
     return ranked[: nbest if nbest is not None else cfg.beam_width]
+
+
+def feasible_labelings(num_units: int, t: int):
+    """Every label sequence CTC can align to t frames (ids 1..num_units)."""
+    yield ()
+    for length in range(1, t + 1):
+        for combo in itertools.product(range(1, num_units + 1), repeat=length):
+            if length + sum(a == b for a, b in zip(combo, combo[1:])) <= t:
+                yield combo
+
+
+def exact_q(grid, ids, vocab, model, cfg) -> float | None:
+    """Q of the labeling ids computed from scratch, bypassing the beam
+    entirely; None when CTC cannot align it to the grid."""
+    try:
+        q = -ctc_loss(grid, list(ids)).loss
+    except InfeasibleTarget:
+        return None
+    tokens = lm_mod.tokenize_lm("".join(vocab.units[i] for i in ids))
+    q += cfg.beta * len(tokens)
+    if model is not None:
+        total, state = 0.0, lm_mod.initial_state(model)
+        for token in tokens:
+            lp, state = lm_mod.score(model, state, token)
+            total += lp
+        q += cfg.alpha * LN10 * total
+    return q
+
+
+def exhaustive_best(grid, vocab, model, cfg) -> tuple[int, ...]:
+    """The feasible labeling of highest Q, the smallest ids on a tie."""
+    labelings = feasible_labelings(len(vocab) - 1, grid.num_frames)
+    scored = ((exact_q(grid, ids, vocab, model, cfg), ids) for ids in labelings)
+    return min((-q, ids) for q, ids in scored if q is not None)[1]

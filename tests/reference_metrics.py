@@ -1,12 +1,15 @@
-"""Reference oracle: the two edit-distance DPs csasr shipped before they were
-folded into `metrics.align`, kept verbatim so test_metrics_differential.py
-can demand exact equality with them.
+"""Reference oracles for edit distance; not part of the package.
 
-Not part of the package.
+`edit_distance` and `align_pairs` are the two DPs csasr shipped before they
+were folded into `metrics.align`, kept verbatim so
+test_metrics_differential.py can demand exact equality with them.
+`recursive_distance` is the memoized recursion that test_metrics.py and
+test_acceptance.py check every distance against.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 
@@ -76,3 +79,21 @@ def align_pairs(a: Sequence, b: Sequence) -> list[tuple[int, int]]:
             i -= 1
     pairs.reverse()
     return pairs
+
+
+def recursive_distance(a: Sequence, b: Sequence) -> int:
+    """Unit-cost edit distance by memoized recursion over suffixes."""
+
+    @lru_cache(maxsize=None)
+    def rec(i: int, j: int) -> int:
+        if i == len(a):
+            return len(b) - j
+        if j == len(b):
+            return len(a) - i
+        return min(
+            rec(i + 1, j + 1) + (a[i] != b[j]),
+            rec(i, j + 1) + 1,
+            rec(i + 1, j) + 1,
+        )
+
+    return rec(0, 0)

@@ -1,9 +1,11 @@
 """End-to-end acceptance gate.
 
 One test per shipped guarantee, each printing a single pass/fail line.
-Oracles here are coded independently of the library: path enumeration for
-CTC, a from-counts Kneser-Ney recursion for the LM, memoized recursion for
-edit distance, and central finite differences for gradients.
+Oracles are coded independently of the library: path enumeration for CTC
+(reference_ctc.py), the exhaustive argmax of the fused objective over every
+feasible labeling (reference_decoder.py), a from-counts Kneser-Ney
+recursion for the LM (here), memoized recursion for edit distance
+(reference_metrics.py), and central finite differences for gradients.
 """
 
 import hashlib
@@ -12,7 +14,6 @@ import math
 import tempfile
 import time
 from collections import Counter
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 
 from csasr import lm as lm_mod
 from csasr.cli import main
-from csasr.ctc import InfeasibleTarget, PosteriorGrid, ctc_loss
+from csasr.ctc import PosteriorGrid, ctc_loss
 from csasr.decoder import FusionConfig, beam_decode
 from csasr.metrics import cer, edit_distance
 from csasr.model import backward, forward, forward_states, init_model
@@ -28,6 +29,8 @@ from csasr.synth import make_spec, sample_text_corpus
 from csasr.vocab import GraphemeVocab
 from conftest import random_grid
 from reference_ctc import ctc_loss_bruteforce
+from reference_decoder import exhaustive_best
+from reference_metrics import recursive_distance
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -110,36 +113,6 @@ def test_criterion_2_ctc_gradient_matches_finite_differences():
 # --- criterion 3: beam search equals exhaustive argmax of the objective ----
 
 
-def _feasible_labelings(num_units: int, t: int):
-    yield ()
-    for length in range(1, t + 1):
-        for combo in itertools.product(range(1, num_units + 1), repeat=length):
-            if length + sum(a == b for a, b in zip(combo, combo[1:])) <= t:
-                yield combo
-
-
-def _oracle_argmax(grid, vocab, model, cfg):
-    best = None
-    for ids in _feasible_labelings(len(vocab) - 1, grid.num_frames):
-        try:
-            q = -ctc_loss(grid, list(ids)).loss
-        except InfeasibleTarget:  # pragma: no cover - generator prefilters
-            continue
-        text = "".join(vocab.units[i] for i in ids)
-        tokens = lm_mod.tokenize_lm(text)
-        q += cfg.beta * len(tokens)
-        if model is not None:
-            total, state = 0.0, lm_mod.initial_state(model)
-            for token in tokens:
-                lp, state = lm_mod.score(model, state, token)
-                total += lp
-            q += cfg.alpha * math.log(10.0) * total
-        key = (-q, ids)
-        if best is None or key < best:
-            best = key
-    return best[1]
-
-
 def test_criterion_3_beam_search_is_exact_with_exhaustive_beam():
     setups = [
         (GraphemeVocab(("<blank>", "a", "b")), ("ab", "ba", "a", "aba")),
@@ -162,7 +135,7 @@ def test_criterion_3_beam_search_is_exact_with_exhaustive_beam():
         grid = random_grid(rng, t, len(vocab))
         for cfg, model in ((no_lm, None), (fused, unigram)):
             got = beam_decode(grid, vocab, cfg, model)[0].ids
-            want = _oracle_argmax(grid, vocab, model, cfg)
+            want = exhaustive_best(grid, vocab, model, cfg)
             mismatches += got != want
     elapsed = time.monotonic() - started
     _report(
@@ -323,22 +296,6 @@ def test_criterion_4_kneser_ney_normalization_and_oracle():
 # --- criterion 5: edit distance oracle + known bilingual CER pair ----------
 
 
-def _recursive_distance(a: str, b: str) -> int:
-    @lru_cache(maxsize=None)
-    def rec(i, j):
-        if i == len(a):
-            return len(b) - j
-        if j == len(b):
-            return len(a) - i
-        return min(
-            rec(i + 1, j + 1) + (a[i] != b[j]),
-            rec(i, j + 1) + 1,
-            rec(i + 1, j) + 1,
-        )
-
-    return rec(0, 0)
-
-
 CER_PAIR_REF = "then 你 做 什么 before what kind of job"
 CER_PAIR_HYP = "你 做 什么 可是 what 他 要 dro"
 CER_PAIR_RATE = 48.57
@@ -354,14 +311,14 @@ def test_criterion_5_edit_distance_oracle_and_known_pair():
     # exhaustive where the cross product is small, sampled above that
     for a in (s for n in range(4) for s in strings_by_len[n]):
         for b in (s for n in range(4) for s in strings_by_len[n]):
-            mismatches += edit_distance(a, b)[0] != _recursive_distance(a, b)
+            mismatches += edit_distance(a, b)[0] != recursive_distance(a, b)
     rng = np.random.default_rng(505)
     for la in range(9):
         for lb in range(9):
             for _ in range(12):
                 a = "".join(rng.choice(list(alphabet), size=la))
                 b = "".join(rng.choice(list(alphabet), size=lb))
-                mismatches += edit_distance(a, b)[0] != _recursive_distance(a, b)
+                mismatches += edit_distance(a, b)[0] != recursive_distance(a, b)
 
     rate = cer(CER_PAIR_REF, CER_PAIR_HYP).rate
     gap = abs(rate - CER_PAIR_RATE)

@@ -1,6 +1,4 @@
 import gc
-import itertools
-import math
 import weakref
 from collections import Counter
 
@@ -10,54 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from csasr import decoder as decoder_mod
 from csasr import lm as lm_mod
-from csasr.ctc import InfeasibleTarget, PosteriorGrid, ctc_loss
+from csasr.ctc import PosteriorGrid, ctc_loss
 from csasr.decoder import FusionConfig, beam_decode, fused_score, greedy_decode
 from csasr.vocab import GraphemeVocab
 from conftest import random_grid
+from reference_decoder import exhaustive_best
 
 EXHAUSTIVE = FusionConfig(alpha=0.2, beta=1.0, beam_width=100_000)
 NO_LM = FusionConfig(alpha=0.0, beta=0.0, beam_width=100_000)
 TINY = GraphemeVocab(("<blank>", "a", "b", " ", "你"))
-
-
-def _feasible_labelings(num_units, t):
-    """Every label sequence CTC can produce from t frames (ids 1..num_units)."""
-    out = [()]
-    for length in range(1, t + 1):
-        for combo in itertools.product(range(1, num_units + 1), repeat=length):
-            repeats = sum(a == b for a, b in zip(combo, combo[1:]))
-            if length + repeats <= t:
-                out.append(combo)
-    return out
-
-
-def _exact_q(grid, ids, vocab, model, cfg):
-    """Fused objective computed from scratch, bypassing the beam entirely."""
-    try:
-        ctc_logp = -ctc_loss(grid, list(ids)).loss
-    except InfeasibleTarget:
-        return None
-    text = "".join(vocab.units[i] for i in ids)
-    tokens = lm_mod.tokenize_lm(text)
-    q = ctc_logp + cfg.beta * len(tokens)
-    if model is not None:
-        state = lm_mod.initial_state(model)
-        total = 0.0
-        for token in tokens:
-            lp, state = lm_mod.score(model, state, token)
-            total += lp
-        q += cfg.alpha * math.log(10.0) * total
-    return q
-
-
-def _bruteforce_best(grid, vocab, model, cfg):
-    scored = []
-    for ids in _feasible_labelings(len(vocab) - 1, grid.num_frames):
-        q = _exact_q(grid, ids, vocab, model, cfg)
-        if q is not None:
-            scored.append((-q, ids))
-    scored.sort()
-    return scored[0][1]
 
 
 def test_greedy_decode_is_collapsed_argmax():
@@ -86,7 +45,7 @@ def test_beam_without_lm_matches_exhaustive_argmax(tiny_vocab):
     for _ in range(30):
         grid = random_grid(rng, 4, len(tiny_vocab))
         best = beam_decode(grid, tiny_vocab, NO_LM)[0]
-        assert best.ids == _bruteforce_best(grid, tiny_vocab, None, NO_LM)
+        assert best.ids == exhaustive_best(grid, tiny_vocab, None, NO_LM)
 
 
 def test_beam_with_lm_matches_exhaustive_argmax(tiny_vocab):
@@ -96,7 +55,7 @@ def test_beam_with_lm_matches_exhaustive_argmax(tiny_vocab):
     for _ in range(30):
         grid = random_grid(rng, 4, len(tiny_vocab))
         best = beam_decode(grid, tiny_vocab, EXHAUSTIVE, model)[0]
-        assert best.ids == _bruteforce_best(grid, tiny_vocab, model, EXHAUSTIVE)
+        assert best.ids == exhaustive_best(grid, tiny_vocab, model, EXHAUSTIVE)
 
 
 def test_hypothesis_scores_telescope_to_fused_score(tiny_vocab):
@@ -342,4 +301,4 @@ def test_beam_matches_exhaustive_on_random_small_instances(data):
     )
     cfg = EXHAUSTIVE if use_lm else NO_LM
     best = beam_decode(grid, TINY, cfg, model)[0]
-    assert best.ids == _bruteforce_best(grid, TINY, model, cfg)
+    assert best.ids == exhaustive_best(grid, TINY, model, cfg)

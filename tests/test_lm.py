@@ -216,6 +216,38 @@ def test_read_arpa_rejects_a_repeated_ngram_at_its_second_line(tmp_path):
     assert info.value.reason == "repeated 2-gram, first at line 11"
 
 
+@pytest.mark.parametrize(
+    "text, line_number, reason",
+    [
+        (
+            "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.3 <unk>\n\n\\end\\\n\\1-grams:\n-0.3 a\n",
+            8,
+            "text after \\end\\: '\\\\1-grams:'",
+        ),
+        (
+            "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.3 <unk>\n\n\\1-grams:\n-0.3 a\n\n\\end\\\n",
+            7,
+            "second \\1-grams: section",
+        ),
+        (
+            "\\data\\\nngram 1=5\nngram 1=1\n\n\\1-grams:\n-0.3 <unk>\n\n\\end\\\n",
+            3,
+            "second count for 1-grams",
+        ),
+    ],
+    ids=["text-after-end", "repeated-section", "repeated-count"],
+)
+def test_read_arpa_rejects_a_second_section_or_count_at_its_line(
+    tmp_path, text, line_number, reason
+):
+    # each of these loaded once, merging the n-grams or taking the last count
+    path = tmp_path / "bad.arpa"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedArpa) as info:
+        read_arpa(path)
+    assert (info.value.line_number, info.value.reason) == (line_number, reason)
+
+
 def test_read_arpa_reports_line_1_for_an_empty_file(tmp_path):
     path = tmp_path / "empty.arpa"
     path.write_text("", encoding="utf-8")

@@ -181,7 +181,7 @@ def test_a_state_backs_off_past_the_contexts_that_are_no_states():
         2: {("a", "b"): (-0.3, -0.0)},
         3: {},
     }
-    model = lm_mod.NGramModel(3, tables, frozenset(g[0] for g in tables[1]))
+    model = lm_mod.NGramModel(3, tables)
     assert ("a", "b") in model.states and ("b",) not in model.states
     assert lm_mod.log10(model, ("a", "b"), "你").hex() == "-0x0.0p+0"
     assert reference_lm._cond_log10(model, ("a", "b"), "你").hex() == "0x0.0p+0"

@@ -1,5 +1,3 @@
-from functools import lru_cache
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,22 +11,7 @@ from csasr.metrics import (
     switch_point_score,
     wer,
 )
-
-
-def oracle_distance(a: str, b: str) -> int:
-    @lru_cache(maxsize=None)
-    def rec(i: int, j: int) -> int:
-        if i == len(a):
-            return len(b) - j
-        if j == len(b):
-            return len(a) - i
-        return min(
-            rec(i + 1, j + 1) + (a[i] != b[j]),
-            rec(i, j + 1) + 1,
-            rec(i + 1, j) + 1,
-        )
-
-    return rec(0, 0)
+from reference_metrics import recursive_distance
 
 
 def test_edit_distance_hand_cases():
@@ -44,7 +27,7 @@ def test_edit_distance_hand_cases():
 @given(st.text(alphabet="abc", max_size=8), st.text(alphabet="abc", max_size=8))
 def test_edit_distance_matches_recursive_oracle(a, b):
     d, s, i, dl = edit_distance(a, b)
-    assert d == oracle_distance(a, b)
+    assert d == recursive_distance(a, b)
     assert d == s + i + dl
     # insertions and deletions must account for the length difference
     assert len(b) == len(a) - dl + i

@@ -136,7 +136,8 @@ def _assert_same_grads(got, want):
 )
 def test_backward_equals_reference(hidden, width, V, utterances, seed):
     """Utterances drawn False are left out, as the step leaves out the
-    infeasible ones; the first is always kept."""
+    infeasible ones: BPTT gets the kept ones with their rows of hs. The
+    first is always kept."""
     rng = np.random.default_rng(seed)
     m = init_model(width, V, hidden, seed=seed % 1000)
     batch_frames, batch_dlogits = [], []
@@ -149,8 +150,9 @@ def test_backward_equals_reference(hidden, width, V, utterances, seed):
         batch_dlogits.append(dlogits)
     kept = [n == 0 or keep for n, (_, keep) in enumerate(utterances)]
     hs, logp = forward_batch(m, batch_frames)
+    rows = [b for b, k in enumerate(kept) if k]
     got = backward_batch(
-        m, batch_frames, hs, [d if k else None for d, k in zip(batch_dlogits, kept)]
+        m, [batch_frames[b] for b in rows], hs[rows], [batch_dlogits[b] for b in rows]
     )
     want = []
     start = 0

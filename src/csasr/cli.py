@@ -235,11 +235,6 @@ def cmd_evaluate(args) -> None:
     precision = sum(p for p, _ in points) / len(points)
     recall = sum(r for _, r in points) / len(points)
 
-    print(f"{'metric':<18}{'value':>10}")
-    print(f"{'cer %':<18}{cer_report.rate:>10.2f}")
-    print(f"{'wer %':<18}{wer_report.rate:>10.2f}")
-    print(f"{'switch precision':<18}{precision:>10.2f}")
-    print(f"{'switch recall':<18}{recall:>10.2f}")
     print(f"cer={cer_report.rate:.2f}")
     print(f"wer={wer_report.rate:.2f}")
     print(
@@ -258,8 +253,8 @@ def _synth_examples(spec, vocab, language: str, count: int, tag: str):
 
 
 TABLE_ROWS = ("scratch", "joint+finetune")
-TABLE_COLS = ("10%", "50%", "100%", "100%+LM")
-FRACTIONS = ((0.1, "10%"), (0.5, "50%"), (1.0, "100%"))  # smallest first
+FRACTIONS = ((0.1, "10%"), (0.5, "50%"), (1.0, "100%"))
+TABLE_COLS = (*(col for _, col in FRACTIONS), FRACTIONS[-1][1] + "+LM")
 
 
 def run_matrix(out_dir: Path, seed: int, opts) -> dict[tuple[str, str], float]:
@@ -309,13 +304,12 @@ def run_matrix(out_dir: Path, seed: int, opts) -> dict[tuple[str, str], float]:
             grids[row] = model_mod.forward_grids(am, test_frames)
             matrix[(row, col)] = test_cer(grids[row], base_cfg, None)
         logger.info(
-            "fraction %s: scratch %.2f, joint+finetune %.2f",
-            col, matrix[("scratch", col)], matrix[("joint+finetune", col)],
+            "fraction %s: %s", col, ", ".join(f"{r} {matrix[(r, col)]:.2f}" for r in TABLE_ROWS)
         )
 
-    # the 100% models' grids, kept from the last fraction
+    # the LM column decodes the grids of the last fraction's models
     for row in TABLE_ROWS:
-        matrix[(row, "100%+LM")] = test_cer(grids[row], fused_cfg, lm_model)
+        matrix[(row, TABLE_COLS[-1])] = test_cer(grids[row], fused_cfg, lm_model)
 
     lines = ["training," + ",".join(TABLE_COLS)]
     for row in TABLE_ROWS:
@@ -346,7 +340,7 @@ def cs_count(text: str) -> int:
     """A code-switched corpus size whose smallest run-matrix fraction,
     floor(count * fraction) utterances, holds at least one."""
     value = positive_int(text)
-    fraction, col = FRACTIONS[0]
+    fraction, col = min(FRACTIONS)
     if math.floor(value * fraction) < 1:
         raise argparse.ArgumentTypeError(
             f"must be at least {math.ceil(1 / fraction)} so that the {col} cells "
@@ -359,6 +353,13 @@ def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    value = finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
     return value
 
 
@@ -394,7 +395,7 @@ def _add_spec_flags(p: argparse.ArgumentParser):
     p.add_argument("--latin", type=latin_letters, default=DEFAULT_LATIN)
     p.add_argument("--cjk", type=cjk_chars, default=DEFAULT_CJK)
     p.add_argument("--feature-dim", type=positive_int, default=12)
-    p.add_argument("--sigma", type=finite_float, default=0.4)
+    p.add_argument("--sigma", type=nonnegative_float, default=0.4)
     p.add_argument("--p-switch", type=probability, default=0.3)
 
 
@@ -405,12 +406,18 @@ def _spec(args, seed: int) -> synth.SynthSpec:
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--lr", type=finite_float, default=3e-4)
-    p.add_argument("--momentum", type=finite_float, default=0.9)
+    p.add_argument("--lr", type=nonnegative_float, default=training.TrainConfig.learning_rate)
+    p.add_argument("--momentum", type=finite_float, default=training.TrainConfig.momentum)
     p.add_argument("--no-nesterov", action="store_true")
-    p.add_argument("--batch-size", type=positive_int, default=20)
+    p.add_argument("--batch-size", type=positive_int, default=training.TrainConfig.batch_size)
     p.add_argument("--epochs", type=positive_int, default=10)
     p.add_argument("--hidden", type=positive_int, default=64)
+
+
+def _add_fusion_flags(p: argparse.ArgumentParser):
+    p.add_argument("--alpha", type=finite_float, default=decoder.FusionConfig.alpha)
+    p.add_argument("--beta", type=finite_float, default=decoder.FusionConfig.beta)
+    p.add_argument("--beam", type=positive_int, default=decoder.FusionConfig.beam_width)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,9 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--manifest")
     p.add_argument("--lm")
-    p.add_argument("--alpha", type=finite_float, default=0.2)
-    p.add_argument("--beta", type=finite_float, default=1.0)
-    p.add_argument("--beam", type=positive_int, default=100)
+    _add_fusion_flags(p)
     p.add_argument("--nbest", type=positive_int, default=1)
     p.add_argument("--hyp-out", type=Path, default=None)
     p.set_defaults(func=cmd_decode)
@@ -486,16 +491,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cs-count", type=cs_count, default=240)
     p.add_argument("--test-count", type=positive_int, default=100)
     p.add_argument("--hidden", type=positive_int, default=12)
-    p.add_argument("--lr", type=finite_float, default=0.008)
-    p.add_argument("--momentum", type=finite_float, default=0.9)
-    p.add_argument("--batch-size", type=positive_int, default=20)
+    p.add_argument("--lr", type=nonnegative_float, default=0.008)
+    p.add_argument("--momentum", type=finite_float, default=training.TrainConfig.momentum)
+    p.add_argument("--batch-size", type=positive_int, default=training.TrainConfig.batch_size)
     p.add_argument("--pretrain-epochs", type=positive_int, default=6)
     p.add_argument("--finetune-epochs", type=positive_int, default=3)
     p.add_argument("--lm-order", type=positive_int, default=5)
     p.add_argument("--lm-text-count", type=positive_int, default=1500)
-    p.add_argument("--alpha", type=finite_float, default=0.2)
-    p.add_argument("--beta", type=finite_float, default=1.0)
-    p.add_argument("--beam", type=positive_int, default=100)
+    _add_fusion_flags(p)
     p.set_defaults(func=cmd_run_matrix)
 
     return parser

@@ -149,11 +149,7 @@ def fused_score(
     tokens = lm_mod.tokenize_lm(transcript)
     q = ctc_logp + cfg.beta * len(tokens)
     if model is not None:
-        total, state = 0.0, lm_mod.initial_state(model)
-        for token in tokens:
-            lp, state = lm_mod.score(model, state, token)
-            total += lp
-        q += cfg.alpha * LN10 * total
+        q += cfg.alpha * LN10 * lm_mod.tokens_log10(model, tokens)
     return q
 
 

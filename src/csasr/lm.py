@@ -255,13 +255,18 @@ def score(
     return log10(model, state, w), state_of(model, state + (w,))
 
 
-def sentence_log10(model: NGramModel, sentence: Sequence) -> float:
-    """Sum of token scores given left context, including the end event."""
+def tokens_log10(model: NGramModel, tokens: Iterable[str]) -> float:
+    """Sum of the token scores, each given `<s>` and the tokens before it."""
     total, state = 0.0, initial_state(model)
-    for token in [*sentence, EOS]:
+    for token in tokens:
         lp, state = score(model, state, token)
         total += lp
     return total
+
+
+def sentence_log10(model: NGramModel, sentence: Sequence) -> float:
+    """`tokens_log10` of the sentence and its end event."""
+    return tokens_log10(model, [*sentence, EOS])
 
 
 def perplexity(model: NGramModel, corpus: Iterable[Sequence]) -> float:
@@ -337,8 +342,8 @@ def read_arpa(path) -> NGramModel:
             k = None
         elif seen_end:
             fail(i, f"text after \\end\\: {line!r}")
-        elif k is not None and not raw.startswith("\\"):
-            fields = raw.split()
+        elif k is not None and not line.startswith("\\"):
+            fields = line.split()
             if len(fields) not in (k + 1, k + 2):
                 fail(i, f"expected {k + 1} or {k + 2} fields, got {len(fields)}")
             try:

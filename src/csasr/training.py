@@ -155,6 +155,10 @@ def load_examples(
     return [make_example(e, load_frames(e, base_dir), vocab) for e in entries]
 
 
+def _by_duration(examples: Sequence[Example]) -> list[int]:
+    return sorted(range(len(examples)), key=lambda i: (examples[i].duration_ms, i))
+
+
 def make_batches(
     examples: Sequence[Example], batch_size: int, seed: int
 ) -> list[list[Example]]:
@@ -162,7 +166,7 @@ def make_batches(
     order within each bucket preserved."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    order = sorted(range(len(examples)), key=lambda i: (examples[i].duration_ms, i))
+    order = _by_duration(examples)
     buckets = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
     random.Random(seed).shuffle(buckets)
     return [[examples[i] for i in bucket] for bucket in buckets]
@@ -304,9 +308,7 @@ def stratified_subset(examples: Sequence[Example], fraction: float) -> list[Exam
     """Deterministic duration-stratified subset with floor(n*fraction) items."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if fraction == 1.0:
-        return list(examples)
-    order = sorted(range(len(examples)), key=lambda i: (examples[i].duration_ms, i))
+    order = _by_duration(examples)
     chosen = [
         i
         for pos, i in enumerate(order)

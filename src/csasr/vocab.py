@@ -158,9 +158,7 @@ def save_vocab(vocab: GraphemeVocab, path) -> None:
 
 
 def load_vocab(path) -> GraphemeVocab:
-    lines = read_utf8(path).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = read_utf8(path).splitlines()
     if not lines or lines[0] != BLANK_TOKEN:
         raise MalformedFile(path, 1, f"expected the literal line {BLANK_TOKEN!r}")
     first: dict[str, int] = {}

@@ -558,6 +558,14 @@ def test_input_that_is_not_utf8_exits_2_naming_file_and_line(
          "--out", "o", "--fraction", "0"],
         ["finetune", "--vocab", "v", "--checkpoint", "c", "--manifest", "m",
          "--out", "o", "--fraction", "1.5"],
+        # a negative rate or noise level once ran: the rate failed only
+        # after run-matrix had built its corpora and LM, the noise never
+        ["train", "--vocab", "v", "--manifest", "m", "--out", "o", "--lr", "-1"],
+        ["finetune", "--vocab", "v", "--checkpoint", "c", "--manifest", "m",
+         "--out", "o", "--lr=-0.5"],
+        ["run-matrix", "--lr", "-1"],
+        ["synth", "--language", "mixed", "--count", "2", "--sigma", "-1"],
+        ["run-matrix", "--sigma=-0.1"],
     ],
 )
 def test_out_of_range_numeric_option_exits_2_before_any_work(argv, tmp_path, capsys):

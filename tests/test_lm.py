@@ -248,6 +248,21 @@ def test_read_arpa_rejects_a_second_section_or_count_at_its_line(
     assert (info.value.line_number, info.value.reason) == (line_number, reason)
 
 
+def test_read_arpa_takes_an_indented_section_header_after_any_line(tmp_path):
+    # right after a 1-gram line it once failed: "expected 2 or 3 fields"
+    head = (
+        "\\data\\\nngram 1=3\nngram 2=1\n\n"
+        "\\1-grams:\n-0.5\t<unk>\n-0.3\ta\t-0.1\n-99\t<s>\n"
+    )
+    tail = " \\2-grams:\n-0.2\t<s> a\n\n\\end\\\n"
+    tight, spaced = tmp_path / "tight.arpa", tmp_path / "spaced.arpa"
+    tight.write_text(head + tail, encoding="utf-8")
+    spaced.write_text(head + "\n" + tail, encoding="utf-8")
+    model = read_arpa(tight)
+    assert model == read_arpa(spaced)
+    assert model.tables[2] == {(BOS, "a"): (-0.2, None)}
+
+
 def test_read_arpa_reports_line_1_for_an_empty_file(tmp_path):
     path = tmp_path / "empty.arpa"
     path.write_text("", encoding="utf-8")

@@ -3,12 +3,16 @@ swapped for noise: each either parses or raises a ValueError (its typed
 `Malformed*` error, or a plain ValueError), never anything else.
 """
 
+import json
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from csasr.ctc import read_grid
 from csasr.features import read_feat
 from csasr.lm import read_arpa
+from csasr.model import CHECKPOINT_FORMAT, PARAM_NAMES, load_checkpoint
 from csasr.training import load_manifest
+from csasr.vocab import load_vocab
 
 FEAT_LINES = ("FEAT v1 T=2 F=2", "FEAT v1 T=0 F=3", "0.5 -1", "inf 1e308", "nan -0")
 GRID_LINES = (
@@ -38,6 +42,40 @@ ARPA_LINES = (
     "-0.2\t<s> a",
     "\\end\\",
 )
+
+VOCAB_LINES = ("<blank>", "a", "b", " ", "'", "你", "A", "<unk>", "")
+CHECKPOINT_LINES = (
+    "{",
+    "}",
+    f' "format": "{CHECKPOINT_FORMAT}",',
+    ' "params": {',
+    '  "b_h": {"data": "AAAAAAAAAAA=", "shape": [1]}',
+    ' "version": 1',
+)
+
+# JSON values, and objects shaped like a checkpoint whose fields may be any
+# of them: each field check is reached, not only the JSON parser
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+# one float64 each: 0.0 and +inf
+_DATA = st.sampled_from(("AAAAAAAAAAA=", "AAAAAAAA8H8=", "", "not base64!"))
+_PARAM = st.fixed_dictionaries(
+    {
+        "shape": st.lists(st.integers(-1, 2), max_size=3) | _JSON,
+        "data": _DATA | _JSON,
+    }
+)
+_CHECKPOINTS = st.fixed_dictionaries(
+    {
+        "format": st.sampled_from((CHECKPOINT_FORMAT, "other")),
+        "version": st.sampled_from((1, 1.0, 2, "1")),
+        "params": st.dictionaries(st.sampled_from(PARAM_NAMES), _PARAM) | _JSON,
+    }
+).map(json.dumps)
 
 
 def _texts(pieces):
@@ -93,3 +131,15 @@ def test_load_manifest_raises_only_value_errors(tmp_path_factory, text):
 @given(_texts(ARPA_LINES))
 def test_read_arpa_raises_only_value_errors(tmp_path_factory, text):
     _fuzz(read_arpa, tmp_path_factory, text)
+
+
+@FUZZ
+@given(_texts(VOCAB_LINES))
+def test_load_vocab_raises_only_value_errors(tmp_path_factory, text):
+    _fuzz(load_vocab, tmp_path_factory, text)
+
+
+@FUZZ
+@given(_texts(CHECKPOINT_LINES) | _CHECKPOINTS)
+def test_load_checkpoint_raises_only_value_errors(tmp_path_factory, text):
+    _fuzz(load_checkpoint, tmp_path_factory, text)

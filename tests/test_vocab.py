@@ -89,6 +89,14 @@ def test_save_load_round_trip(tmp_path):
     assert path.read_text(encoding="utf-8").split("\n")[0] == BLANK_TOKEN
 
 
+def test_load_takes_crlf_line_ends_like_the_other_readers(tmp_path):
+    vocab = build_vocab([CJK_SAMPLE, "abc'"])
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    save_vocab(vocab, lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_vocab(crlf) == load_vocab(lf) == vocab
+
+
 def test_load_rejects_missing_blank_header(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("a\nb\n", encoding="utf-8")

@@ -377,6 +377,13 @@ def probability(text: str) -> float:
     return value
 
 
+def momentum_factor(text: str) -> float:
+    value = finite_float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
+    return value
+
+
 def latin_letters(text: str) -> str:
     if not all("a" <= ch <= "z" for ch in text) or len(set(text)) < 2:
         raise argparse.ArgumentTypeError(
@@ -407,7 +414,7 @@ def _spec(args, seed: int) -> synth.SynthSpec:
 
 def _add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--lr", type=nonnegative_float, default=training.TrainConfig.learning_rate)
-    p.add_argument("--momentum", type=finite_float, default=training.TrainConfig.momentum)
+    p.add_argument("--momentum", type=momentum_factor, default=training.TrainConfig.momentum)
     p.add_argument("--no-nesterov", action="store_true")
     p.add_argument("--batch-size", type=positive_int, default=training.TrainConfig.batch_size)
     p.add_argument("--epochs", type=positive_int, default=10)
@@ -492,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-count", type=positive_int, default=100)
     p.add_argument("--hidden", type=positive_int, default=12)
     p.add_argument("--lr", type=nonnegative_float, default=0.008)
-    p.add_argument("--momentum", type=finite_float, default=training.TrainConfig.momentum)
+    p.add_argument("--momentum", type=momentum_factor, default=training.TrainConfig.momentum)
     p.add_argument("--batch-size", type=positive_int, default=training.TrainConfig.batch_size)
     p.add_argument("--pretrain-epochs", type=positive_int, default=6)
     p.add_argument("--finetune-epochs", type=positive_int, default=3)

@@ -52,15 +52,33 @@ a call that adds its own overhead costs several of them. So a frame
 uses no `np.flatnonzero` (3.0 us; `x.nonzero()[0]` is 0.5), no
 `np.divmod` of flat candidate indices (3.5 us; the beam slot and unit
 of each are gathered from the tables `k_of` and `v_of`), no new
-`np.arange` (a slice of one), no `np.partition` wrapper (a copy, then
-`ndarray.partition`), no 2-D fancy index where a flat index or `take`
-does (the parent merge indexes the flat candidates), no Python list as
-an index more than once (it is converted to an array first), and no
-live mask while the beam can fill (the mask, its `nonzero` and the two
-gathers through it were a tenth of a zero-weight beam-100 frame). The
-tables grow with the beam, to twice its size when it outgrows them, and
-are never sized by the width alone. The fusion state's per-unit tables
-are built once per vocabulary, not once per decode.
+`np.arange` of slot numbers (a slice of one), no `np.partition` wrapper
+(a copy, then `ndarray.partition`), no 2-D fancy index where a flat
+index or `take` does (the parent merge indexes the flat candidates), no
+Python list as an index more than once (it is converted to an array
+first), and no live mask while the beam can fill (the mask, its
+`nonzero` and the two gathers through it were a tenth of a zero-weight
+beam-100 frame). The flat candidate tables depend only on V and their
+length, a power of two up to twice the beam (never sized by the width
+alone), so `_flat_tables` builds them once per V and length, not once
+per decode. They are read-only arrays, so decodes in any number of
+threads share them. The fusion state's per-unit tables are built once
+per vocabulary too.
+
+Hash-consing. The trie is a dict from key parent * V + unit to node id,
+so it costs under a hundred bytes per node reached, whatever V is. A
+frame's surviving extensions are distinct prefixes (each extends a
+different beam entry, or one entry by different units), and in most
+frames none of them re-creates a pruned prefix: their keys are all new.
+Then, in a frame with more than `_MANY_EXTENSIONS` of them, they take
+the next ids in extension order in one `dict.update`, which are the ids
+one `setdefault` per extension would give. Any other frame makes that
+`setdefault` pass, which costs less than the update's numpy calls below
+about 16 extensions (at beam 10 a frame has at most 10; at beam 100,
+three quarters of the seed-0 `decode` frames have more than 16). A node
+x unit child table finds a frame's nodes in one gather, but holds V
+cells per node: a 300-frame beam-100 decode at V = 3,029 peaked at
+2.1 GB with one.
 
 Zero weights. A decode drops an LM whose alpha * ln 10 is zero, and one
 left with neither an LM nor a word bonus keeps no fusion state
@@ -384,6 +402,24 @@ class _CtcOnly:
     keep = staticmethod(lambda *survivors: None)
 
 
+# above this many extensions, a frame whose keys are all new hash-conses
+# them in one dict.update ("Hash-consing" above)
+_MANY_EXTENSIONS = 16
+
+
+@functools.lru_cache(maxsize=16)
+def _flat_tables(V: int, slots: int) -> tuple[np.ndarray, ...]:
+    """Slot numbers, each slot's first flat K x V candidate index, and the
+    beam slot and unit of each flat index, for beams of up to `slots`
+    entries. Read-only: every decode with this V shares them."""
+    slots_of = np.arange(slots)
+    starts_of = slots_of * V
+    k_of, v_of = np.divmod(np.arange(slots * V), V)
+    for table in (slots_of, starts_of, k_of, v_of):
+        table.flags.writeable = False
+    return slots_of, starts_of, k_of, v_of
+
+
 def beam_decode(
     grid: PosteriorGrid,
     vocab: GraphemeVocab,
@@ -408,7 +444,7 @@ def beam_decode(
     fusion = _Fusion(vocab, cfg, model) if model is not None or cfg.beta else _CtcOnly
 
     # the trie: node n > 0 extends its parent by one unit and is keyed by
-    # parent * V + unit; node 0 is the empty prefix
+    # parent * V + unit; node 0 is the empty prefix ("Hash-consing" above)
     trie: dict[int, int] = {}
 
     def spell(nodes: np.ndarray) -> list[tuple[int, ...]]:
@@ -432,17 +468,13 @@ def beam_decode(
     # beam slot of each node in the beam, -1 elsewhere; the last element
     # stays -1 for the empty prefix's parent (-1)
     pos = np.full(64, -1)
-    # slot numbers, each slot's first flat K x V candidate index, and the
-    # beam slot and unit of each flat index, for beams of up to
-    # len(slots_of) entries
+    # the flat candidate tables, for beams of up to len(slots_of) entries
     slots_of = starts_of = k_of = v_of = np.zeros(0, int)
 
     for row in logp:
         K = len(node)
-        if K > len(slots_of):
-            slots_of = np.arange(2 * K)
-            starts_of = slots_of * V
-            k_of, v_of = np.divmod(np.arange(2 * K * V), V)
+        if K > len(slots_of):  # a power of two, so that decodes share them
+            slots_of, starts_of, k_of, v_of = _flat_tables(V, 1 << K.bit_length())
         slots = slots_of[:K]
         totals = np.logaddexp(pb, pnb)
         row_last = row[last]
@@ -493,7 +525,7 @@ def beam_decode(
         # candidate, or no pb and the candidate mass for an extension (so
         # with column 0 set to the pnbs, pnb is one gather of the ranked
         # candidates); then extensions take their new fields, and each
-        # extension's node is hash-consed
+        # extension's node is hash-consed ("Hash-consing" above)
         ext = vs.nonzero()[0]
         k_ext, v_ext = ks[ext], vs[ext]
         fusion.keep(flat, ks, ext, k_ext, v_ext)
@@ -505,10 +537,17 @@ def beam_decode(
         node, par, last = node[ks], par[ks], last[ks]
         par[ext] = parent_node
         last[ext] = v_ext
-        node[ext] = [
-            trie.setdefault(n * V + v, len(trie) + 1)
-            for n, v in zip(parent_node.tolist(), v_ext.tolist())
-        ]
+        first = len(trie) + 1
+        if len(ext) > _MANY_EXTENSIONS and trie.keys().isdisjoint(
+            ext_keys := (parent_node * V + v_ext).tolist()
+        ):
+            trie.update(zip(ext_keys, range(first, first + len(ext))))
+            node[ext] = np.arange(first, first + len(ext))
+        else:
+            node[ext] = [
+                trie.setdefault(n * V + v, len(trie) + 1)
+                for n, v in zip(parent_node.tolist(), v_ext.tolist())
+            ]
         if len(trie) >= len(pos) - 1:
             pos = np.full(2 * len(trie) + 2, -1)
 

@@ -68,6 +68,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
+        if not 0.0 <= self.momentum < 1.0:  # also refuses nan
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 

@@ -566,6 +566,18 @@ def test_input_that_is_not_utf8_exits_2_naming_file_and_line(
         ["run-matrix", "--lr", "-1"],
         ["synth", "--language", "mixed", "--count", "2", "--sigma", "-1"],
         ["run-matrix", "--sigma=-0.1"],
+        # a momentum of -1 once trained to a CER above 100%, and one of 5
+        # diverged only after run-matrix had written its vocabulary and LM
+        *(
+            command + [f"--momentum={value}"]
+            for command in (
+                ["train", "--vocab", "v", "--manifest", "m", "--out", "o"],
+                ["finetune", "--vocab", "v", "--checkpoint", "c", "--manifest", "m",
+                 "--out", "o"],
+                ["run-matrix"],
+            )
+            for value in ("-1", "1", "5")
+        ),
     ],
 )
 def test_out_of_range_numeric_option_exits_2_before_any_work(argv, tmp_path, capsys):

@@ -6,15 +6,19 @@ approximate: the rewrite only reorders exact float work.
 """
 
 import dataclasses
+import itertools
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csasr import decoder
 from csasr import lm as lm_mod
-from csasr.ctc import PosteriorGrid
+from csasr.ctc import PosteriorGrid, collapse
 from csasr.decoder import FusionConfig, _LmCache, beam_decode
 from csasr.vocab import GraphemeVocab
 from conftest import CLOSURE_ARPA, random_lms
@@ -25,6 +29,8 @@ import reference_lm
 WIDTHS = (1, 2, 3, 7, 30, 100)
 ORDERS = (1, 2, 3, 5)
 VOCAB = GraphemeVocab(("<blank>", "a", "b", "'", " ", "你", "好"))
+# a second vocabulary size, with a unit that no LM here knows
+SMALL_VOCAB = GraphemeVocab(("<blank>", "a", "b", " ", "们"))
 CORPUS = (
     "ab a'b 你好", "好 ab 你", "a 你 b'a", "你好 ab ab", "b 好好 a", "ba 你 好 a"
 )
@@ -37,25 +43,26 @@ MODELS = {
 WEIGHTS = ((0.0, 0.0), (0.0, 1.0), (0.2, 1.0), (1.5, -0.5), (-0.0, -0.0), (-0.0, -0.5))
 
 
-def _grid(rng, t=None) -> PosteriorGrid:
+def _grid(rng, t=None, vocab=VOCAB) -> PosteriorGrid:
     t = int(rng.integers(1, 9)) if t is None else t
+    V = len(vocab)
     kind = rng.integers(4)
     if kind == 0:  # coarse logits: many exactly tied masses
-        logits = rng.integers(0, 3, size=(t, len(VOCAB))).astype(float)
+        logits = rng.integers(0, 3, size=(t, V)).astype(float)
     else:
         scale = float(rng.choice([0.5, 1.0, 3.0]))
-        logits = rng.normal(0.0, scale, size=(t, len(VOCAB)))
+        logits = rng.normal(0.0, scale, size=(t, V))
     if kind == 2:  # one unit, possibly the blank, never emitted
-        logits[:, rng.integers(len(VOCAB))] = -np.inf
+        logits[:, rng.integers(V)] = -np.inf
     elif kind == 3:  # scattered zero cells, each row keeps one finite cell
         mask = rng.random(logits.shape) < 0.4
-        mask[np.arange(t), rng.integers(len(VOCAB), size=t)] = False
+        mask[np.arange(t), rng.integers(V, size=t)] = False
         logits[mask] = -np.inf
     return PosteriorGrid(logits - np.logaddexp.reduce(logits, axis=1, keepdims=True))
 
 
-def _nbest(decode, grid, cfg, model):
-    return [(h.ids, h.text, h.score) for h in decode(grid, VOCAB, cfg, model)]
+def _nbest(decode, grid, cfg, model, vocab=VOCAB):
+    return [(h.ids, h.text, h.score) for h in decode(grid, vocab, cfg, model)]
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -176,15 +183,48 @@ def test_beam_decode_equals_reference_on_long_latin_runs(width):
         assert cold == warm == want, (case, width, cfg, model.order)
 
 
-def test_width_far_above_the_candidates_decodes_in_memory_sized_by_the_beam():
+def _prefixes_reached(grid) -> int:
+    """The number of prefixes, the empty one included, that some alignment
+    of finite cells over the first t frames collapses to, for any t: the
+    nodes a beam too wide to prune makes."""
+    finite = [np.isfinite(row).nonzero()[0].tolist() for row in grid.logp]
+    return len({
+        tuple(collapse(path))
+        for t in range(len(finite) + 1)
+        for path in itertools.product(*finite[:t])
+    })
+
+
+FLAT_TABLES = decoder._flat_tables
+
+
+def _recorded_flat_tables(monkeypatch) -> list:
+    """The (V, slots) of every flat table set decodes ask for from now on,
+    with the cache emptied, so that each is built under the caller's eye."""
+    asked = []
+
+    def recorded(V, slots):
+        asked.append((V, slots))
+        return FLAT_TABLES(V, slots)
+
+    FLAT_TABLES.cache_clear()
+    monkeypatch.setattr(decoder, "_flat_tables", recorded)
+    return asked
+
+
+def test_width_far_above_the_candidates_decodes_in_memory_sized_by_the_beam(monkeypatch):
     # every candidate survives each of the 4 frames; the decoder's tables
-    # grow with the beam, never with the width (10**6 x V floats is 56 MB)
+    # grow with the beam, never with the width (10**6 x V floats is 56 MB):
+    # built under the trace, the flat tables hold at most twice the
+    # largest beam, whose prefixes are distinct
     rng = np.random.default_rng(2500)
     for case, (alpha, beta) in enumerate(WEIGHTS):
         cfg = FusionConfig(alpha, beta, 10**6)
         grid = _grid(rng, 4)
+        nodes = _prefixes_reached(grid)
         for model in (None, MODELS[ORDERS[case % len(ORDERS)]]):
             want = _nbest(reference_decoder.beam_decode, grid, cfg, model)
+            asked = _recorded_flat_tables(monkeypatch)
             tracemalloc.start()
             try:
                 got = _nbest(beam_decode, grid, cfg, model)
@@ -193,6 +233,118 @@ def test_width_far_above_the_candidates_decodes_in_memory_sized_by_the_beam():
                 tracemalloc.stop()
             assert got == want, (case, cfg, model and model.order)
             assert peak < 2**20, (case, peak)
+            assert max(slots for _, slots in asked) <= 2 * nodes, (case, nodes, asked)
+
+
+def test_long_large_vocabulary_decode_keeps_no_table_per_node_and_unit():
+    # 200 frames at beam 100 over V = 500 reach ~19,000 prefixes: a node x
+    # unit table would hold ~190 times one beam x V float array (75 MB).
+    # The decode's peak stays within two dozen such arrays
+    units = ("<blank>", "a", "b", " ", *(chr(0x4E00 + i) for i in range(496)))
+    vocab = GraphemeVocab(units)
+    V, width = len(vocab), 100
+    rng = np.random.default_rng(2600)
+    logits = rng.normal(0.0, 3.0, size=(200, V))
+    logits[:, 0] += 4.0
+    grid = PosteriorGrid(logits - np.logaddexp.reduce(logits, axis=1, keepdims=True))
+    FLAT_TABLES.cache_clear()
+    tracemalloc.start()
+    try:
+        (best,) = beam_decode(grid, vocab, FusionConfig(0.0, 0.0, width), nbest=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(best.ids) > 50
+    assert peak < 24 * width * V * 8, peak
+
+
+def _assert_tables_fresh(asked):
+    """Every flat table set that decodes asked for is read-only and holds
+    what a fresh build would."""
+    for V, slots in set(asked):
+        fresh = FLAT_TABLES.__wrapped__(V, slots)
+        for shared, want in zip(FLAT_TABLES(V, slots), fresh):
+            assert not shared.flags.writeable, (V, slots)
+            assert np.array_equal(shared, want), (V, slots)
+
+
+class _ScoreFailed(RuntimeError):
+    pass
+
+
+def test_shared_tables_decode_as_fresh_ones(monkeypatch):
+    # one sequence of decodes over two vocabulary sizes, every width from
+    # one to far above the candidates, with and without an LM; one decode
+    # raises mid-grid. Each decode equals the reference, and leaves every
+    # V's flat tables as a fresh build would make them
+    rng = np.random.default_rng(8000)
+    widths = (1, 3, 10, 100, 10**6)
+    asked = _recorded_flat_tables(monkeypatch)
+    for case in range(60):
+        vocab = (VOCAB, SMALL_VOCAB)[case % 2]
+        width = widths[(case // 2) % len(widths)]
+        grid = _grid(rng, 4 if width == 10**6 else None, vocab)
+        cfg = FusionConfig(*WEIGHTS[case % len(WEIGHTS)], width)
+        for model in (None, MODELS[ORDERS[case % len(ORDERS)]]):
+            got = _nbest(beam_decode, grid, cfg, model, vocab)
+            want = _nbest(reference_decoder.beam_decode, grid, cfg, model, vocab)
+            assert got == want, (case, width, cfg, model and model.order)
+            _assert_tables_fresh(asked)
+        if case == 30:
+            # a model with a cold cache scores its words through lm.score,
+            # which fails on its third call, frames into the grid
+            calls = itertools.count(1)
+            score = lm_mod.score
+
+            def failing_score(*args):
+                if next(calls) == 3:
+                    raise _ScoreFailed
+                return score(*args)
+
+            grid = _latin_run_grid(rng, LATIN_RUNS[0])
+            with monkeypatch.context() as patch:
+                patch.setattr(lm_mod, "score", failing_score)
+                cold = dataclasses.replace(MODELS[2])
+                with pytest.raises(_ScoreFailed):
+                    beam_decode(grid, VOCAB, FusionConfig(0.2, 1.0, 10), cold)
+            assert next(calls) == 4
+            _assert_tables_fresh(asked)
+
+
+def test_concurrent_decodes_equal_the_reference(monkeypatch):
+    # two threads decode different grids, each without an LM and with a
+    # model of its own, switching as often as the interpreter allows; the
+    # flat tables are dropped first, so that both threads build them
+    rng = np.random.default_rng(9000)
+    jobs = [
+        [(_grid(rng), model) for _ in range(25) for model in (None, own)]
+        for own in (dataclasses.replace(MODELS[3]), dataclasses.replace(MODELS[5]))
+    ]
+    cfg = FusionConfig(0.2, 1.0, 10)
+    want = [[_nbest(reference_decoder.beam_decode, g, cfg, m) for g, m in job] for job in jobs]
+    got = [None, None]
+    start = threading.Barrier(2)
+
+    def run(i):
+        start.wait(timeout=30)
+        got[i] = [_nbest(beam_decode, g, cfg, m) for g, m in jobs[i]]
+
+    # daemon threads, joined with a timeout, so that a hung decode fails
+    # the test rather than the run
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(2)]
+    asked = _recorded_flat_tables(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+    _assert_tables_fresh(asked)
 
 
 @pytest.mark.parametrize("width", (1, 3, 10, 100))

@@ -38,6 +38,11 @@ def test_config_validation():
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    # momentum 1 or more never decays the velocity; below 0 it flips sign
+    for momentum in (-1.0, -0.1, 1.0, 5.0, float("nan")):
+        with pytest.raises(ValueError, match="momentum"):
+            TrainConfig(momentum=momentum)
+    assert TrainConfig(momentum=0.0).momentum == 0.0
 
 
 def test_manifest_round_trip(tmp_path):

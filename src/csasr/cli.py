@@ -79,24 +79,28 @@ def _one_source(single, pair: tuple, usage: str) -> bool:
     return bool(single)
 
 
-def _check_widths(manifest, entries, frames, width=None) -> None:
-    """Each entry's frames have `width` columns, by default the first
-    entry's; else MalformedManifest at the row of the first that has not."""
-    for entry, f in zip(entries, frames):
+def _load_frames(manifest_path, width=None, vocab=None):
+    """A manifest's entries and their frames, each `width` columns wide (by
+    default the first entry's), else MalformedManifest at the first row
+    that is not; with a vocab, transcripts are checked against it."""
+    p = _require_file(manifest_path)
+    entries = training.load_manifest(p, vocab)
+    frames = []
+    for entry in entries:
+        f = training.load_frames(entry, p.parent)
         width = f.shape[1] if width is None else width
         if f.shape[1] != width:
             raise training.MalformedManifest(
-                manifest, entry.line,
+                p, entry.line,
                 f"{entry.path} has {f.shape[1]} feature columns, the model takes {width}",
             )
+        frames.append(f)
+    return entries, frames
 
 
 def _load_examples(manifest_path, vocab, width=None):
-    p = _require_file(manifest_path)
-    entries = training.load_manifest(p, vocab)
-    examples = training.load_examples(entries, vocab, base_dir=p.parent)
-    _check_widths(p, entries, [x.frames for x in examples], width)
-    return examples
+    entries, frames = _load_frames(manifest_path, width, vocab)
+    return [training.make_example(e, f, vocab) for e, f in zip(entries, frames)]
 
 
 def cmd_synth(args) -> None:
@@ -197,12 +201,9 @@ def cmd_decode(args) -> None:
             raise ctc.MalformedGrid(path, 1, f"grid V={V} does not match vocab size {len(vocab)}")
     else:
         am = model_mod.load_checkpoint(_require_file(args.checkpoint), vocab)
-        manifest = _require_file(args.manifest)
-        entries = training.load_manifest(manifest)
-        if not entries:
+        _, frames = _load_frames(args.manifest, am.input_dim)
+        if not frames:
             raise UsageError(f"no utterances in {args.manifest}")
-        frames = [training.load_frames(e, manifest.parent) for e in entries]
-        _check_widths(manifest, entries, frames, am.input_dim)
         grids = model_mod.forward_grids(am, frames)
 
     top_texts = []
@@ -329,73 +330,46 @@ def cmd_run_matrix(args) -> None:
     print(f"wrote {out / 'cer_matrix.csv'}")
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _option(name: str, parse, rule: str = "", ok=lambda value: True):
+    """An argparse type named `name`: `parse(text)`, then a float that is
+    not finite and any value failing `ok` are refused, the latter as
+    "must be <rule>"."""
+
+    def check(text: str):
+        value = parse(text)
+        if parse is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if not ok(value):
+            got = repr(text) if parse is str else text
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {got}")
+        return value
+
+    check.__name__ = name  # argparse names it in "invalid <name> value"
+    return check
 
 
-def cs_count(text: str) -> int:
-    """A code-switched corpus size whose smallest run-matrix fraction,
-    floor(count * fraction) utterances, holds at least one."""
-    value = positive_int(text)
-    fraction, col = min(FRACTIONS)
-    if math.floor(value * fraction) < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be at least {math.ceil(1 / fraction)} so that the {col} cells "
-            f"fine-tune on an utterance, got {value}"
-        )
-    return value
+# floor(count * fraction) utterances fine-tune each cell of the smallest fraction
+_SMALLEST, _SMALLEST_COL = min(FRACTIONS)
 
-
-def finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-def nonnegative_float(text: str) -> float:
-    value = finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
-    return value
-
-
-def unit_fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
-    return value
-
-
-def probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:  # also refuses nan
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
-
-
-def momentum_factor(text: str) -> float:
-    value = finite_float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
-    return value
-
-
-def latin_letters(text: str) -> str:
-    if not all("a" <= ch <= "z" for ch in text) or len(set(text)) < 2:
-        raise argparse.ArgumentTypeError(
-            f"must be letters a-z, at least two distinct, got {text!r}"
-        )
-    return text
-
-
-def cjk_chars(text: str) -> str:
-    if not text or not all(is_cjk(ch) for ch in text):
-        raise argparse.ArgumentTypeError(f"must be CJK ideographs, got {text!r}")
-    return text
+positive_int = _option("positive_int", int, "at least 1", lambda v: v >= 1)
+cs_count = _option(
+    "cs_count", int,
+    f"at least {math.ceil(1 / _SMALLEST)} so that the {_SMALLEST_COL} cells "
+    "fine-tune on an utterance",
+    lambda v: math.floor(v * _SMALLEST) >= 1,
+)
+finite_float = _option("finite_float", float)
+nonnegative_float = _option("nonnegative_float", float, "at least 0", lambda v: v >= 0)
+unit_fraction = _option("unit_fraction", float, "in (0, 1]", lambda v: 0 < v <= 1)
+probability = _option("probability", float, "in [0, 1]", lambda v: 0 <= v <= 1)
+momentum_factor = _option("momentum_factor", float, "in [0, 1)", lambda v: 0 <= v < 1)
+latin_letters = _option(
+    "latin_letters", str, "letters a-z, at least two distinct",
+    lambda s: all("a" <= ch <= "z" for ch in s) and len(set(s)) >= 2,
+)
+cjk_chars = _option(
+    "cjk_chars", str, "CJK ideographs", lambda s: bool(s) and all(map(is_cjk, s))
+)
 
 
 def _add_spec_flags(p: argparse.ArgumentParser):
@@ -418,7 +392,6 @@ def _add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--no-nesterov", action="store_true")
     p.add_argument("--batch-size", type=positive_int, default=training.TrainConfig.batch_size)
     p.add_argument("--epochs", type=positive_int, default=10)
-    p.add_argument("--hidden", type=positive_int, default=64)
 
 
 def _add_fusion_flags(p: argparse.ArgumentParser):
@@ -462,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2-manifest")
     p.add_argument("--out", required=True)
     _add_train_flags(p)
+    p.add_argument("--hidden", type=positive_int, default=64)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("finetune", help="continue training from a checkpoint")
@@ -523,7 +497,7 @@ def main(argv=None) -> int:
     except (UsageError, MalformedFile) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except (FileNotFoundError, IsADirectoryError) as e:
         print(f"error: missing file: {e.filename or e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary

@@ -98,11 +98,14 @@ def write_feat(frames: np.ndarray, path) -> None:
 
 
 def read_feat(path) -> np.ndarray:
-    """Inverse of write_feat; a header with no frames, or a value that is
-    not finite, raises MalformedFeatures at its line."""
+    """Inverse of write_feat; a header with no frames or no feature
+    columns, or a value that is not finite, raises MalformedFeatures at its
+    line."""
     frames = read_matrix(path, "FEAT v1", "F", MalformedFeatures)
     if not len(frames):
         raise MalformedFeatures(path, 1, "no frames (T=0)")
+    if not frames.shape[1]:
+        raise MalformedFeatures(path, 1, "no feature columns (F=0)")
     finite = np.isfinite(frames)
     if not finite.all():
         t, f = map(int, np.argwhere(~finite)[0])

@@ -353,6 +353,8 @@ def read_arpa(path) -> NGramModel:
                 fail(i, "non-numeric probability field")
             if not math.isfinite(logp):
                 fail(i, "non-finite probability field")
+            if logp > 0:
+                fail(i, f"log10 probability {fields[0]} is above 0")
             if bow is not None and not math.isfinite(bow):
                 fail(i, "non-finite backoff field")
             gram = tuple(fields[1 : k + 1])

@@ -58,7 +58,7 @@ def pipeline(tmp_path_factory):
     run(
         "--seed", "0", "finetune", "--vocab", str(vocab_path),
         "--checkpoint", str(ckpt), "--manifest", str(data / "cs_manifest.csv"),
-        "--hidden", "12", "--epochs", "2", "--lr", "0.01", "--out", str(tuned),
+        "--epochs", "2", "--lr", "0.01", "--out", str(tuned),
     )
 
     hyp = root / "hyp.txt"
@@ -309,7 +309,7 @@ def test_manifest_transcript_outside_vocab_exits_2_naming_its_line(
     argv = [command, "--vocab", str(pipeline["vocab"]), "--manifest", str(manifest)]
     if command == "finetune":
         argv += ["--checkpoint", str(pipeline["ckpt"])]
-    assert main(argv + ["--hidden", "12", "--out", str(ckpt)]) == 2
+    assert main(argv + ["--out", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert err == (
         f"error: {manifest}: line 5: unknown grapheme '龍' at byte offset 3"
@@ -326,7 +326,7 @@ def test_finetune_fraction_selecting_no_utterance_exits_2(
     ckpt = tmp_path / "out.ckpt"
     assert main([
         "finetune", "--vocab", str(pipeline["vocab"]), "--manifest", str(manifest),
-        "--checkpoint", str(pipeline["ckpt"]), "--hidden", "12",
+        "--checkpoint", str(pipeline["ckpt"]),
         "--fraction", fraction, "--out", str(ckpt),
     ]) == 2
     err = capsys.readouterr().err
@@ -426,7 +426,7 @@ def test_feature_width_not_fitting_the_model_exits_2_naming_the_row(
         "decode": ["decode", *vocab, "--checkpoint", str(pipeline["tuned"]),
                    "--manifest", str(narrow), "--hyp-out", str(out)],
         "finetune": ["finetune", *vocab, "--checkpoint", str(pipeline["ckpt"]),
-                     "--manifest", str(narrow), "--hidden", "12", "--out", str(out)],
+                     "--manifest", str(narrow), "--out", str(out)],
         # the model takes the width of the L1 set's first utterance
         "train": ["train", *vocab, "--l1-manifest", str(pipeline["data"] / "l1_manifest.csv"),
                   "--l2-manifest", str(narrow), "--hidden", "12", "--out", str(out)],
@@ -604,6 +604,10 @@ def test_out_of_range_numeric_option_exits_2_before_any_work(argv, tmp_path, cap
         ["run-matrix", "--sigma", "inf"],
         ["run-matrix", "--alpha", "nan"],
         ["run-matrix", "--beta", "nan"],
+        # range checks alone once refused these as out of range
+        ["finetune", "--vocab", "v", "--checkpoint", "c", "--manifest", "m",
+         "--out", "o", "--fraction", "nan"],
+        ["synth", "--language", "mixed", "--count", "2", "--p-switch", "inf"],
     ],
 )
 def test_non_finite_float_option_exits_2_before_any_work(
@@ -615,6 +619,28 @@ def test_non_finite_float_option_exits_2_before_any_work(
         main(["--output-dir", str(out)] + argv)
     assert info.value.code == 2
     assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decode", "--vocab", "v", "--grid", "g", "--beam", "abc"],
+         "argument --beam: invalid positive_int value: 'abc'"),
+        # finetune takes its width from the checkpoint
+        (["finetune", "--vocab", "v", "--checkpoint", "c", "--manifest", "m",
+          "--out", "o", "--hidden", "12"],
+         "unrecognized arguments: --hidden 12"),
+    ],
+)
+def test_option_that_does_not_parse_exits_2_before_any_work(
+    argv, message, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["--output-dir", str(tmp_path / "out")] + argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -779,6 +805,28 @@ def test_entry_with_no_frames_exits_2_naming_it(pipeline, tmp_path, capsys, comm
     assert capsys.readouterr().err == (
         f"error: {wav}: line 1: 100 samples < one window of 160\n"
     )
+
+
+@pytest.mark.parametrize("command", ["decode", "train"])
+def test_entry_with_no_feature_columns_exits_2_naming_it(
+    pipeline, tmp_path, capsys, command
+):
+    # train once took its width from it and wrote a width-0 checkpoint
+    feat = tmp_path / "u0.feat"
+    feat.write_text("FEAT v1 T=3 F=0\n\n\n\n", encoding="utf-8")
+    assert _one_entry_command(pipeline, tmp_path, command, feat) == 2
+    assert capsys.readouterr().err == f"error: {feat}: line 1: no feature columns (F=0)\n"
+
+
+@pytest.mark.parametrize("command", ["decode", "train"])
+@pytest.mark.parametrize("name", ["d", "d.wav"])
+def test_entry_that_is_a_directory_exits_2_naming_it(
+    pipeline, tmp_path, capsys, command, name
+):
+    entry = tmp_path / name
+    entry.mkdir()
+    assert _one_entry_command(pipeline, tmp_path, command, entry) == 2
+    assert capsys.readouterr().err == f"error: missing file: {entry}\n"
 
 
 def test_decode_defaults():

@@ -263,6 +263,18 @@ def test_read_arpa_takes_an_indented_section_header_after_any_line(tmp_path):
     assert model.tables[2] == {(BOS, "a"): (-0.2, None)}
 
 
+def test_read_arpa_refuses_a_log10_probability_above_0_but_not_a_backoff_weight(tmp_path):
+    # a probability above 1 once loaded, and perplexity came out below 1
+    head = "\\data\\\nngram 1=2\n\n\\1-grams:\n"
+    path = tmp_path / "lm.arpa"
+    path.write_text(head + "1.0\t<unk>\n-0.3\ta\n\n\\end\\\n", encoding="utf-8")
+    with pytest.raises(MalformedArpa) as info:
+        read_arpa(path)
+    assert (info.value.line_number, info.value.reason) == (5, "log10 probability 1.0 is above 0")
+    path.write_text(head + "-0.0\t<unk>\t0.25\n-0.3\ta\n\n\\end\\\n", encoding="utf-8")
+    assert read_arpa(path).tables[1][(UNK,)] == (-0.0, 0.25)
+
+
 def test_read_arpa_reports_line_1_for_an_empty_file(tmp_path):
     path = tmp_path / "empty.arpa"
     path.write_text("", encoding="utf-8")

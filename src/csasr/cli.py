@@ -37,6 +37,12 @@ def _require_file(path) -> Path:
     return p
 
 
+def _output_file(path) -> None:
+    """UsageError unless `path` (if given) can name a file; checked before any work."""
+    if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise UsageError(f"cannot write {path}: not a file in an existing directory")
+
+
 def _output_dir(args) -> Path:
     if args.output_dir is None:
         raise UsageError("--output-dir is required for this command")
@@ -105,6 +111,7 @@ def _load_examples(manifest_path, vocab, width=None):
 
 def cmd_synth(args) -> None:
     out = _output_dir(args)
+    _output_file(args.vocab_out)  # after --output-dir, which may hold it
     spec = _spec(args, args.seed)
     tag = args.tag or args.language
     entries = synth.synth_corpus(spec, args.language, args.count, out, tag=tag)
@@ -134,6 +141,7 @@ def _read_lm_corpus(path) -> list[list[str]]:
 
 
 def cmd_train_lm(args) -> None:
+    _output_file(args.out)
     corpus = _read_lm_corpus(args.corpus)
     model = lm.train_kn(corpus, order=args.order)
     if model.degenerate_orders:
@@ -152,6 +160,7 @@ def cmd_perplexity(args) -> None:
 
 
 def cmd_train(args) -> None:
+    _output_file(args.out)
     usage = "provide either --manifest or both --l1-manifest and --l2-manifest"
     joint = not _one_source(args.manifest, (args.l1_manifest, args.l2_manifest), usage)
     vocab = load_vocab(_require_file(args.vocab))
@@ -173,6 +182,7 @@ def cmd_train(args) -> None:
 
 
 def cmd_finetune(args) -> None:
+    _output_file(args.out)
     vocab = load_vocab(_require_file(args.vocab))
     model = model_mod.load_checkpoint(_require_file(args.checkpoint), vocab)
     examples = _load_examples(args.manifest, vocab, model.input_dim)
@@ -188,6 +198,7 @@ def cmd_finetune(args) -> None:
 
 
 def cmd_decode(args) -> None:
+    _output_file(args.hyp_out)
     usage = "provide either --grid or both --checkpoint and --manifest"
     from_grid = _one_source(args.grid, (args.checkpoint, args.manifest), usage)
     vocab = load_vocab(_require_file(args.vocab))
@@ -350,13 +361,14 @@ def _option(name: str, parse, rule: str = "", ok=lambda value: True):
 
 # floor(count * fraction) utterances fine-tune each cell of the smallest fraction
 _SMALLEST, _SMALLEST_COL = min(FRACTIONS)
+_MIN_CS_COUNT = math.ceil(1 / _SMALLEST)  # an int: counts of any size compare
 
 positive_int = _option("positive_int", int, "at least 1", lambda v: v >= 1)
 cs_count = _option(
     "cs_count", int,
-    f"at least {math.ceil(1 / _SMALLEST)} so that the {_SMALLEST_COL} cells "
+    f"at least {_MIN_CS_COUNT} so that the {_SMALLEST_COL} cells "
     "fine-tune on an utterance",
-    lambda v: math.floor(v * _SMALLEST) >= 1,
+    lambda v: v >= _MIN_CS_COUNT,
 )
 finite_float = _option("finite_float", float)
 nonnegative_float = _option("nonnegative_float", float, "at least 0", lambda v: v >= 0)

@@ -66,19 +66,13 @@ threads share them. The fusion state's per-unit tables are built once
 per vocabulary too.
 
 Hash-consing. The trie is a dict from key parent * V + unit to node id,
-so it costs under a hundred bytes per node reached, whatever V is. A
-frame's surviving extensions are distinct prefixes (each extends a
-different beam entry, or one entry by different units), and in most
-frames none of them re-creates a pruned prefix: their keys are all new.
-Then, in a frame with more than `_MANY_EXTENSIONS` of them, they take
-the next ids in extension order in one `dict.update`, which are the ids
-one `setdefault` per extension would give. Any other frame makes that
-`setdefault` pass, which costs less than the update's numpy calls below
-about 16 extensions (at beam 10 a frame has at most 10; at beam 100,
-three quarters of the seed-0 `decode` frames have more than 16). A node
-x unit child table finds a frame's nodes in one gather, but holds V
-cells per node: a 300-frame beam-100 decode at V = 3,029 peaked at
-2.1 GB with one.
+so it costs under a hundred bytes per node reached, whatever V is. Each
+frame gives its surviving extensions their nodes in extension order,
+one `setdefault` each: a new prefix takes the next id, and one that
+re-creates a pruned prefix gets its old node back. That is O(1) per
+node at every V. A node x unit child table finds a frame's nodes in one
+gather, but holds V cells per node: a 300-frame beam-100 decode at
+V = 3,029 peaked at 2.1 GB with one.
 
 Zero weights. A decode drops an LM whose alpha * ln 10 is zero, and one
 left with neither an LM nor a word bonus keeps no fusion state
@@ -402,11 +396,6 @@ class _CtcOnly:
     keep = staticmethod(lambda *survivors: None)
 
 
-# above this many extensions, a frame whose keys are all new hash-conses
-# them in one dict.update ("Hash-consing" above)
-_MANY_EXTENSIONS = 16
-
-
 @functools.lru_cache(maxsize=16)
 def _flat_tables(V: int, slots: int) -> tuple[np.ndarray, ...]:
     """Slot numbers, each slot's first flat K x V candidate index, and the
@@ -537,17 +526,10 @@ def beam_decode(
         node, par, last = node[ks], par[ks], last[ks]
         par[ext] = parent_node
         last[ext] = v_ext
-        first = len(trie) + 1
-        if len(ext) > _MANY_EXTENSIONS and trie.keys().isdisjoint(
-            ext_keys := (parent_node * V + v_ext).tolist()
-        ):
-            trie.update(zip(ext_keys, range(first, first + len(ext))))
-            node[ext] = np.arange(first, first + len(ext))
-        else:
-            node[ext] = [
-                trie.setdefault(n * V + v, len(trie) + 1)
-                for n, v in zip(parent_node.tolist(), v_ext.tolist())
-            ]
+        node[ext] = [
+            trie.setdefault(n * V + v, len(trie) + 1)
+            for n, v in zip(parent_node.tolist(), v_ext.tolist())
+        ]
         if len(trie) >= len(pos) - 1:
             pos = np.full(2 * len(trie) + 2, -1)
 

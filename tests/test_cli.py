@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -227,6 +228,37 @@ def test_not_exactly_one_input_source_exits_2_and_writes_nothing(
         assert captured.err.startswith("error: provide either --")
         assert captured.out == ""
         assert not out.exists()
+
+
+@pytest.mark.parametrize("path", ["dir", "nodir/out"])
+@pytest.mark.parametrize("command", ["train", "finetune", "decode", "train-lm", "synth"])
+def test_output_path_that_cannot_be_a_file_exits_2_before_any_work(
+    pipeline, tmp_path, capsys, caplog, command, path
+):
+    # once, train and finetune ran every epoch and decode printed every
+    # hypothesis before failing to write
+    (tmp_path / "dir").mkdir()
+    out = str(tmp_path / path)
+    vocab, data = str(pipeline["vocab"]), pipeline["data"]
+    argv = {
+        "train": ["train", "--vocab", vocab, "--manifest", str(data / "cs_manifest.csv"),
+                  "--hidden", "12", "--epochs", "1", "--out", out],
+        "finetune": ["finetune", "--vocab", vocab, "--checkpoint", str(pipeline["tuned"]),
+                     "--manifest", str(data / "cs_manifest.csv"), "--epochs", "1",
+                     "--out", out],
+        "decode": ["decode", "--vocab", vocab, "--checkpoint", str(pipeline["tuned"]),
+                   "--manifest", str(data / "test_manifest.csv"), "--hyp-out", out],
+        "train-lm": ["train-lm", "--corpus", str(pipeline["refs"]), "--out", out],
+        "synth": ["--output-dir", str(tmp_path / "data"), "synth", "--language", "L1",
+                  "--count", "2", "--latin", LATIN, "--cjk", CJK, "--vocab-out", out],
+    }[command]
+    with caplog.at_level(logging.INFO):
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: not a file in an existing directory\n"
+    assert captured.out == ""
+    assert not [r for r in caplog.records if "epoch" in r.getMessage()]
+    assert {p.name for p in tmp_path.rglob("*")} <= {"dir", "data"}
 
 
 def _lm_command(pipeline, command, corpus, arpa) -> int:
@@ -674,7 +706,10 @@ def test_bad_spec_flag_exits_2_before_any_work(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("count", ["1", "9"])
+# the count is compared as an int: once, 401 digits overflowed a float
+@pytest.mark.parametrize(
+    "count", ["1", "9", pytest.param("-1" + "0" * 400, id="minus-401-digits")]
+)
 def test_run_matrix_cs_count_leaving_the_10_percent_cells_empty_exits_2_before_any_work(
     count, tmp_path, capsys, monkeypatch
 ):
@@ -692,7 +727,9 @@ def test_run_matrix_cs_count_leaving_the_10_percent_cells_empty_exits_2_before_a
     )
     assert not trained
     assert list(tmp_path.iterdir()) == []
-    assert build_parser().parse_args(["run-matrix", "--cs-count", "10"]).cs_count == 10
+    for accepted in (10, 10**400):
+        argv = ["run-matrix", "--cs-count", str(accepted)]
+        assert build_parser().parse_args(argv).cs_count == accepted
 
 
 def _decode_with_checkpoint(pipeline, ckpt) -> int:

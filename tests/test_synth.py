@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from csasr import synth
+from csasr.cli import DEFAULT_CJK, DEFAULT_LATIN
 from csasr.features import FRAME_MS
 from csasr.lm import tokenize_lm
 from csasr.synth import (
@@ -49,6 +51,52 @@ def test_templates_are_separated(spec):
         for h in graphemes[i + 1 :]:
             dist = np.linalg.norm(spec.templates[g] - spec.templates[h])
             assert dist > required, (g, h)
+
+
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
+HAN_150 = "".join(map(chr, range(0x4E00, 0x4E00 + 150)))
+
+
+def loop_min_distance(vals) -> float:
+    """The least pairwise template distance, one np.linalg.norm per pair."""
+    return min(
+        float(np.linalg.norm(vals[i] - vals[j]))
+        for i in range(len(vals))
+        for j in range(i + 1, len(vals))
+    )
+
+
+def test_min_distance_equals_the_pairwise_norm_loop_to_the_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        G, F = int(rng.integers(2, 61)), int(rng.integers(1, 41))
+        vals = rng.normal(0.0, 1.0, (G, F)) * rng.uniform(0.01, 100.0)
+        assert synth._min_distance(vals) == loop_min_distance(vals), (G, F)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "latin, cjk, feature_dim, sigma",
+    [
+        pytest.param(DEFAULT_LATIN, DEFAULT_CJK, 12, 0.4, id="default"),
+        pytest.param("ab", "你", 1, 0.4, id="4-F1"),
+        pytest.param(LETTERS, HAN_150, 40, 0.3, id="177-F40"),
+        pytest.param(LETTERS, HAN_150, 3, 0.05, id="177-F3"),
+        pytest.param(LETTERS, HAN_150, 40, 0.1, id="177-F40-unscaled"),
+        pytest.param("abc", "你我", 6, 0.0, id="6-sigma0"),
+    ],
+)
+def test_make_spec_equals_the_pairwise_norm_loop_spec(
+    latin, cjk, feature_dim, sigma, seed, monkeypatch
+):
+    # the same templates as with the loop deciding the scale: every case
+    # is scaled at each seed but the unscaled and sigma-0 ones
+    got = make_spec(latin, cjk, feature_dim, sigma, seed=seed)
+    monkeypatch.setattr(synth, "_min_distance", loop_min_distance)
+    want = make_spec(latin, cjk, feature_dim, sigma, seed=seed)
+    assert list(got.templates) == list(want.templates)
+    for g, t in want.templates.items():
+        assert got.templates[g].tobytes() == t.tobytes(), g
 
 
 def test_spec_rejects_bad_p_switch():

@@ -14,12 +14,12 @@ plus one `_Fusion` state. Prefixes are nodes of a per-decode trie: node
 (parent node, last unit) pair, so a prefix keeps one node id even after
 it was pruned and re-created. The core's beam of K prefixes is a set of
 parallel arrays: node, parent node and last unit, and the blank- and
-non-blank-ending masses pb/pnb. `_Fusion` keeps, per beam entry, the LM
-state id, log10 LM sum and word count, the same three as they are once
-the pending Latin run is scored as a word, and that run, the only field
-that stays a string. `_Fusion.keep` gives the survivors of a frame their
-fields, with one Python pass over the new prefixes alone; its docstring
-says how, and why that is exact.
+non-blank-ending masses pb/pnb. `_Fusion` keeps three fields per beam
+entry: the id of its fusion state (its LM state and pending Latin run,
+"LM states" below), and the log10 LM sum and word count of its completed
+tokens. `_Fusion.keep` gives the survivors of a frame their fields with
+array gathers alone; only a table cell that no decode has filled yet
+goes through Python.
 
 Each frame is a fixed number of whole-beam numpy operations on a K x V
 candidate array: column 0 is the prefix itself (pb from total + blank,
@@ -30,9 +30,10 @@ beam-slot array, takes the parent's extension mass into its own pnb,
 and that extension is masked out. `_Fusion.scores` adds each
 candidate's fused bonus, its log10 sum and word count gathered from
 small per-beam tables: the beam's own fields (itself, or a Latin unit,
-which only grows the pending run), the completed ones (a separator), or
-those plus the CJK row of the LM state, taken from the model's matrix of
-rows (without an LM, one zero row). The cut is one partition of all
+which only grows the pending run), those plus the pending run's scores
+from its fusion state (a separator), or those plus the CJK row of the
+completed LM state, taken from the model's matrix of rows (without an
+LM, one zero row). The cut is one partition of all
 K x V scores for the width-th best. A score is -inf exactly when its
 candidate is dead (no mass) or merged into its child, so when that
 threshold is finite the scores at or above it are exactly the top live
@@ -82,16 +83,23 @@ hypothesis scores its total mass. That is exact. Every term left out is
 the LM), so +0.0 or -0.0, and a mass plus either zero is that mass to
 the bit, no mass being -0.0 (see below).
 
-LM states. The fused score needs only p(word | context), so each prefix
-carries the id of its LM state (`lm.state_of`), which gives every log10
+LM states. The fused score needs only p(word | context), so a prefix's
+context is kept as its LM state (`lm.state_of`), which gives every log10
 sum to the bit as the full context would (the `lm` module docstring says
 why). A state's CJK row holds `lm.log10` of every CJK unit
 (out-of-vocabulary ones as `<unk>`) at that state, rather than one
-`lm.score` per unit.
-Rows, the state after each CJK unit, and Latin words (one `lm.score` per
-state and word) are kept in one `_LmCache` per model, shared by every
-decode with that model, so a decode builds only what no earlier one
-reached.
+`lm.score` per unit. A prefix carries the id of its fusion state: the LM
+state before its pending Latin run, and that run, with the run's score
+as a word and the LM state after it. So each unit leads from a fusion
+state to the next by a table lookup: a Latin unit through a fusion state
+x Latin unit table, a separator or a CJK unit through the LM state's
+transitions to the empty run's fusion state. That table is no node x
+unit table: the model bounds its states, which decodes share, and its
+rows hold the Latin units alone. Rows, transitions and fusion states
+(`_LmCache` gives their bounds) are kept in one `_LmCache` per model,
+shared by every decode with that model, so a decode builds only what no
+earlier one reached, and a decode that reaches nothing new calls the LM
+not at all.
 
 This is bit-identical to scoring each candidate separately in Python
 (tests/reference_decoder.py): numpy adds, multiplies and compares
@@ -109,7 +117,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -166,32 +173,64 @@ def fused_score(
 
 
 class _LmCache:
-    """LM tables of one model and one tuple of CJK words, by state id.
+    """LM tables of one model and one tuple of CJK words: its LM states
+    and the fusion states over them, each by id.
 
-    `rows[i]` holds `lm.log10` of each CJK word in order at state i and is
-    built when state i is first reached. `next_ids[i, 1 + j]` is the state
-    after CJK word j, -1 until asked for; `next_ids[i, 0]` is i itself, the
-    state that a unit which completes no CJK token leaves. `steps` maps
-    (state id, Latin word) to (log10 p, next state id), a word outside the
-    LM vocabulary keyed as `<unk>`, so each pair costs one `lm.score` call.
-    Every table is bounded by the model: at most |states| rows, |states| x
-    CJK words transitions and |states| x |vocabulary| steps.
+    LM states. `rows[i]` holds `lm.log10` of each CJK word in order at
+    state i and is built when state i is first reached. `next_ids[i, 1 + j]`
+    is the state after CJK word j, -1 until asked for; `next_ids[i, 0]` is
+    i itself, the state that a separator leaves.
+
+    Fusion states. Fusion state f is an LM state, `run_state[f]`, and the
+    Latin run pending after it, `runs[f]`. `done[f]` is the LM state once
+    the run is scored as a word, `log10[f]` its log10 p(run | state) and
+    `words[f]` the one word it adds; the empty run's fusion state of LM
+    state i, `empty[i]`, made with i, has done state i and adds 0.0 and
+    0.0. A run outside the LM vocabulary scores as `<unk>`. A run that no
+    vocabulary word starts with stays `<unk>` as it grows, so all such runs
+    at state i are one fusion state, `unk[i]` (run None, made when first
+    reached, -1 before); a run that only starts words copies its scores.
+    Any other run has one parent, itself less its last unit, so the cell
+    `latin[latin_row[f], latin_cols[u]]`, the fusion state after Latin unit
+    u (-1 until asked for), makes each such fusion state once. Row 0 of
+    `latin` stays all -1 and is the row of every state not yet extended.
+
+    The fusion state of a vocabulary word, and each `<unk>` state, makes
+    one `lm.score` call, so each (state, word-or-`<unk>`) pair costs one.
+    The tables are bounded by the model and the units: with S LM states,
+    C CJK words and P non-empty prefixes of vocabulary words, S x C row
+    entries and S x (1 + C) transitions, at most S x (2 + P) fusion
+    states, and one `latin` row, one cell per Latin unit, for each fusion
+    state extended. Only `rows` and `next_ids` grow with C; a fusion state
+    costs the same at every V.
 
     A model keeps one cache per tuple of CJK words in its
     `decoding_tables`, shared by every decode with it; the methods take
     the model as an argument, so the cache holds no reference back to it.
     Without a model each decode makes its own cache with the one state
-    `()`, whose row is all zeros and whose every word scores 0.0, which
-    leaves the log10 sums exactly at 0.0 as if no LM were applied.
+    `()`, whose row is all zeros and whose every run scores 0.0 as
+    `<unk>`, so that it has two fusion states and leaves the log10 sums
+    exactly at 0.0 as if no LM were applied.
     """
 
-    def __init__(self, cjk_words):
+    def __init__(self, cjk_words, vocabulary=()):
         self.cjk_words = cjk_words
+        # every non-empty prefix of a vocabulary word, mapped to itself so
+        # that the fusion states with one run share its string
+        self.prefixes = {w[:n]: w[:n] for w in vocabulary for n in range(1, len(w) + 1)}
         self.ids: dict = {}
         self.states: list = []
         self.rows = np.zeros((8, len(cjk_words)))
         self.next_ids = np.full((8, 1 + len(cjk_words)), -1)
-        self.steps: dict = {}
+        self.empty = np.zeros(8, int)
+        self.unk: list = []
+        self.runs: list = []
+        self.run_state, self.done = np.zeros(8, int), np.zeros(8, int)
+        self.log10, self.words = np.zeros(8), np.zeros(8)
+        self.latin_row = np.zeros(8, int)
+        self.latin_cols: dict = {}
+        self.latin = np.full((8, 0), -1, dtype=np.int32)
+        self.latin_rows = 1  # rows of `latin` in use
 
     @staticmethod
     def of(model, cjk_words) -> _LmCache:
@@ -200,45 +239,101 @@ class _LmCache:
             return _LmCache(cjk_words)
         cache = model.decoding_tables.get(cjk_words)
         if cache is None:
-            cache = model.decoding_tables[cjk_words] = _LmCache(cjk_words)
+            cache = model.decoding_tables[cjk_words] = _LmCache(cjk_words, model.vocabulary)
         return cache
 
     def id_of(self, model, context) -> int:
-        """The id of the state that context is looked up as, its row built
-        when the state is new."""
+        """The id of the state that context is looked up as, its row and
+        empty-run fusion state made when the state is new."""
         state = lm_mod.state_of(model, context) if model is not None else ()
         i = self.ids.get(state)
         if i is None:
+            row = 0.0 if model is None else [lm_mod.log10(model, state, w) for w in self.cjk_words]
             i = self.ids[state] = len(self.states)
             self.states.append(state)
+            self.unk.append(-1)
             if i == len(self.rows):
-                self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
-                self.next_ids = np.concatenate(
-                    [self.next_ids, np.full_like(self.next_ids, -1)]
-                )
+                self.rows, self.empty = _doubled(self.rows, 0.0), _doubled(self.empty, 0)
+                self.next_ids = _doubled(self.next_ids, -1)
+            self.rows[i] = row
             self.next_ids[i, 0] = i
-            if model is not None:
-                self.rows[i] = [lm_mod.log10(model, state, w) for w in self.cjk_words]
+            self.empty[i] = self._add(i, "", 0.0, i, 0.0)
         return i
-
-    def step(self, model, i: int, word: str) -> tuple[float, int]:
-        """(log10 p(word | state i), next state id)."""
-        if model is None:
-            return 0.0, i
-        if word not in model.vocabulary:
-            word = lm_mod.UNK
-        key = (i, word)
-        hit = self.steps.get(key)
-        if hit is None:
-            lp, state = lm_mod.score(model, self.states[i], word)
-            hit = self.steps[key] = (lp, self.id_of(model, state))
-        return hit
 
     def advance(self, model, i: int, j: int) -> int:
         """The id of the state after CJK word j from state i."""
         k = self.id_of(model, self.states[i] + (self.cjk_words[j],))
         self.next_ids[i, 1 + j] = k
         return k
+
+    def columns(self, latin_unit) -> np.ndarray:
+        """The column of `latin` of each unit, given as its Latin run, a
+        Latin unit seen first getting the next one, any other unit 0. The
+        cache is keyed by CJK words alone, so vocabularies with other Latin
+        units share it."""
+        cols = [
+            self.latin_cols.setdefault(u, len(self.latin_cols)) if u else 0 for u in latin_unit
+        ]
+        extra = len(self.latin_cols) - self.latin.shape[1]
+        if extra:
+            pad = np.full_like(self.latin, -1, shape=(len(self.latin), extra))
+            self.latin = np.concatenate([self.latin, pad], axis=1)
+        return np.array(cols, dtype=int)
+
+    def extend(self, model, f: int, unit: str) -> int:
+        """The fusion state after Latin unit `unit` from fusion state f."""
+        r = self.latin_row[f]
+        if not r:
+            if self.latin_rows == len(self.latin):
+                self.latin = _doubled(self.latin, -1)
+            r = self.latin_row[f] = self.latin_rows
+            self.latin_rows += 1
+        col = self.latin_cols[unit]
+        to = self.latin[r, col]
+        if to < 0:
+            run = self.runs[f]
+            to = f if run is None else self._run(model, int(self.run_state[f]), run + unit)
+            self.latin[r, col] = to
+        return int(to)
+
+    def _run(self, model, i: int, run: str) -> int:
+        """The fusion state of LM state i and the non-empty run, new unless
+        no word starts with the run."""
+        run = self.prefixes.get(run)
+        if run is None:
+            return self._unk(model, i)
+        if run in model.vocabulary:
+            lp, state = lm_mod.score(model, self.states[i], run)
+            return self._add(i, run, lp, self.id_of(model, state), 1.0)
+        u = self._unk(model, i)
+        return self._add(i, run, self.log10[u], self.done[u], 1.0)
+
+    def _unk(self, model, i: int) -> int:
+        """The fusion state of every run at LM state i that no word starts with."""
+        u = self.unk[i]
+        if u < 0:
+            if model is None:
+                lp, state = 0.0, self.states[i]
+            else:
+                lp, state = lm_mod.score(model, self.states[i], lm_mod.UNK)
+            u = self.unk[i] = self._add(i, None, lp, self.id_of(model, state), 1.0)
+        return u
+
+    def _add(self, i: int, run, log10: float, done: int, words: float) -> int:
+        """A new fusion state's id."""
+        f = len(self.runs)
+        if f == len(self.done):
+            self.run_state, self.done = _doubled(self.run_state, 0), _doubled(self.done, 0)
+            self.log10, self.words = _doubled(self.log10, 0.0), _doubled(self.words, 0.0)
+            self.latin_row = _doubled(self.latin_row, 0)
+        self.runs.append(run)
+        self.run_state[f], self.done[f], self.log10[f], self.words[f] = i, done, log10, words
+        return f
+
+
+def _doubled(table: np.ndarray, fill) -> np.ndarray:
+    """table with as many rows again, filled with fill."""
+    return np.concatenate([table, np.full_like(table, fill)])
 
 
 def _nth(scores: np.ndarray, n: int) -> float:
@@ -296,11 +391,17 @@ def _unit_tables(vocab: GraphemeVocab):
 
 
 class _Fusion:
-    """The fusion fields of each beam entry (module docstring), in beam
-    order. `scores` adds the fused bonus to the K x V candidate masses,
-    `keep` gives the survivors their fields, and `final` adds the
-    completed terms to the total masses. Without a model every log10
-    field stays +0.0."""
+    """The fusion fields of each beam entry, in beam order: its fusion
+    state id (`_LmCache`), and the log10 LM sum and word count of its
+    completed tokens. `scores` adds the fused bonus to the K x V candidate
+    masses, `keep` gives the survivors their fields, and `final` adds the
+    completed terms to the total masses.
+
+    An entry's done fields, its sums with the pending run scored as a
+    word, are its own plus its fusion state's `log10` and `words`. That is
+    exact for an entry with no pending run too, whose state adds 0.0: a
+    sum x + 0.0 is x to the bit unless x is -0.0, and no sum here is. Each
+    starts at +0.0, and a float sum is -0.0 only when both terms are."""
 
     def __init__(self, vocab: GraphemeVocab, cfg: FusionConfig, model):
         (
@@ -309,22 +410,24 @@ class _Fusion:
         ) = _unit_tables(vocab)
         self.lm_weight, self.beta, self.model = cfg.alpha * LN10, cfg.beta, model
         vocabulary = model.vocabulary if model is not None else ()
-        self.cache = _LmCache.of(
+        self.cache = cache = _LmCache.of(
             model, tuple(u if u in vocabulary else lm_mod.UNK for u in cjk_units)
         )
-        self.ctx = np.array([self.cache.id_of(model, (lm_mod.BOS,))])
+        self.latin_col = cache.columns(self.latin_unit)
+        self.fid = cache.empty[[cache.id_of(model, (lm_mod.BOS,))]]
         self.log10, self.words = np.zeros(1), np.zeros(1)
-        self.done_ctx, self.done_log10, self.done_words = self.ctx, self.log10, self.words
-        self.pending = [""]
 
     def scores(self, cand: np.ndarray) -> np.ndarray:
         """The fused partial score of every candidate; each candidate's
-        log10 sum and word count are kept for `keep`."""
-        done = self.done_log10[:, None]
-        rows = self.cache.rows.take(self.done_ctx, axis=0)
+        log10 sum and word count, and each entry's completed LM state,
+        are kept for `keep`."""
+        cache, fid = self.cache, self.fid
+        self.done_state = cache.done[fid]
+        done = (self.log10 + cache.log10[fid])[:, None]
+        rows = cache.rows.take(self.done_state, axis=0)
         tab = np.concatenate((self.log10[:, None], done, done + rows), axis=1)
         self.cand_log10 = tab.take(self.log10_col, axis=1)
-        done = self.done_words[:, None]
+        done = (self.words + cache.words[fid])[:, None]
         tab = np.concatenate((self.words[:, None], done, done + 1), axis=1)
         self.cand_words = tab.take(self.words_col, axis=1)
         return cand + self.lm_weight * self.cand_log10 + self.beta * self.cand_words
@@ -333,59 +436,44 @@ class _Fusion:
         """Survivor i is candidate flat[i]: entry ks[i] itself, or for
         i = ext[n] its extension by unit v_ext[n] (k_ext[n] being ks[i]).
 
-        Every survivor first takes its entry's fields, by whole-beam
-        gathers, the pending runs with one C-level `itemgetter`; only an
-        extension, a new prefix, gets new ones. Its LM state and log10
-        sums and word counts come from array lookups. The rest is one
-        Python pass over the extensions alone, in ascending order: each
-        sets its pending run (the old one plus a Latin unit, or "" after
-        a separator or CJK unit), and a run that a Latin unit grew is
-        scored as a word through the cache, the scored positions, log10
-        values and states collected for the three updates of the
-        completed fields. This is exact: a survivor that is its own entry
-        keeps its run unchanged and scores nothing, so a pass over all
-        survivors would make the same cache calls on the same operands,
-        in the same order."""
+        Every survivor takes its candidate's log10 sum and word count, and
+        its entry's fusion state, by whole-beam gathers; an extension then
+        takes the fusion state its unit leads to, by gathers too: a
+        separator or CJK unit through `next_ids` from the entry's
+        completed LM state to that state's empty run, a Latin unit through
+        the `latin` table. Only cells not yet filled go through the cache
+        in Python, in ascending order, the `next_ids` cells first. A cell
+        that two survivors miss in one frame is filled by the first and
+        read by the second, so no fusion state is made twice."""
         model, cache = self.model, self.cache
-        base = np.where(self.latin_cols[v_ext], self.ctx[k_ext], self.done_ctx[k_ext])
-        cols = self.next_col[v_ext]
-        ctx_ext = cache.next_ids[base, cols]
-        for j in (ctx_ext < 0).nonzero()[0].tolist():
-            ctx_ext[j] = cache.advance(model, int(base[j]), int(cols[j]) - 1)
-        ctx, done_ctx = self.ctx[ks], self.done_ctx[ks]
-        ctx[ext] = done_ctx[ext] = ctx_ext
-        log10 = self.cand_log10.ravel()[flat]
-        words = self.cand_words.ravel()[flat]
-        done_log10, done_words = self.done_log10[ks], self.done_words[ks]
-        done_log10[ext] = log10[ext]
-        done_words[ext] = words[ext]
-
-        ks, old = ks.tolist(), self.pending
-        pending = list(itemgetter(*ks)(old)) if len(ks) > 1 else [old[ks[0]]]
-        latin_unit, step = self.latin_unit, cache.step
-        scored, lps, ids = [], [], []
-        for j, v, i in zip(ext.tolist(), v_ext.tolist(), ctx_ext.tolist()):
-            unit = latin_unit[v]
-            if unit:
-                pending[j] = run = pending[j] + unit
-                lp, i = step(model, i, run)
-                scored.append(j)
-                lps.append(lp)
-                ids.append(i)
-            else:
-                pending[j] = ""
-        if scored:
-            scored = np.array(scored)  # one conversion for the three updates
-            done_ctx[scored] = ids
-            done_log10[scored] += lps
-            done_words[scored] += 1
-        self.pending = pending
-        self.ctx, self.log10, self.words = ctx, log10, words
-        self.done_ctx, self.done_log10, self.done_words = done_ctx, done_log10, done_words
+        fid = self.fid[ks]
+        self.log10 = self.cand_log10.ravel()[flat]
+        self.words = self.cand_words.ravel()[flat]
+        # a Latin unit reads column 0 here, the completed state itself, and
+        # takes its fusion state from `latin` below
+        base, cols = self.done_state[k_ext], self.next_col[v_ext]
+        states = cache.next_ids[base, cols]
+        for j in (states < 0).nonzero()[0].tolist():
+            states[j] = cache.advance(model, int(base[j]), int(cols[j]) - 1)
+        fid_ext = cache.empty[states]
+        latin = self.latin_cols[v_ext].nonzero()[0]
+        if len(latin):
+            f, v = self.fid[k_ext[latin]], v_ext[latin]
+            got = cache.latin[cache.latin_row[f], self.latin_col[v]]
+            for j in (got < 0).nonzero()[0].tolist():
+                got[j] = cache.extend(model, int(f[j]), self.latin_unit[v[j]])
+            fid_ext[latin] = got
+        fid[ext] = fid_ext
+        self.fid = fid
 
     def final(self, totals: np.ndarray) -> np.ndarray:
         """Q of every prefix in the beam, its pending run scored as a word."""
-        return totals + self.lm_weight * self.done_log10 + self.beta * self.done_words
+        cache, fid = self.cache, self.fid
+        return (
+            totals
+            + self.lm_weight * (self.log10 + cache.log10[fid])
+            + self.beta * (self.words + cache.words[fid])
+        )
 
 
 class _CtcOnly:

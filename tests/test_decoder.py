@@ -11,7 +11,7 @@ from csasr import lm as lm_mod
 from csasr.ctc import PosteriorGrid, ctc_loss
 from csasr.decoder import FusionConfig, beam_decode, fused_score, greedy_decode
 from csasr.vocab import GraphemeVocab
-from conftest import random_grid
+from conftest import NESTED_RUNS, NESTED_VOCAB, latin_run_grid, nested_lms, random_grid
 from reference_decoder import exhaustive_best
 
 EXHAUSTIVE = FusionConfig(alpha=0.2, beta=1.0, beam_width=100_000)
@@ -220,6 +220,57 @@ def test_equal_models_never_share_a_table(monkeypatch):
     (table_a,) = a.decoding_tables.values()
     (table_b,) = b.decoding_tables.values()
     assert table_a is not table_b
+
+
+def _nested_grids(seed):
+    rng = np.random.default_rng(seed)
+    return [latin_run_grid(rng, t, NESTED_VOCAB) for t in NESTED_RUNS]
+
+
+def test_lm_work_is_one_score_per_state_and_word_or_unk(monkeypatch, tmp_path):
+    # beams at widths 10 then 100 over runs in the vocabulary, runs outside
+    # it that start a word and runs that start none. Each (state, word or
+    # <unk>) pair is scored once, however many runs reach <unk> at one LM
+    # state; the counts are pinned. A second pass scores nothing and makes
+    # no fusion state, and none is ever made twice
+    calls, _ = _record_lm(monkeypatch)
+    grids = _nested_grids(16)
+    for model, pinned in zip(nested_lms(tmp_path), (44, 25)):
+        calls.clear()
+        for width in (10, 100):
+            for grid in grids:
+                beam_decode(grid, NESTED_VOCAB, FusionConfig(0.2, 1.0, width), model)
+        assert len(calls) == len(set(calls)) == pinned
+        (cache,) = model.decoding_tables.values()
+        states = cache.run_state[: len(cache.runs)].tolist()
+        unk_runs = Counter(
+            i for i, run in zip(states, cache.runs) if run != "" and run not in model.vocabulary
+        )
+        assert max(unk_runs.values()) == 3  # the <unk> state, "ab" and "b"
+        assert len(set(zip(states, cache.runs))) == len(cache.runs)
+        made = len(cache.runs)
+        calls.clear()
+        for grid in grids:
+            beam_decode(grid, NESTED_VOCAB, FusionConfig(0.2, 1.0, 100), model)
+        assert calls == [] and len(cache.runs) == made
+
+
+def test_word_bonus_decode_without_an_lm_keeps_two_fusion_states(monkeypatch):
+    # without an LM every non-empty run scores 0.0 as <unk>, so a decode's
+    # own cache holds the empty run and the <unk> state, however many runs
+    # its beams spell
+    caches, real = [], decoder_mod._LmCache.of
+
+    def recording_of(model, cjk_words):
+        caches.append(real(model, cjk_words))
+        return caches[-1]
+
+    monkeypatch.setattr(decoder_mod._LmCache, "of", staticmethod(recording_of))
+    grids = _nested_grids(17)
+    for grid in grids:
+        hyps = beam_decode(grid, NESTED_VOCAB, FusionConfig(0.0, 1.0, 100), None)
+        assert len({run for h in hyps for run in h.text.split()}) > 10
+    assert [cache.runs for cache in caches] == [["", None]] * len(grids)
 
 
 def _record_fusion(monkeypatch):

@@ -21,7 +21,10 @@ from csasr import lm as lm_mod
 from csasr.ctc import PosteriorGrid, collapse
 from csasr.decoder import FusionConfig, _LmCache, beam_decode
 from csasr.vocab import GraphemeVocab
-from conftest import CLOSURE_ARPA, random_lms
+from conftest import (
+    CLOSURE_ARPA, NESTED_RUNS, NESTED_VOCAB, NESTED_WORDS, latin_run_grid, nested_lms,
+    random_lms,
+)
 
 import reference_decoder
 import reference_lm
@@ -151,19 +154,7 @@ LATIN_RUNS = (
 
 
 def _latin_run_grid(rng, transcript: str) -> PosteriorGrid:
-    # each unit holds 1-3 frames, a blank sits between repeated units and
-    # now and then elsewhere; coarse logits tie some candidates
-    frames = []
-    for prev, unit in zip(" " + transcript, transcript):
-        if unit == prev or rng.random() < 0.3:
-            frames.append(0)
-        frames += [VOCAB.id_of(unit)] * int(rng.integers(1, 4))
-    if rng.random() < 0.5:
-        logits = rng.integers(0, 3, size=(len(frames), len(VOCAB))).astype(float)
-    else:
-        logits = rng.normal(0.0, 1.0, size=(len(frames), len(VOCAB)))
-    logits[np.arange(len(frames)), frames] += 3.0
-    return PosteriorGrid(logits - np.logaddexp.reduce(logits, axis=1, keepdims=True))
+    return latin_run_grid(rng, transcript, VOCAB)
 
 
 @pytest.mark.parametrize("width", (1, 10, 100))
@@ -181,6 +172,40 @@ def test_beam_decode_equals_reference_on_long_latin_runs(width):
         warm = _nbest(beam_decode, grid, cfg, model)
         want = _nbest(reference_decoder.beam_decode, grid, cfg, model)
         assert cold == warm == want, (case, width, cfg, model.order)
+
+
+def _nested_nbests(decode, grids, cfg, model):
+    return [_nbest(decode, g, cfg, model, NESTED_VOCAB) for g in grids]
+
+
+@pytest.mark.parametrize("width", (1, 10, 100))
+def test_beam_decode_equals_reference_on_out_of_vocabulary_runs(width, tmp_path):
+    # runs in the vocabulary, runs outside it that start a word ("ab", "b")
+    # and runs that start none ("ca", "abca") all reach the beams, at
+    # alpha > 0 and alpha < 0, under a KN model and an ARPA with positive
+    # backoff weights; a cold model, the same model warm, its pass in the
+    # reversed grid order and an equal fresh model all decode alike
+    rng = np.random.default_rng(7500 + width)
+    grids = [latin_run_grid(rng, t, NESTED_VOCAB) for t in NESTED_RUNS * 2]
+    for model in nested_lms(tmp_path):
+        assert NESTED_WORDS <= model.vocabulary and not {"ab", "b"} & model.vocabulary
+        for alpha, beta in ((0.2, 1.0), (-0.3, 0.5)):
+            cfg = FusionConfig(alpha, beta, width)
+            want = _nested_nbests(reference_decoder.beam_decode, grids, cfg, model)
+            used = dataclasses.replace(model)
+            cold = _nested_nbests(beam_decode, grids, cfg, used)
+            warm = _nested_nbests(beam_decode, grids, cfg, used)
+            backwards = _nested_nbests(beam_decode, grids[::-1], cfg, used)[::-1]
+            fresh = _nested_nbests(beam_decode, grids, cfg, dataclasses.replace(model))
+            assert cold == warm == backwards == fresh == want, (width, cfg, model.order)
+            if width > 1:
+                (cache,) = used.decoding_tables.values()
+                assert {"a", "abc", "b'"} <= set(cache.runs), cache.runs
+                assert {"ab", "b"} <= set(cache.runs) and None in cache.runs
+    # the word bonus alone, without an LM
+    cfg = FusionConfig(0.0, 1.0, width)
+    want = _nested_nbests(reference_decoder.beam_decode, grids, cfg, None)
+    assert _nested_nbests(beam_decode, grids, cfg, None) == want
 
 
 def _prefixes_reached(grid) -> int:
@@ -256,6 +281,42 @@ def test_long_large_vocabulary_decode_keeps_no_table_per_node_and_unit():
         tracemalloc.stop()
     assert len(best.ids) > 50
     assert peak < 24 * width * V * 8, peak
+
+
+def test_fusion_states_cost_the_same_bytes_with_12_and_3000_cjk_units():
+    # a Latin-heavy grid, every CJK unit at -inf so that both inventories
+    # reach the same prefixes, decoded with a model whose LM states were
+    # all made first: what the decode keeps is its fusion states and their
+    # Latin transitions, and each costs the same whatever the CJK units
+    latin = tuple("abcdefghijklmnopqrstuvwxyz'")
+    rng = np.random.default_rng(2700)
+    words = ["".join(rng.choice(latin[:8], size=rng.integers(1, 6))) for _ in range(30)]
+    corpus = [list(rng.choice(words, size=rng.integers(1, 8))) for _ in range(200)]
+    transcript = " ".join(rng.choice(words, size=40))
+    logits = latin_run_grid(rng, transcript, GraphemeVocab(("<blank>", *latin, " "))).logp
+    cfg = FusionConfig(0.2, 1.0, 30)
+    per_state = {}
+    for cjk in (12, 3000):
+        vocab = GraphemeVocab(("<blank>", *latin, " ", *(chr(0x4E00 + i) for i in range(cjk))))
+        cjk_logits = np.full((len(logits), cjk), -np.inf)
+        grid = PosteriorGrid(np.concatenate([logits, cjk_logits], axis=1))
+        model, other = (lm_mod.train_kn(corpus, order=2) for _ in range(2))
+        beam_decode(grid, vocab, cfg, other)  # builds the tables decodes share
+        cache = _LmCache.of(model, (lm_mod.UNK,) * cjk)
+        for state in sorted(model.states):
+            cache.id_of(model, state)
+        made = len(cache.runs)
+        tracemalloc.start()
+        try:
+            beam_decode(grid, vocab, cfg, model)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        per_state[cjk] = (len(cache.runs) - made, kept / (len(cache.runs) - made))
+    (n_small, small), (n_large, large) = per_state[12], per_state[3000]
+    assert n_small == n_large > 300, per_state
+    # one cell per CJK unit and state would be 24,000 bytes more at 3,000
+    assert large == pytest.approx(small, rel=0.05), per_state
 
 
 def _assert_tables_fresh(asked):

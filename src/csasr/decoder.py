@@ -21,30 +21,44 @@ tokens. `_Fusion.keep` gives the survivors of a frame their fields with
 array gathers alone; only a table cell that no decode has filled yet
 goes through Python.
 
-Each frame is a fixed number of whole-beam numpy operations on a K x V
-candidate array: column 0 is the prefix itself (pb from total + blank,
-pnb from repeating the last unit), column v its extension by unit v
-(total + row[v], or pb + row[v] when v repeats the last unit). A prefix
+Each frame is a fixed number of whole-beam numpy operations on a V x K
+candidate array, unit-major: row 0 holds the prefixes themselves (pb
+from total + blank, pnb from repeating the last unit), row v their
+extensions by unit v (total + row[v], or pb + row[v] when v repeats the
+last unit), so candidate (v, k) has the flat index v * K + k. A prefix
 whose parent is in the beam, found as pos[parent] through a node ->
 beam-slot array, takes the parent's extension mass into its own pnb,
-and that extension is masked out. `_Fusion.scores` adds each
-candidate's fused bonus, its log10 sum and word count gathered from
-small per-beam tables: the beam's own fields (itself, or a Latin unit,
-which only grows the pending run), those plus the pending run's scores
-from its fusion state (a separator), or those plus the CJK row of the
-completed LM state, taken from the model's matrix of rows (without an
-LM, one zero row). The cut is one partition of all
-K x V scores for the width-th best. A score is -inf exactly when its
-candidate is dead (no mass) or merged into its child, so when that
-threshold is finite the scores at or above it are exactly the top live
-candidates. Only when fewer than width candidates are finite (a
-decode's first frames, or rows holding -inf) does the cut rank the live
-candidates instead: every prefix itself, even at -inf, as the reference
-keeps it, and each finite extension. Exact score ties at the cut go to
-the smallest prefix, spelled from its candidate index, the only place
-besides the returned n-best where prefixes are spelled out as tuples.
-Which tied candidates survive is the only thing the order of the beam
-could change, so the beam is kept in candidate order, unsorted.
+and that extension is masked out; a node outside the beam has a slot so
+far below 0 that last * K plus it stays negative, so one `>= 0` test
+finds the merges. `_Fusion.scores` adds each candidate's fused bonus,
+its log10 sum and word count gathered, one whole row of K per unit,
+from small per-beam tables: a log10 table of 2 + C rows of K (C CJK
+units) and a word table of 3 rows of K. Row 0 is the beam's own fields
+(the prefix itself, or a Latin unit, which only grows the pending run),
+row 1 those plus the pending run's scores from its fusion state (a
+separator), and rows 2 + j those plus the j-th entry of the completed LM
+state's CJK row, taken from the model's matrix of rows (without an LM,
+one zero row); the word table's row 2 counts the CJK word. The cut is
+one partition of all V x K scores for the width-th best. A score is
+-inf exactly when its candidate is dead (no mass) or merged into its
+child, so when that threshold is finite the scores at or above it are
+exactly the top live candidates. Only when fewer than width candidates
+are finite (a decode's first frames, or rows holding -inf) does the cut
+rank the live candidates instead: every prefix itself, even at -inf, as
+the reference keeps it, and each finite extension. Exact score ties at
+the cut go to the smallest prefix, spelled from its candidate index, the
+only place besides the returned n-best where prefixes are spelled out as
+tuples. Which tied candidates survive is the only thing the order of the
+beam could change, so the beam is kept in candidate order, unsorted:
+the prefixes themselves first, then extensions by unit, and by beam
+slot within a unit.
+
+Why unit-major. A gather along axis 1 of a K x V array copies one
+8-byte element per step of numpy's inner loop; along axis 0 of a V x K
+array it copies whole rows of K. For the log10 gather of `scores` at
+K = 100, V = 41 that took 4.9-7.4 us against 1.4-1.9 us (numpy 2.4, a
+2-vCPU x86 VM). Every score is still the same float operation on the
+same operands.
 
 The frame loop makes only calls that do array work. At beam 10 a
 frame's arrays hold a few hundred elements, so a numpy call costs about
@@ -52,19 +66,22 @@ its fixed dispatch (~0.5 us for a 1-D index, a ufunc or `nonzero`), and
 a call that adds its own overhead costs several of them. So a frame
 uses no `np.flatnonzero` (3.0 us; `x.nonzero()[0]` is 0.5), no
 `np.divmod` of flat candidate indices (3.5 us; the beam slot and unit
-of each are gathered from the tables `k_of` and `v_of`), no new
-`np.arange` of slot numbers (a slice of one), no `np.partition` wrapper
-(a copy, then `ndarray.partition`), no 2-D fancy index where a flat
-index or `take` does (the parent merge indexes the flat candidates), no
-Python list as an index more than once (it is converted to an array
-first), and no live mask while the beam can fill (the mask, its
-`nonzero` and the two gathers through it were a tenth of a zero-weight
-beam-100 frame). The flat candidate tables depend only on V and their
-length, a power of two up to twice the beam (never sized by the width
-alone), so `_flat_tables` builds them once per V and length, not once
-per decode. They are read-only arrays, so decodes in any number of
-threads share them. The fusion state's per-unit tables are built once
-per vocabulary too.
+of each are gathered from the tables `k_of` and `v_of`; dividing by K
+instead cost 1.07x on zero-weight beam-10 frames), no `np.stack` (a
+Python loop over its inputs; a table is filled row by row), no new
+`np.arange` of slot numbers (a slice of `k_of`), no `np.partition`
+wrapper (a copy, then `ndarray.partition`), no 2-D fancy index where a
+flat index or `take` does (the parent merge indexes the flat
+candidates), no Python list as an index more than once (it is
+converted to an array first), and no live mask while the beam can fill
+(the mask, its `nonzero` and the two gathers through it were a tenth of
+a zero-weight beam-100 frame). The flat candidate tables depend only on
+V and the beam size K, so `_flat_tables` builds them once per (V, K),
+not once per decode, and a decode asks for them only when K changes:
+once the beam has filled, K stays the width while every frame has that
+many live candidates. They are read-only arrays, so decodes in any
+number of threads share them. The fusion state's per-unit tables are
+built once per vocabulary too.
 
 Hash-consing. The trie is a dict from key parent * V + unit to node id,
 so it costs under a hundred bytes per node reached, whatever V is. Each
@@ -362,7 +379,7 @@ def _best(scores: np.ndarray, n: int, spell, threshold: float) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _unit_tables(vocab: GraphemeVocab):
     """The per-unit tables of a fusion state, built once per vocabulary:
-    whether unit v is Latin, the run it adds to a pending word, the column
+    whether unit v is Latin, the run it adds to a pending word, the row
     of the per-frame log10 and word tables it reads, the column of the LM
     state transitions it takes, and the CJK units in order. Every decode
     with the vocabulary shares them, so they are read-only."""
@@ -372,28 +389,27 @@ def _unit_tables(vocab: GraphemeVocab):
     cjk_cols = np.array([s == SCRIPT_CJK for s in scripts])
     cjk_ids = np.flatnonzero(cjk_cols)
     latin_unit = tuple(u if latin else "" for u, latin in zip(units, latin_cols))
-    # which column of the per-frame log10 and word tables candidate
-    # column v reads: 0 the beam's own fields (the beam itself, or a
-    # Latin unit that only grows the pending run), 1 those with the
-    # pending word completed (a separator), 2 + j that plus the j-th
-    # CJK unit
-    log10_col = np.where(latin_cols, 0, 1)
-    log10_col[0] = 0
-    log10_col[cjk_ids] = 2 + np.arange(len(cjk_ids))
+    # which row of the per-frame log10 and word tables candidate row v
+    # reads: 0 the beam's own fields (the beam itself, or a Latin unit
+    # that only grows the pending run), 1 those with the pending word
+    # completed (a separator), 2 + j that plus the j-th CJK unit
+    log10_row = np.where(latin_cols, 0, 1)
+    log10_row[0] = 0
+    log10_row[cjk_ids] = 2 + np.arange(len(cjk_ids))
     # the column of the LM state transitions unit v takes: 1 + j for
     # the j-th CJK unit, 0 (the state itself) for every other unit
-    next_col = np.where(cjk_cols, log10_col - 1, 0)
-    words_col = np.minimum(log10_col, 2)
-    for table in (latin_cols, log10_col, words_col, next_col):
+    next_col = np.where(cjk_cols, log10_row - 1, 0)
+    words_row = np.minimum(log10_row, 2)
+    for table in (latin_cols, log10_row, words_row, next_col):
         table.flags.writeable = False
     cjk_units = tuple(units[v] for v in cjk_ids)
-    return latin_cols, latin_unit, log10_col, words_col, next_col, cjk_units
+    return latin_cols, latin_unit, log10_row, words_row, next_col, cjk_units
 
 
 class _Fusion:
     """The fusion fields of each beam entry, in beam order: its fusion
     state id (`_LmCache`), and the log10 LM sum and word count of its
-    completed tokens. `scores` adds the fused bonus to the K x V candidate
+    completed tokens. `scores` adds the fused bonus to the V x K candidate
     masses, `keep` gives the survivors their fields, and `final` adds the
     completed terms to the total masses.
 
@@ -405,7 +421,7 @@ class _Fusion:
 
     def __init__(self, vocab: GraphemeVocab, cfg: FusionConfig, model):
         (
-            self.latin_cols, self.latin_unit, self.log10_col, self.words_col,
+            self.latin_cols, self.latin_unit, self.log10_row, self.words_row,
             self.next_col, cjk_units,
         ) = _unit_tables(vocab)
         self.lm_weight, self.beta, self.model = cfg.alpha * LN10, cfg.beta, model
@@ -423,14 +439,21 @@ class _Fusion:
         are kept for `keep`."""
         cache, fid = self.cache, self.fid
         self.done_state = cache.done[fid]
-        done = (self.log10 + cache.log10[fid])[:, None]
-        rows = cache.rows.take(self.done_state, axis=0)
-        tab = np.concatenate((self.log10[:, None], done, done + rows), axis=1)
-        self.cand_log10 = tab.take(self.log10_col, axis=1)
-        done = (self.words + cache.words[fid])[:, None]
-        tab = np.concatenate((self.words[:, None], done, done + 1), axis=1)
-        self.cand_words = tab.take(self.words_col, axis=1)
-        return cand + self.lm_weight * self.cand_log10 + self.beta * self.cand_words
+        done = self.log10 + cache.log10[fid]
+        tab = np.empty((2 + len(cache.cjk_words), len(fid)))
+        tab[0], tab[1] = self.log10, done
+        np.add(done, cache.rows.take(self.done_state, axis=0).T, out=tab[2:])
+        self.cand_log10 = tab.take(self.log10_row, axis=0)
+        done = self.words + cache.words[fid]
+        tab = np.empty((3, len(fid)))
+        tab[0], tab[1] = self.words, done
+        np.add(done, 1, out=tab[2])
+        self.cand_words = tab.take(self.words_row, axis=0)
+        # cand + lm_weight * log10 + beta * words, in that association
+        scores = self.lm_weight * self.cand_log10
+        scores += cand
+        scores += self.beta * self.cand_words
+        return scores
 
     def keep(self, flat, ks, ext, k_ext, v_ext) -> None:
         """Survivor i is candidate flat[i]: entry ks[i] itself, or for
@@ -449,8 +472,8 @@ class _Fusion:
         fid = self.fid[ks]
         self.log10 = self.cand_log10.ravel()[flat]
         self.words = self.cand_words.ravel()[flat]
-        # a Latin unit reads column 0 here, the completed state itself, and
-        # takes its fusion state from `latin` below
+        # a Latin unit reads column 0 of `next_ids` here, the completed
+        # state itself, and takes its fusion state from `latin` below
         base, cols = self.done_state[k_ext], self.next_col[v_ext]
         states = cache.next_ids[base, cols]
         for j in (states < 0).nonzero()[0].tolist():
@@ -485,16 +508,27 @@ class _CtcOnly:
 
 
 @functools.lru_cache(maxsize=16)
-def _flat_tables(V: int, slots: int) -> tuple[np.ndarray, ...]:
-    """Slot numbers, each slot's first flat K x V candidate index, and the
-    beam slot and unit of each flat index, for beams of up to `slots`
-    entries. Read-only: every decode with this V shares them."""
-    slots_of = np.arange(slots)
-    starts_of = slots_of * V
-    k_of, v_of = np.divmod(np.arange(slots * V), V)
-    for table in (slots_of, starts_of, k_of, v_of):
+def _flat_tables(V: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The beam slot and the unit of each flat index v * K + k of a V x K
+    candidate array; its first K slots are the slot numbers.
+
+    The array is unit-major because `scores` gathers its fusion fields by
+    unit, and `take` along axis 0 copies whole rows of K where along axis
+    1 of a K x V array it copies one element per step ("Why unit-major"
+    above). The tables are keyed by the exact K, so that slot and unit
+    stay one gather each rather than a division by K; each holds V x K
+    entries, K being a beam size a decode reached, never the width alone.
+    Read-only: every decode with this V and beam size shares them."""
+    k_of = np.tile(np.arange(K), V)
+    v_of = np.repeat(np.arange(V), K)
+    for table in (k_of, v_of):
         table.flags.writeable = False
-    return slots_of, starts_of, k_of, v_of
+    return k_of, v_of
+
+
+# the beam slot of a node not in the beam: so far below 0 that last * K plus
+# it stays negative
+_NOT_IN_BEAM = -(1 << 62)
 
 
 def beam_decode(
@@ -542,26 +576,27 @@ def beam_decode(
     # blank- and non-blank-ending masses
     node, par, last = np.zeros(1, int), np.full(1, -1), np.zeros(1, int)
     pb, pnb = np.zeros(1), np.full(1, NEG_INF)
-    # beam slot of each node in the beam, -1 elsewhere; the last element
-    # stays -1 for the empty prefix's parent (-1)
-    pos = np.full(64, -1)
-    # the flat candidate tables, for beams of up to len(slots_of) entries
-    slots_of = starts_of = k_of = v_of = np.zeros(0, int)
+    # beam slot of each node in the beam, _NOT_IN_BEAM elsewhere; the last
+    # element stays so for the empty prefix's parent (-1)
+    pos = np.full(64, _NOT_IN_BEAM)
+    # the flat candidate tables of a beam of len(k_of) // V entries
+    k_of = v_of = np.zeros(0, int)
 
     for row in logp:
         K = len(node)
-        if K > len(slots_of):  # a power of two, so that decodes share them
-            slots_of, starts_of, k_of, v_of = _flat_tables(V, 1 << K.bit_length())
-        slots = slots_of[:K]
+        if K * V != len(k_of):
+            k_of, v_of = _flat_tables(V, K)
+        slots = k_of[:K]
         totals = np.logaddexp(pb, pnb)
         row_last = row[last]
 
-        # cand[k, v]: mass of prefix k extended by unit v; a repeat of the
-        # last unit only continues from the blank-ending mass. Column 0 is
+        # cand[v, k]: mass of prefix k extended by unit v; a repeat of the
+        # last unit only continues from the blank-ending mass. Row 0 is
         # filled with the mass of prefix k itself below.
-        cand = totals[:, None] + row
+        cand = row[:, None] + totals
         flat_cand = cand.ravel()
-        flat_cand[starts_of[:K] + last] = pb + row_last
+        last_start = last * K
+        flat_cand[last_start + slots] = pb + row_last
         same_pb = totals + row[0]
         same_pnb = pnb + row_last
 
@@ -570,14 +605,14 @@ def beam_decode(
         # into[k] is that extension's flat candidate index, negative for a
         # prefix whose parent is not in the beam.
         pos[node] = slots
-        into = pos[par] * V + last
-        pos[node] = -1
+        into = last_start + pos[par]
+        pos[node] = _NOT_IN_BEAM
         merged = (into >= 0).nonzero()[0]
         if len(merged):
             into = into[merged]
             same_pnb[merged] = np.logaddexp(same_pnb[merged], flat_cand[into])
             flat_cand[into] = NEG_INF
-        cand[:, 0] = np.logaddexp(same_pb, same_pnb)
+        cand[0] = np.logaddexp(same_pb, same_pnb)
         scores = fusion.scores(cand)
 
         # the survivors as flat candidate indices, ascending but for ties
@@ -590,7 +625,7 @@ def beam_decode(
             flat = _best(scores, width, spell_candidates, threshold)
         else:
             live = cand != NEG_INF
-            live[:, 0] = True
+            live[0] = True
             flat = live.ravel().nonzero()[0]
             if len(flat) > width:
                 flat = flat[
@@ -600,7 +635,7 @@ def beam_decode(
 
         # a survivor's masses: pb and pnb of its beam entry's own
         # candidate, or no pb and the candidate mass for an extension (so
-        # with column 0 set to the pnbs, pnb is one gather of the ranked
+        # with row 0 set to the pnbs, pnb is one gather of the ranked
         # candidates); then extensions take their new fields, and each
         # extension's node is hash-consed ("Hash-consing" above)
         ext = vs.nonzero()[0]
@@ -608,7 +643,7 @@ def beam_decode(
         fusion.keep(flat, ks, ext, k_ext, v_ext)
         pb = same_pb[ks]
         pb[ext] = NEG_INF
-        cand[:, 0] = same_pnb
+        cand[0] = same_pnb
         pnb = flat_cand[flat]
         parent_node = node[k_ext]
         node, par, last = node[ks], par[ks], last[ks]
@@ -619,7 +654,7 @@ def beam_decode(
             for n, v in zip(parent_node.tolist(), v_ext.tolist())
         ]
         if len(trie) >= len(pos) - 1:
-            pos = np.full(2 * len(trie) + 2, -1)
+            pos = np.full(2 * len(trie) + 2, _NOT_IN_BEAM)
 
     q = fusion.final(np.logaddexp(pb, pnb))
     n = nbest if nbest is not None else width

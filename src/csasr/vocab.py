@@ -71,7 +71,7 @@ def script_of(unit: str) -> str:
         return SCRIPT_BLANK
     if unit == " ":
         return SCRIPT_SEPARATOR
-    if unit == "'" or ("a" <= unit <= "z"):
+    if unit == "'" or (len(unit) == 1 and "a" <= unit <= "z"):
         return SCRIPT_LATIN
     if len(unit) == 1 and is_cjk(unit):
         return SCRIPT_CJK

@@ -107,7 +107,7 @@ def test_beam_decode_equals_reference_on_long_tied_grids(width):
 # the rows of a cut grid, each over coarse logits so that exact score ties
 # fall on the width cut: "F" every unit, "B" the blank alone (each prefix
 # keeps only itself, so a beam of K < width prefixes has K finite
-# candidates out of K x V), "S" the blank and one or two units, and "U" one
+# candidates out of V x K), "S" the blank and one or two units, and "U" one
 # non-blank unit alone (every prefix not ending in it is left at -inf)
 CUT_PATTERNS = (
     "B", "FB", "FFB", "FFFB", "FFFFB", "BFB", "UFB", "FUFB", "SSBSU", "FSUSB", "FFUUF", "UUFFB"
@@ -129,7 +129,7 @@ def _cut_grid(rng, pattern: str) -> PosteriorGrid:
 @pytest.mark.parametrize("width", (1, 2, 10, 100))
 def test_beam_decode_equals_reference_on_both_paths_of_the_cut(width):
     # frames with fewer than width finite candidates out of more than width
-    # (the live filter), with exactly width (the cut on all K x V scores,
+    # (the live filter), with exactly width (the cut on all V x K scores,
     # its threshold the last finite one), and with ties at a finite cut;
     # a width-1 frame always has a finite candidate, so only the cut runs
     rng = np.random.default_rng(6000 + width)
@@ -224,13 +224,13 @@ FLAT_TABLES = decoder._flat_tables
 
 
 def _recorded_flat_tables(monkeypatch) -> list:
-    """The (V, slots) of every flat table set decodes ask for from now on,
+    """The (V, K) of every flat table set decodes ask for from now on,
     with the cache emptied, so that each is built under the caller's eye."""
     asked = []
 
-    def recorded(V, slots):
-        asked.append((V, slots))
-        return FLAT_TABLES(V, slots)
+    def recorded(V, K):
+        asked.append((V, K))
+        return FLAT_TABLES(V, K)
 
     FLAT_TABLES.cache_clear()
     monkeypatch.setattr(decoder, "_flat_tables", recorded)
@@ -322,11 +322,80 @@ def test_fusion_states_cost_the_same_bytes_with_12_and_3000_cjk_units():
 def _assert_tables_fresh(asked):
     """Every flat table set that decodes asked for is read-only and holds
     what a fresh build would."""
-    for V, slots in set(asked):
-        fresh = FLAT_TABLES.__wrapped__(V, slots)
-        for shared, want in zip(FLAT_TABLES(V, slots), fresh):
-            assert not shared.flags.writeable, (V, slots)
-            assert np.array_equal(shared, want), (V, slots)
+    for V, K in set(asked):
+        fresh = FLAT_TABLES.__wrapped__(V, K)
+        for shared, want in zip(FLAT_TABLES(V, K), fresh):
+            assert not shared.flags.writeable, (V, K)
+            assert np.array_equal(shared, want), (V, K)
+
+
+# VOCAB's units with the unit classes interleaved: CJK, Latin and separator
+# rows alternate, so every class's rows of the per-frame fusion tables are
+# gathered out of order
+INTERLEAVED_VOCAB = GraphemeVocab(("<blank>", "你", "a", " ", "好", "'", "b"))
+
+
+@pytest.mark.parametrize("width", (1, 3, 10, 100, 10**6))
+def test_beam_decode_equals_reference_with_interleaved_unit_classes(monkeypatch, width):
+    # every weight, with and without an LM, cold and warm; from width 10 up
+    # the beam outgrows V, so K passes V during the decode
+    vocab, V = INTERLEAVED_VOCAB, len(INTERLEAVED_VOCAB)
+    rng = np.random.default_rng(8500 + min(width, 1000))
+    grids = [_grid(rng, 4 if width == 10**6 else int(rng.integers(3, 9)), vocab) for _ in range(8)]
+    if width < 10**6:  # too long for a beam that keeps every prefix
+        grids += [latin_run_grid(rng, t, vocab) for t in ("ab 你a'b", "好 ba'a 你")]
+    asked = _recorded_flat_tables(monkeypatch)
+    for case, (alpha, beta) in enumerate(itertools.product((-0.3, 0.0, 0.2), (0.0, 1.0))):
+        cfg = FusionConfig(alpha, beta, width)
+        for model in (None, dataclasses.replace(MODELS[ORDERS[case % len(ORDERS)]])):
+            want = [_nbest(reference_decoder.beam_decode, g, cfg, model, vocab) for g in grids]
+            cold = [_nbest(beam_decode, g, cfg, model, vocab) for g in grids]
+            warm = [_nbest(beam_decode, g, cfg, model, vocab) for g in grids]
+            assert cold == warm == want, (width, cfg, model and model.order)
+    _assert_tables_fresh(asked)
+    if width >= 10:
+        assert max(K for _, K in asked) > V, asked
+
+
+def _doubling_grid(rng, t: int, vocab) -> PosteriorGrid:
+    """t frames, each with the blank and one unit unlike the last frame's
+    finite: every prefix survives, itself and extended, so the live
+    candidates and the beam grow every frame and no frame fills it."""
+    logits = np.full((t, len(vocab)), -np.inf)
+    logits[:, 0] = rng.normal(0.0, 1.0, size=t)
+    unit = 0
+    for row in logits:
+        unit = int(rng.choice([v for v in range(1, len(vocab)) if v != unit]))
+        row[unit] = rng.normal(0.0, 1.0)
+    return PosteriorGrid(logits - np.logaddexp.reduce(logits, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("width", (5, 40, 10**6))
+def test_flat_tables_of_a_beam_that_changes_every_frame_stay_beam_sized(monkeypatch, width):
+    # a beam of 1, 2, 4, ... prefixes, less where two extensions spell one
+    # prefix: each frame has fewer live candidates than the width (until
+    # the width cuts them), so the cut ranks the live ones, and each frame
+    # asks for the flat tables of a new beam size. The decode equals the
+    # reference, every table it asked for is read-only and fresh, and none
+    # holds more than V x (largest beam) entries
+    rng = np.random.default_rng(8700 + min(width, 1000))
+    for case in range(12):
+        vocab = (VOCAB, INTERLEAVED_VOCAB, SMALL_VOCAB)[case % 3]
+        V, t = len(vocab), 7
+        grid = _doubling_grid(rng, t, vocab)
+        largest = min(width, _prefixes_reached(grid))
+        cfg = FusionConfig(*WEIGHTS[case % len(WEIGHTS)], width)
+        for model in (None, MODELS[ORDERS[case % len(ORDERS)]]):
+            want = _nbest(reference_decoder.beam_decode, grid, cfg, model, vocab)
+            asked = _recorded_flat_tables(monkeypatch)
+            assert _nbest(beam_decode, grid, cfg, model, vocab) == want, (case, width, cfg)
+            _assert_tables_fresh(asked)
+            if width == 10**6:  # a larger beam in every frame
+                Ks = [K for _, K in asked]
+                assert len(Ks) == t and Ks == sorted(set(Ks)), asked
+            for V_asked, K in asked:
+                for table in FLAT_TABLES(V_asked, K):
+                    assert table.size <= V * largest, (case, width, K, largest)
 
 
 class _ScoreFailed(RuntimeError):

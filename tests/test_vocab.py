@@ -5,6 +5,7 @@ from csasr.vocab import (
     BLANK_TOKEN,
     GraphemeVocab,
     InvalidId,
+    MalformedFile,
     UnknownGrapheme,
     build_vocab,
     decode_ids,
@@ -25,6 +26,24 @@ def test_script_of_partitions_units():
     assert script_of("你") == "cjk"
     with pytest.raises(ValueError):
         script_of("?")
+
+
+@pytest.mark.parametrize("unit", ["hello", "a'b", "ab", "b'", "你好", ""])
+def test_only_single_graphemes_are_units(unit):
+    # a string of several letters sorts between "a" and "z" but is no unit
+    with pytest.raises(ValueError, match="not a recognized grapheme unit"):
+        script_of(unit)
+    with pytest.raises(ValueError, match="not a recognized grapheme unit"):
+        GraphemeVocab((BLANK_TOKEN, "a", unit))
+
+
+def test_load_rejects_a_multi_letter_line_at_its_line_number(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"{BLANK_TOKEN}\na\n \nhello\nb\n", encoding="utf-8")
+    with pytest.raises(MalformedFile) as err:
+        load_vocab(path)
+    assert err.value.line_number == 4
+    assert "'hello'" in err.value.reason
 
 
 def test_vocab_requires_blank_first():

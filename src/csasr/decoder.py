@@ -113,10 +113,10 @@ x Latin unit table, a separator or a CJK unit through the LM state's
 transitions to the empty run's fusion state. That table is no node x
 unit table: the model bounds its states, which decodes share, and its
 rows hold the Latin units alone. Rows, transitions and fusion states
-(`_LmCache` gives their bounds) are kept in one `_LmCache` per model,
-shared by every decode with that model, so a decode builds only what no
-earlier one reached, and a decode that reaches nothing new calls the LM
-not at all.
+(`_LmCache` gives their bounds) are kept in one table per model and
+vocabulary, shared by every decode with both, so a decode builds only
+what no earlier one reached, and a decode that reaches nothing new calls
+the LM not at all.
 
 This is bit-identical to scoring each candidate separately in Python
 (tests/reference_decoder.py): numpy adds, multiplies and compares
@@ -190,8 +190,14 @@ def fused_score(
 
 
 class _LmCache:
-    """LM tables of one model and one tuple of CJK words: its LM states
-    and the fusion states over them, each by id.
+    """LM tables of one model and one vocabulary: its LM states and the
+    fusion states over them, each by id.
+
+    Built once from the vocabulary. `cjk_words` are its CJK units in
+    order, each one outside the LM vocabulary taken as `<unk>`; the k-th
+    Latin unit is column k of `latin`; `start` is the beam's initial
+    fusion state, the empty run at the state of `<s>`. The per-unit tables
+    that `_Fusion` reads come from `_unit_tables`.
 
     LM states. `rows[i]` holds `lm.log10` of each CJK word in order at
     state i and is built when state i is first reached. `next_ids[i, 1 + j]`
@@ -208,8 +214,8 @@ class _LmCache:
     at state i are one fusion state, `unk[i]` (run None, made when first
     reached, -1 before); a run that only starts words copies its scores.
     Any other run has one parent, itself less its last unit, so the cell
-    `latin[latin_row[f], latin_cols[u]]`, the fusion state after Latin unit
-    u (-1 until asked for), makes each such fusion state once. Row 0 of
+    `latin[latin_row[f], latin_col[v]]`, the fusion state after Latin unit
+    v (-1 until asked for), makes each such fusion state once. Row 0 of
     `latin` stays all -1 and is the row of every state not yet extended.
 
     The fusion state of a vocabulary word, and each `<unk>` state, makes
@@ -217,46 +223,52 @@ class _LmCache:
     The tables are bounded by the model and the units: with S LM states,
     C CJK words and P non-empty prefixes of vocabulary words, S x C row
     entries and S x (1 + C) transitions, at most S x (2 + P) fusion
-    states, and one `latin` row, one cell per Latin unit, for each fusion
-    state extended. Only `rows` and `next_ids` grow with C; a fusion state
-    costs the same at every V.
+    states, and one `latin` row, one cell per Latin unit of the
+    vocabulary, for each fusion state extended. Only `rows` and `next_ids`
+    grow with C; a fusion state costs the same at every V.
 
-    A model keeps one cache per tuple of CJK words in its
-    `decoding_tables`, shared by every decode with it; the methods take
-    the model as an argument, so the cache holds no reference back to it.
-    Without a model each decode makes its own cache with the one state
-    `()`, whose row is all zeros and whose every run scores 0.0 as
-    `<unk>`, so that it has two fusion states and leaves the log10 sums
-    exactly at 0.0 as if no LM were applied.
+    A model keeps one table per vocabulary in its `decoding_tables`,
+    shared by every decode with both; the methods take the model as an
+    argument, so the table holds no reference back to it. Without a model
+    each decode makes its own table with the one state `()`, whose row is
+    all zeros and whose every run scores 0.0 as `<unk>`, so that it has
+    two fusion states and leaves the log10 sums exactly at 0.0 as if no
+    LM were applied.
     """
 
-    def __init__(self, cjk_words, vocabulary=()):
-        self.cjk_words = cjk_words
+    def __init__(self, model, vocab: GraphemeVocab):
+        (
+            self.is_latin, self.latin_unit, self.latin_col, self.log10_row,
+            self.words_row, self.next_col, cjk_units,
+        ) = _unit_tables(vocab)
+        vocabulary = model.vocabulary if model is not None else ()
+        self.cjk_words = tuple(u if u in vocabulary else lm_mod.UNK for u in cjk_units)
         # every non-empty prefix of a vocabulary word, mapped to itself so
         # that the fusion states with one run share its string
         self.prefixes = {w[:n]: w[:n] for w in vocabulary for n in range(1, len(w) + 1)}
         self.ids: dict = {}
         self.states: list = []
-        self.rows = np.zeros((8, len(cjk_words)))
-        self.next_ids = np.full((8, 1 + len(cjk_words)), -1)
+        self.rows = np.zeros((8, len(self.cjk_words)))
+        self.next_ids = np.full((8, 1 + len(self.cjk_words)), -1)
         self.empty = np.zeros(8, int)
         self.unk: list = []
         self.runs: list = []
         self.run_state, self.done = np.zeros(8, int), np.zeros(8, int)
         self.log10, self.words = np.zeros(8), np.zeros(8)
         self.latin_row = np.zeros(8, int)
-        self.latin_cols: dict = {}
-        self.latin = np.full((8, 0), -1, dtype=np.int32)
+        self.latin = np.full((8, np.count_nonzero(self.is_latin)), -1, dtype=np.int32)
         self.latin_rows = 1  # rows of `latin` in use
+        self.start = int(self.empty[self.id_of(model, (lm_mod.BOS,))])
 
     @staticmethod
-    def of(model, cjk_words) -> _LmCache:
-        """The cache that decodes with model and these CJK words use."""
+    def of(model, vocab: GraphemeVocab) -> _LmCache:
+        """The table that decodes with model and vocab use: the model's
+        own for vocab, or without a model a fresh one."""
         if model is None:
-            return _LmCache(cjk_words)
-        cache = model.decoding_tables.get(cjk_words)
+            return _LmCache(None, vocab)
+        cache = model.decoding_tables.get(vocab)
         if cache is None:
-            cache = model.decoding_tables[cjk_words] = _LmCache(cjk_words, model.vocabulary)
+            cache = model.decoding_tables[vocab] = _LmCache(model, vocab)
         return cache
 
     def id_of(self, model, context) -> int:
@@ -283,29 +295,15 @@ class _LmCache:
         self.next_ids[i, 1 + j] = k
         return k
 
-    def columns(self, latin_unit) -> np.ndarray:
-        """The column of `latin` of each unit, given as its Latin run, a
-        Latin unit seen first getting the next one, any other unit 0. The
-        cache is keyed by CJK words alone, so vocabularies with other Latin
-        units share it."""
-        cols = [
-            self.latin_cols.setdefault(u, len(self.latin_cols)) if u else 0 for u in latin_unit
-        ]
-        extra = len(self.latin_cols) - self.latin.shape[1]
-        if extra:
-            pad = np.full_like(self.latin, -1, shape=(len(self.latin), extra))
-            self.latin = np.concatenate([self.latin, pad], axis=1)
-        return np.array(cols, dtype=int)
-
-    def extend(self, model, f: int, unit: str) -> int:
-        """The fusion state after Latin unit `unit` from fusion state f."""
+    def extend(self, model, f: int, v: int) -> int:
+        """The fusion state after Latin unit v from fusion state f."""
         r = self.latin_row[f]
         if not r:
             if self.latin_rows == len(self.latin):
                 self.latin = _doubled(self.latin, -1)
             r = self.latin_row[f] = self.latin_rows
             self.latin_rows += 1
-        col = self.latin_cols[unit]
+        col, unit = self.latin_col[v], self.latin_unit[v]
         to = self.latin[r, col]
         if to < 0:
             run = self.runs[f]
@@ -379,39 +377,42 @@ def _best(scores: np.ndarray, n: int, spell, threshold: float) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _unit_tables(vocab: GraphemeVocab):
     """The per-unit tables of a fusion state, built once per vocabulary:
-    whether unit v is Latin, the run it adds to a pending word, the row
-    of the per-frame log10 and word tables it reads, the column of the LM
-    state transitions it takes, and the CJK units in order. Every decode
-    with the vocabulary shares them, so they are read-only."""
+    whether unit v is Latin, the run it adds to a pending word, its column
+    of `_LmCache.latin` (the k-th Latin unit's is k), the row of the
+    per-frame log10 and word tables it reads, the column of the LM state
+    transitions it takes, and the CJK units in order. Every table with the
+    vocabulary shares them, so they are read-only."""
     units = vocab.units
     scripts = [None] + [vocab.script_of_id(v) for v in range(1, len(units))]
-    latin_cols = np.array([s == SCRIPT_LATIN for s in scripts])
+    is_latin = np.array([s == SCRIPT_LATIN for s in scripts])
     cjk_cols = np.array([s == SCRIPT_CJK for s in scripts])
     cjk_ids = np.flatnonzero(cjk_cols)
-    latin_unit = tuple(u if latin else "" for u, latin in zip(units, latin_cols))
+    latin_unit = tuple(u if latin else "" for u, latin in zip(units, is_latin))
+    latin_col = np.where(is_latin, np.cumsum(is_latin) - 1, 0)
     # which row of the per-frame log10 and word tables candidate row v
     # reads: 0 the beam's own fields (the beam itself, or a Latin unit
     # that only grows the pending run), 1 those with the pending word
     # completed (a separator), 2 + j that plus the j-th CJK unit
-    log10_row = np.where(latin_cols, 0, 1)
+    log10_row = np.where(is_latin, 0, 1)
     log10_row[0] = 0
     log10_row[cjk_ids] = 2 + np.arange(len(cjk_ids))
     # the column of the LM state transitions unit v takes: 1 + j for
     # the j-th CJK unit, 0 (the state itself) for every other unit
     next_col = np.where(cjk_cols, log10_row - 1, 0)
     words_row = np.minimum(log10_row, 2)
-    for table in (latin_cols, log10_row, words_row, next_col):
+    for table in (is_latin, latin_col, log10_row, words_row, next_col):
         table.flags.writeable = False
     cjk_units = tuple(units[v] for v in cjk_ids)
-    return latin_cols, latin_unit, log10_row, words_row, next_col, cjk_units
+    return is_latin, latin_unit, latin_col, log10_row, words_row, next_col, cjk_units
 
 
 class _Fusion:
     """The fusion fields of each beam entry, in beam order: its fusion
-    state id (`_LmCache`), and the log10 LM sum and word count of its
-    completed tokens. `scores` adds the fused bonus to the V x K candidate
-    masses, `keep` gives the survivors their fields, and `final` adds the
-    completed terms to the total masses.
+    state id, and the log10 LM sum and word count of its completed
+    tokens. Its fusion states and per-unit tables are one `_LmCache`, one
+    table per model and vocabulary. `scores` adds the fused bonus to the
+    V x K candidate masses, `keep` gives the survivors their fields, and
+    `final` adds the completed terms to the total masses.
 
     An entry's done fields, its sums with the pending run scored as a
     word, are its own plus its fusion state's `log10` and `words`. That is
@@ -420,17 +421,9 @@ class _Fusion:
     starts at +0.0, and a float sum is -0.0 only when both terms are."""
 
     def __init__(self, vocab: GraphemeVocab, cfg: FusionConfig, model):
-        (
-            self.latin_cols, self.latin_unit, self.log10_row, self.words_row,
-            self.next_col, cjk_units,
-        ) = _unit_tables(vocab)
+        self.cache = _LmCache.of(model, vocab)
         self.lm_weight, self.beta, self.model = cfg.alpha * LN10, cfg.beta, model
-        vocabulary = model.vocabulary if model is not None else ()
-        self.cache = cache = _LmCache.of(
-            model, tuple(u if u in vocabulary else lm_mod.UNK for u in cjk_units)
-        )
-        self.latin_col = cache.columns(self.latin_unit)
-        self.fid = cache.empty[[cache.id_of(model, (lm_mod.BOS,))]]
+        self.fid = np.full(1, self.cache.start)
         self.log10, self.words = np.zeros(1), np.zeros(1)
 
     def scores(self, cand: np.ndarray) -> np.ndarray:
@@ -443,12 +436,12 @@ class _Fusion:
         tab = np.empty((2 + len(cache.cjk_words), len(fid)))
         tab[0], tab[1] = self.log10, done
         np.add(done, cache.rows.take(self.done_state, axis=0).T, out=tab[2:])
-        self.cand_log10 = tab.take(self.log10_row, axis=0)
+        self.cand_log10 = tab.take(cache.log10_row, axis=0)
         done = self.words + cache.words[fid]
         tab = np.empty((3, len(fid)))
         tab[0], tab[1] = self.words, done
         np.add(done, 1, out=tab[2])
-        self.cand_words = tab.take(self.words_row, axis=0)
+        self.cand_words = tab.take(cache.words_row, axis=0)
         # cand + lm_weight * log10 + beta * words, in that association
         scores = self.lm_weight * self.cand_log10
         scores += cand
@@ -474,17 +467,17 @@ class _Fusion:
         self.words = self.cand_words.ravel()[flat]
         # a Latin unit reads column 0 of `next_ids` here, the completed
         # state itself, and takes its fusion state from `latin` below
-        base, cols = self.done_state[k_ext], self.next_col[v_ext]
+        base, cols = self.done_state[k_ext], cache.next_col[v_ext]
         states = cache.next_ids[base, cols]
         for j in (states < 0).nonzero()[0].tolist():
             states[j] = cache.advance(model, int(base[j]), int(cols[j]) - 1)
         fid_ext = cache.empty[states]
-        latin = self.latin_cols[v_ext].nonzero()[0]
+        latin = cache.is_latin[v_ext].nonzero()[0]
         if len(latin):
             f, v = self.fid[k_ext[latin]], v_ext[latin]
-            got = cache.latin[cache.latin_row[f], self.latin_col[v]]
+            got = cache.latin[cache.latin_row[f], cache.latin_col[v]]
             for j in (got < 0).nonzero()[0].tolist():
-                got[j] = cache.extend(model, int(f[j]), self.latin_unit[v[j]])
+                got[j] = cache.extend(model, int(f[j]), int(v[j]))
             fid_ext[latin] = got
         fid[ext] = fid_ext
         self.fid = fid

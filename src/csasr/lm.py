@@ -98,8 +98,9 @@ class NGramModel:
     discounts: dict[int, float] | None = None
     # orders whose count-of-counts gave no discount in (0,1); D=0.5 was used
     degenerate_orders: tuple[int, ...] = ()
-    # decoder tables by tuple of CJK words; none of them refers to the model,
-    # so a model is freed as soon as its last reference goes
+    # decoder tables, one table per model and vocabulary, keyed by the
+    # vocabulary; none of them refers to the model, so a model is freed as
+    # soon as its last reference goes
     decoding_tables: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )

@@ -1,9 +1,14 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csasr
 from csasr import decoder, training
 from csasr.cli import build_parser, main
 from csasr.ctc import PosteriorGrid
@@ -886,3 +891,19 @@ def test_help_text_renders_for_every_command():
         assert command in text
     for action in parser._subparsers._group_actions[0].choices.values():
         assert action.format_help()
+
+
+def test_importing_the_entry_module_runs_nothing():
+    # `python -m csasr` runs the CLI; importing csasr.__main__ must not, or
+    # it would parse the importer's argv
+    env = {**os.environ, "PYTHONPATH": str(Path(csasr.__file__).parent.parent)}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    imported = run("-c", "import csasr.__main__")
+    assert (imported.returncode, imported.stdout, imported.stderr) == (0, "", "")
+    helped = run("-m", "csasr", "--help")
+    assert helped.returncode == 0 and "run-matrix" in helped.stdout

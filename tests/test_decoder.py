@@ -10,9 +10,9 @@ from csasr import decoder as decoder_mod
 from csasr import lm as lm_mod
 from csasr.ctc import PosteriorGrid, ctc_loss
 from csasr.decoder import FusionConfig, beam_decode, fused_score, greedy_decode
-from csasr.vocab import GraphemeVocab
+from csasr.vocab import SCRIPT_LATIN, GraphemeVocab
 from conftest import NESTED_RUNS, NESTED_VOCAB, latin_run_grid, nested_lms, random_grid
-from reference_decoder import exhaustive_best
+from reference_decoder import beam_decode as reference_beam_decode, exhaustive_best
 
 EXHAUSTIVE = FusionConfig(alpha=0.2, beta=1.0, beam_width=100_000)
 NO_LM = FusionConfig(alpha=0.0, beta=0.0, beam_width=100_000)
@@ -261,8 +261,8 @@ def test_word_bonus_decode_without_an_lm_keeps_two_fusion_states(monkeypatch):
     # its beams spell
     caches, real = [], decoder_mod._LmCache.of
 
-    def recording_of(model, cjk_words):
-        caches.append(real(model, cjk_words))
+    def recording_of(model, vocab):
+        caches.append(real(model, vocab))
         return caches[-1]
 
     monkeypatch.setattr(decoder_mod._LmCache, "of", staticmethod(recording_of))
@@ -271,6 +271,40 @@ def test_word_bonus_decode_without_an_lm_keeps_two_fusion_states(monkeypatch):
         hyps = beam_decode(grid, NESTED_VOCAB, FusionConfig(0.0, 1.0, 100), None)
         assert len({run for h in hyps for run in h.text.split()}) > 10
     assert [cache.runs for cache in caches] == [["", None]] * len(grids)
+
+
+# the same CJK units, and other Latin units in another order
+LATIN_VOCABS = (
+    GraphemeVocab(("<blank>", "a", "b", " ", "你", "好")),
+    GraphemeVocab(("<blank>", "c", "'", "b", " ", "你", "a", "好")),
+)
+LATIN_VOCAB_RUNS = (("ab 你 ba", "a 好 bab a"), ("c'a b 你", "ab'c 好 ca b"))
+
+
+def test_one_table_per_vocabulary_that_differs_in_latin_units(monkeypatch):
+    # each vocabulary gets a table of its own, whose `latin` has one column
+    # per Latin unit of the vocabulary from its first decode on; every
+    # n-best is the reference's, and a second pass calls the LM not at all
+    corpus = ("ab a 你", "c'a b 好", "a 你 好 ca", "b'c ab", "ba 好 a")
+    model = lm_mod.train_kn([lm_mod.tokenize_lm(s) for s in corpus], order=3)
+    rng = np.random.default_rng(18)
+    cases = [
+        (vocab, latin_run_grid(rng, t, vocab), FusionConfig(0.2, 1.0, width))
+        for width in (1, 10, 100)
+        for vocab, runs in zip(LATIN_VOCABS, LATIN_VOCAB_RUNS)
+        for t in runs
+    ]
+    want = [reference_beam_decode(grid, vocab, cfg, model) for vocab, grid, cfg in cases]
+    calls, _ = _record_lm(monkeypatch)
+    for (vocab, grid, cfg), hyps in zip(cases, want):
+        assert beam_decode(grid, vocab, cfg, model) == hyps, (vocab, cfg)
+        latin = sum(vocab.script_of_id(v) == SCRIPT_LATIN for v in range(len(vocab)))
+        assert model.decoding_tables[vocab].latin.shape[1] == latin
+    assert calls and list(model.decoding_tables) == list(LATIN_VOCABS)
+    calls.clear()
+    for (vocab, grid, cfg), hyps in zip(cases, want):
+        assert beam_decode(grid, vocab, cfg, model) == hyps, (vocab, cfg)
+    assert calls == []
 
 
 def _record_fusion(monkeypatch):

@@ -302,7 +302,7 @@ def test_fusion_states_cost_the_same_bytes_with_12_and_3000_cjk_units():
         grid = PosteriorGrid(np.concatenate([logits, cjk_logits], axis=1))
         model, other = (lm_mod.train_kn(corpus, order=2) for _ in range(2))
         beam_decode(grid, vocab, cfg, other)  # builds the tables decodes share
-        cache = _LmCache.of(model, (lm_mod.UNK,) * cjk)
+        cache = _LmCache.of(model, vocab)
         for state in sorted(model.states):
             cache.id_of(model, state)
         made = len(cache.runs)
@@ -562,10 +562,10 @@ def test_rows_of_states_reached_before_their_suffix_states(tmp_path):
 @given(model=random_lms(), seed=st.integers(0, 2**32 - 1))
 def test_rows_built_at_the_deepest_state_first_on_random_lm_tables(model, seed):
     deepest = max(sorted(model.states), key=len)
-    cjk_words = tuple(w if w in model.vocabulary else lm_mod.UNK for w in ("你", "好"))
-    cache = _LmCache(cjk_words)
+    cache = _LmCache(model, VOCAB)
     cache.id_of(model, deepest)
-    assert cache.states == [deepest]
+    # a table is built with the state of <s>, its beam's start
+    assert cache.states == list(dict.fromkeys([lm_mod.state_of(model, (lm_mod.BOS,)), deepest]))
     _check_rows(model, cache)
     rng = np.random.default_rng(seed)
     for width in (1, 10):

@@ -47,7 +47,10 @@ def _output_dir(args) -> Path:
     if args.output_dir is None:
         raise UsageError("--output-dir is required for this command")
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise UsageError(f"cannot use --output-dir {out}: not a directory") from None
     return out
 
 
@@ -506,7 +509,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except (UsageError, MalformedFile) as e:
+    except (UsageError, MalformedFile, model_mod.VocabMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (FileNotFoundError, IsADirectoryError) as e:

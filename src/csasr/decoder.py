@@ -53,44 +53,17 @@ beam could change, so the beam is kept in candidate order, unsorted:
 the prefixes themselves first, then extensions by unit, and by beam
 slot within a unit.
 
-Why unit-major. A gather along axis 1 of a K x V array copies one
-8-byte element per step of numpy's inner loop; along axis 0 of a V x K
-array it copies whole rows of K. For the log10 gather of `scores` at
-K = 100, V = 41 that took 4.9-7.4 us against 1.4-1.9 us (numpy 2.4, a
-2-vCPU x86 VM). Every score is still the same float operation on the
-same operands.
-
-The frame loop makes only calls that do array work. At beam 10 a
-frame's arrays hold a few hundred elements, so a numpy call costs about
-its fixed dispatch (~0.5 us for a 1-D index, a ufunc or `nonzero`), and
-a call that adds its own overhead costs several of them. So a frame
-uses no `np.flatnonzero` (3.0 us; `x.nonzero()[0]` is 0.5), no
-`np.divmod` of flat candidate indices (3.5 us; the beam slot and unit
-of each are gathered from the tables `k_of` and `v_of`; dividing by K
-instead cost 1.07x on zero-weight beam-10 frames), no `np.stack` (a
-Python loop over its inputs; a table is filled row by row), no new
-`np.arange` of slot numbers (a slice of `k_of`), no `np.partition`
-wrapper (a copy, then `ndarray.partition`), no 2-D fancy index where a
-flat index or `take` does (the parent merge indexes the flat
-candidates), no Python list as an index more than once (it is
-converted to an array first), and no live mask while the beam can fill
-(the mask, its `nonzero` and the two gathers through it were a tenth of
-a zero-weight beam-100 frame). The flat candidate tables depend only on
-V and the beam size K, so `_flat_tables` builds them once per (V, K),
-not once per decode, and a decode asks for them only when K changes:
-once the beam has filled, K stays the width while every frame has that
-many live candidates. They are read-only arrays, so decodes in any
-number of threads share them. The fusion state's per-unit tables are
-built once per vocabulary too.
-
 Hash-consing. The trie is a dict from key parent * V + unit to node id,
 so it costs under a hundred bytes per node reached, whatever V is. Each
 frame gives its surviving extensions their nodes in extension order,
 one `setdefault` each: a new prefix takes the next id, and one that
 re-creates a pruned prefix gets its old node back. That is O(1) per
-node at every V. A node x unit child table finds a frame's nodes in one
-gather, but holds V cells per node: a 300-frame beam-100 decode at
-V = 3,029 peaked at 2.1 GB with one.
+node at every V.
+
+Rejected forms, with their timings in CHANGES.md:
+- a K x V candidate array, whose gathers copy one element, not a row;
+- in the frame loop, numpy wrappers with their own overhead (`np.divmod`);
+- a node x unit child table for hash-consing (2.1 GB at V = 3,029).
 
 Zero weights. A decode drops an LM whose alpha * ln 10 is zero, and one
 left with neither an LM nor a word bonus keeps no fusion state
@@ -108,11 +81,12 @@ why). A state's CJK row holds `lm.log10` of every CJK unit
 `lm.score` per unit. A prefix carries the id of its fusion state: the LM
 state before its pending Latin run, and that run, with the run's score
 as a word and the LM state after it. So each unit leads from a fusion
-state to the next by a table lookup: a Latin unit through a fusion state
-x Latin unit table, a separator or a CJK unit through the LM state's
-transitions to the empty run's fusion state. That table is no node x
-unit table: the model bounds its states, which decodes share, and its
-rows hold the Latin units alone. Rows, transitions and fusion states
+state to the next by one table lookup: a Latin unit through a fusion
+state x Latin unit table, a separator or a CJK unit through the
+completed LM state's transitions, each naming the empty run's fusion
+state at the LM state it leads to. Neither is a node x unit table: the
+model bounds the states, which decodes share, and a fusion state's Latin
+row holds the Latin units alone. Rows, transitions and fusion states
 (`_LmCache` gives their bounds) are kept in one table per model and
 vocabulary, shared by every decode with both, so a decode builds only
 what no earlier one reached, and a decode that reaches nothing new calls
@@ -139,12 +113,7 @@ import numpy as np
 
 from . import lm as lm_mod
 from .ctc import PosteriorGrid, collapse
-from .vocab import (
-    SCRIPT_CJK,
-    SCRIPT_LATIN,
-    GraphemeVocab,
-    decode_ids,
-)
+from .vocab import SCRIPT_CJK, SCRIPT_LATIN, GraphemeVocab, decode_ids
 
 LN10 = math.log(10.0)
 NEG_INF = float("-inf")
@@ -191,41 +160,36 @@ def fused_score(
 
 class _LmCache:
     """LM tables of one model and one vocabulary: its LM states and the
-    fusion states over them, each by id.
+    fusion states over them, each by id, built once from the vocabulary.
+    `cjk_words` are its CJK units in order, each one outside the LM
+    vocabulary as `<unk>`; the per-unit tables that `_Fusion` reads come
+    from `_unit_tables`.
 
-    Built once from the vocabulary. `cjk_words` are its CJK units in
-    order, each one outside the LM vocabulary taken as `<unk>`; the k-th
-    Latin unit is column k of `latin`; `start` is the beam's initial
-    fusion state, the empty run at the state of `<s>`. The per-unit tables
-    that `_Fusion` reads come from `_unit_tables`.
+    `rows[i]` holds `lm.log10` of each CJK word at LM state i, built when
+    state i is first reached. Fusion state f is an LM state, `run_state[f]`,
+    and the Latin run pending after it, `runs[f]`; `done[f]` is the LM
+    state once the run is scored as a word, `log10[f]` its log10
+    p(run | state) and `words[f]` the one word it adds. A run outside the
+    LM vocabulary scores as `<unk>`. A run that no vocabulary word starts
+    with stays `<unk>` as it grows, so all such runs at state i are one
+    fusion state, `unk[i]` (run None, made when first reached, -1 before);
+    a run that only starts words copies its scores.
 
-    LM states. `rows[i]` holds `lm.log10` of each CJK word in order at
-    state i and is built when state i is first reached. `next_ids[i, 1 + j]`
-    is the state after CJK word j, -1 until asked for; `next_ids[i, 0]` is
-    i itself, the state that a separator leaves.
-
-    Fusion states. Fusion state f is an LM state, `run_state[f]`, and the
-    Latin run pending after it, `runs[f]`. `done[f]` is the LM state once
-    the run is scored as a word, `log10[f]` its log10 p(run | state) and
-    `words[f]` the one word it adds; the empty run's fusion state of LM
-    state i, `empty[i]`, made with i, has done state i and adds 0.0 and
-    0.0. A run outside the LM vocabulary scores as `<unk>`. A run that no
-    vocabulary word starts with stays `<unk>` as it grows, so all such runs
-    at state i are one fusion state, `unk[i]` (run None, made when first
-    reached, -1 before); a run that only starts words copies its scores.
-    Any other run has one parent, itself less its last unit, so the cell
-    `latin[latin_row[f], latin_col[v]]`, the fusion state after Latin unit
-    v (-1 until asked for), makes each such fusion state once. Row 0 of
-    `latin` stays all -1 and is the row of every state not yet extended.
+    Every transition names a fusion state, -1 until asked for.
+    `next_fid[i, 0]` is the empty run at LM state i, made with i, with done
+    state i and adding 0.0 and 0.0 (`start` is that of `<s>`'s state), and
+    `next_fid[i, 1 + j]` the empty run at the LM state after CJK word j.
+    `latin[f, k]` is the fusion state after the k-th Latin unit: f itself
+    for a `<unk>` state, else the run one unit longer, made once from its
+    one parent f, or the `<unk>` state if no word starts with that run.
 
     The fusion state of a vocabulary word, and each `<unk>` state, makes
     one `lm.score` call, so each (state, word-or-`<unk>`) pair costs one.
-    The tables are bounded by the model and the units: with S LM states,
-    C CJK words and P non-empty prefixes of vocabulary words, S x C row
-    entries and S x (1 + C) transitions, at most S x (2 + P) fusion
-    states, and one `latin` row, one cell per Latin unit of the
-    vocabulary, for each fusion state extended. Only `rows` and `next_ids`
-    grow with C; a fusion state costs the same at every V.
+    With S LM states, C CJK words, L Latin units and P non-empty prefixes
+    of vocabulary words, the tables hold S x C row entries, S x (1 + C)
+    transitions, at most S x (2 + P) fusion states and L `latin` cells per
+    fusion state: only `rows` and `next_fid` grow with C, and a fusion
+    state costs the same at every V.
 
     A model keeps one table per vocabulary in its `decoding_tables`,
     shared by every decode with both; the methods take the model as an
@@ -249,16 +213,13 @@ class _LmCache:
         self.ids: dict = {}
         self.states: list = []
         self.rows = np.zeros((8, len(self.cjk_words)))
-        self.next_ids = np.full((8, 1 + len(self.cjk_words)), -1)
-        self.empty = np.zeros(8, int)
+        self.next_fid = np.full((8, 1 + len(self.cjk_words)), -1)
         self.unk: list = []
         self.runs: list = []
         self.run_state, self.done = np.zeros(8, int), np.zeros(8, int)
         self.log10, self.words = np.zeros(8), np.zeros(8)
-        self.latin_row = np.zeros(8, int)
         self.latin = np.full((8, np.count_nonzero(self.is_latin)), -1, dtype=np.int32)
-        self.latin_rows = 1  # rows of `latin` in use
-        self.start = int(self.empty[self.id_of(model, (lm_mod.BOS,))])
+        self.start = int(self.next_fid[self.id_of(model, (lm_mod.BOS,)), 0])
 
     @staticmethod
     def of(model, vocab: GraphemeVocab) -> _LmCache:
@@ -272,7 +233,7 @@ class _LmCache:
         return cache
 
     def id_of(self, model, context) -> int:
-        """The id of the state that context is looked up as, its row and
+        """The id of the LM state that context is looked up as, its row and
         empty-run fusion state made when the state is new."""
         state = lm_mod.state_of(model, context) if model is not None else ()
         i = self.ids.get(state)
@@ -282,33 +243,25 @@ class _LmCache:
             self.states.append(state)
             self.unk.append(-1)
             if i == len(self.rows):
-                self.rows, self.empty = _doubled(self.rows, 0.0), _doubled(self.empty, 0)
-                self.next_ids = _doubled(self.next_ids, -1)
+                self.rows, self.next_fid = _doubled(self.rows, 0.0), _doubled(self.next_fid, -1)
             self.rows[i] = row
-            self.next_ids[i, 0] = i
-            self.empty[i] = self._add(i, "", 0.0, i, 0.0)
+            self.next_fid[i, 0] = self._add(i, "", 0.0, i, 0.0)
         return i
 
     def advance(self, model, i: int, j: int) -> int:
-        """The id of the state after CJK word j from state i."""
+        """The fusion state of the empty run after CJK word j at LM state i."""
         k = self.id_of(model, self.states[i] + (self.cjk_words[j],))
-        self.next_ids[i, 1 + j] = k
-        return k
+        f = self.next_fid[i, 1 + j] = self.next_fid[k, 0]  # id_of may reallocate
+        return int(f)
 
     def extend(self, model, f: int, v: int) -> int:
         """The fusion state after Latin unit v from fusion state f."""
-        r = self.latin_row[f]
-        if not r:
-            if self.latin_rows == len(self.latin):
-                self.latin = _doubled(self.latin, -1)
-            r = self.latin_row[f] = self.latin_rows
-            self.latin_rows += 1
-        col, unit = self.latin_col[v], self.latin_unit[v]
-        to = self.latin[r, col]
+        col = self.latin_col[v]
+        to = self.latin[f, col]
         if to < 0:
-            run = self.runs[f]
-            to = f if run is None else self._run(model, int(self.run_state[f]), run + unit)
-            self.latin[r, col] = to
+            run, i = self.runs[f], int(self.run_state[f])
+            to = f if run is None else self._run(model, i, run + self.latin_unit[v])
+            self.latin[f, col] = to
         return int(to)
 
     def _run(self, model, i: int, run: str) -> int:
@@ -340,7 +293,7 @@ class _LmCache:
         if f == len(self.done):
             self.run_state, self.done = _doubled(self.run_state, 0), _doubled(self.done, 0)
             self.log10, self.words = _doubled(self.log10, 0.0), _doubled(self.words, 0.0)
-            self.latin_row = _doubled(self.latin_row, 0)
+            self.latin = _doubled(self.latin, -1)
         self.runs.append(run)
         self.run_state[f], self.done[f], self.log10[f], self.words[f] = i, done, log10, words
         return f
@@ -454,28 +407,25 @@ class _Fusion:
 
         Every survivor takes its candidate's log10 sum and word count, and
         its entry's fusion state, by whole-beam gathers; an extension then
-        takes the fusion state its unit leads to, by gathers too: a
-        separator or CJK unit through `next_ids` from the entry's
-        completed LM state to that state's empty run, a Latin unit through
-        the `latin` table. Only cells not yet filled go through the cache
-        in Python, in ascending order, the `next_ids` cells first. A cell
-        that two survivors miss in one frame is filled by the first and
-        read by the second, so no fusion state is made twice."""
+        takes the fusion state its unit leads to, from `next_fid` at the
+        entry's completed LM state, or for a Latin unit from `latin` at the
+        entry's fusion state. Only cells not yet filled go through the cache
+        in Python, in ascending order, the `next_fid` cells first; a cell
+        that two survivors miss in one frame is made by the first alone."""
         model, cache = self.model, self.cache
         fid = self.fid[ks]
         self.log10 = self.cand_log10.ravel()[flat]
         self.words = self.cand_words.ravel()[flat]
-        # a Latin unit reads column 0 of `next_ids` here, the completed
-        # state itself, and takes its fusion state from `latin` below
+        # a Latin unit reads column 0 of `next_fid` here, the completed
+        # state's empty run, and takes its fusion state from `latin` below
         base, cols = self.done_state[k_ext], cache.next_col[v_ext]
-        states = cache.next_ids[base, cols]
-        for j in (states < 0).nonzero()[0].tolist():
-            states[j] = cache.advance(model, int(base[j]), int(cols[j]) - 1)
-        fid_ext = cache.empty[states]
+        fid_ext = cache.next_fid[base, cols]
+        for j in (fid_ext < 0).nonzero()[0].tolist():
+            fid_ext[j] = cache.advance(model, int(base[j]), int(cols[j]) - 1)
         latin = cache.is_latin[v_ext].nonzero()[0]
         if len(latin):
             f, v = self.fid[k_ext[latin]], v_ext[latin]
-            got = cache.latin[cache.latin_row[f], cache.latin_col[v]]
+            got = cache.latin[f, cache.latin_col[v]]
             for j in (got < 0).nonzero()[0].tolist():
                 got[j] = cache.extend(model, int(f[j]), int(v[j]))
             fid_ext[latin] = got
@@ -503,15 +453,10 @@ class _CtcOnly:
 @functools.lru_cache(maxsize=16)
 def _flat_tables(V: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     """The beam slot and the unit of each flat index v * K + k of a V x K
-    candidate array; its first K slots are the slot numbers.
-
-    The array is unit-major because `scores` gathers its fusion fields by
-    unit, and `take` along axis 0 copies whole rows of K where along axis
-    1 of a K x V array it copies one element per step ("Why unit-major"
-    above). The tables are keyed by the exact K, so that slot and unit
-    stay one gather each rather than a division by K; each holds V x K
-    entries, K being a beam size a decode reached, never the width alone.
-    Read-only: every decode with this V and beam size shares them."""
+    candidate array; its first K slots are the slot numbers. Keyed by the
+    exact K, a beam size a decode reached, so that slot and unit stay one
+    gather each rather than a division by K. Read-only: every decode, in
+    any thread, with this V and beam size shares them."""
     k_of = np.tile(np.arange(K), V)
     v_of = np.repeat(np.arange(V), K)
     for table in (k_of, v_of):
@@ -609,9 +554,8 @@ def beam_decode(
         scores = fusion.scores(cand)
 
         # the survivors as flat candidate indices, ascending but for ties
-        # at the cut ("The cut" above): with a finite threshold, the scores
-        # at or above it; else the live candidates, cut if there are more
-        # than width
+        # at the cut: the scores at or above a finite threshold, else the
+        # live candidates, cut if there are more than width
         scores = scores.ravel()
         threshold = _nth(scores, width)
         if threshold != NEG_INF:

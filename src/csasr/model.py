@@ -243,6 +243,10 @@ def backward(
     return backward_batch(model, [frames], padded, [dlogits])
 
 
+class VocabMismatch(ValueError):
+    """A checkpoint loaded under a vocabulary other than its own."""
+
+
 def vocab_fingerprint(vocab: GraphemeVocab) -> str:
     return hashlib.sha256("\n".join(vocab.units).encode("utf-8")).hexdigest()
 
@@ -285,7 +289,7 @@ def load_checkpoint(path, vocab: GraphemeVocab | None = None) -> ToyAcousticMode
     if payload.get("version") != CHECKPOINT_VERSION:
         raise MalformedFile(path, 1, f"unsupported version {payload.get('version')}")
     if vocab is not None and payload.get("vocab_sha256") != vocab_fingerprint(vocab):
-        raise ValueError(f"{path}: checkpoint was trained with a different vocabulary")
+        raise VocabMismatch(f"{path}: checkpoint was trained with a different vocabulary")
     entries = payload.get("params")
     sizes: dict[str, int] = {}
     params = {}

@@ -14,7 +14,7 @@ from csasr.cli import build_parser, main
 from csasr.ctc import PosteriorGrid
 from csasr.lm import read_arpa
 from csasr.training import load_manifest
-from csasr.vocab import load_vocab
+from csasr.vocab import GraphemeVocab, load_vocab, save_vocab
 from writers import write_grid, write_wav
 
 LATIN = "abc"
@@ -303,6 +303,27 @@ def test_synth_without_output_dir_exits_2(capsys):
     code = main(["synth", "--language", "L1", "--count", "1"])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command", [["synth", "--language", "L1", "--count", "1"], ["run-matrix"]]
+)
+@pytest.mark.parametrize("under", [(), ("sub", "dir")], ids=["file", "under-file"])
+def test_output_dir_that_is_a_file_or_under_one_exits_2_before_any_work(
+    command, under, tmp_path, capsys, monkeypatch
+):
+    # once synth exited 1 with "[Errno 17] File exists" and run-matrix
+    # with "[Errno 20] Not a directory"
+    monkeypatch.chdir(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n", encoding="utf-8")
+    out = afile.joinpath(*under)
+    assert main(["--output-dir", str(out)] + command) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot use --output-dir {out}: not a directory\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [afile]
+    assert afile.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_diverging_train_exits_1_naming_the_epoch_and_writes_no_checkpoint(
@@ -760,6 +781,26 @@ def test_checkpoint_that_is_not_an_object_exits_2_naming_file(
     bad.write_text("[1, 2]\n", encoding="utf-8")
     assert _decode_with_checkpoint(pipeline, bad) == 2
     assert f"{bad}: line 1: top level is not a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decode", "finetune"])
+def test_checkpoint_under_another_vocabulary_exits_2(command, pipeline, tmp_path, capsys):
+    # a config error, not a computation error: it once exited 1
+    other = tmp_path / "other_vocab.txt"
+    blank, *units = load_vocab(pipeline["vocab"]).units
+    save_vocab(GraphemeVocab((blank, *reversed(units))), other)  # the units reordered
+    out = tmp_path / "tuned.ckpt"
+    data, tuned = pipeline["data"], pipeline["tuned"]
+    argv = {
+        "decode": ["--manifest", str(data / "test_manifest.csv")],
+        "finetune": ["--manifest", str(data / "cs_manifest.csv"), "--out", str(out)],
+    }[command]
+    code = main([command, "--vocab", str(other), "--checkpoint", str(tuned)] + argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {tuned}: checkpoint was trained with a different vocabulary\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_checkpoint_shape_not_fitting_data_exits_2_naming_file(

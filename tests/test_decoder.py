@@ -255,6 +255,47 @@ def test_lm_work_is_one_score_per_state_and_word_or_unk(monkeypatch, tmp_path):
         assert calls == [] and len(cache.runs) == made
 
 
+def test_every_filled_transition_names_the_fusion_state_it_leads_to(tmp_path):
+    # after cold fused decodes over runs in the vocabulary, runs that only
+    # start words and runs that start none: a CJK or separator cell names
+    # the empty run at the LM state it leads to, and a Latin cell the run
+    # one unit longer at the same LM state, or that state's <unk> state
+    vocab = NESTED_VOCAB
+    latin = [u for v, u in enumerate(vocab.units) if vocab.script_of_id(v) == SCRIPT_LATIN]
+    for model in nested_lms(tmp_path):
+        for width in (10, 100):
+            for grid in _nested_grids(19):
+                beam_decode(grid, vocab, FusionConfig(0.2, 1.0, width), model)
+        (cache,) = model.decoding_tables.values()
+        made = len(cache.runs)
+        assert len(cache.latin) >= made
+        after = [(i, 0, i) for i in range(len(cache.states))] + [
+            (i, 1 + j, cache.ids[lm_mod.state_of(model, state + (word,))])
+            for i, state in enumerate(cache.states)
+            for j, word in enumerate(cache.cjk_words)
+            if cache.next_fid[i, 1 + j] >= 0
+        ]
+        assert len(after) > len(cache.states)
+        for i, col, to in after:
+            f = cache.next_fid[i, col]
+            assert (cache.runs[f], cache.run_state[f]) == ("", to), (i, col)
+        filled = 0
+        for f in range(made):
+            run, i = cache.runs[f], cache.run_state[f]
+            for col, unit in enumerate(latin):
+                to = cache.latin[f, col]
+                if to < 0:
+                    continue
+                filled += 1
+                if run is None:
+                    assert to == f
+                else:
+                    assert cache.run_state[to] == i
+                    assert cache.runs[to] == run + unit or to == cache.unk[i], (run, unit)
+        assert filled > made // 2
+        assert (cache.latin[made:] == -1).all()
+
+
 def test_word_bonus_decode_without_an_lm_keeps_two_fusion_states(monkeypatch):
     # without an LM every non-empty run scores 0.0 as <unk>, so a decode's
     # own cache holds the empty run and the <unk> state, however many runs

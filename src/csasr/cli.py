@@ -509,7 +509,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except (UsageError, MalformedFile, model_mod.VocabMismatch) as e:
+    except (UsageError, MalformedFile, model_mod.VocabMismatch, decoder.FusionOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (FileNotFoundError, IsADirectoryError) as e:

@@ -16,10 +16,11 @@ batch of one. Values are bit-identical to separate loops per utterance:
 every element is the same `emit + logaddexp(stay, logaddexp(step, jump))`
 of the same float64 operands, and numpy's elementwise ufuncs round each
 element alike whatever the array around it. The occupancy and gradient
-that follow are computed once for the padded batch too: each is the same
+that follow are computed once for the batch too, in the stacked rows its
+log-probabilities come in, which become its gradients: each is the same
 elementwise operation, and each gamma cell adds its states' occupancies
-in s order from 0.0, as it did one utterance at a time, with the padded
-cells adding +0.0.
+in s order from 0.0, as it did one utterance at a time, with the steps
+past a pair's end adding +0.0.
 """
 
 from __future__ import annotations
@@ -148,12 +149,16 @@ def _extended_labels(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ctc_loss_batch(
-    grids: Sequence[PosteriorGrid], targets: Sequence[Sequence[int]]
-) -> list[CtcLossResult | InfeasibleTarget]:
-    """Loss and gradient of each (grid, target) pair of a batch, in order;
-    a pair that cannot be aligned gets its InfeasibleTarget in place of a
-    result, so one infeasible item does not stop the others. Grids may
-    differ in V.
+    logp: np.ndarray, lengths: Sequence[int], targets: Sequence[Sequence[int]]
+) -> tuple[list[float | InfeasibleTarget], np.ndarray]:
+    """Loss of each (utterance, target) pair of a batch, in order, and the
+    gradients of them all: (losses, grads). logp stacks the pairs'
+    log-probability rows, lengths[i] rows for pair i, and its rows are
+    checked once here. A pair that cannot be aligned gets its
+    InfeasibleTarget in place of a loss, so one infeasible item does not
+    stop the others. grads is logp itself, overwritten with
+    `exp(logp) - gamma`; the rows of a pair that cannot be aligned are
+    zeros.
 
     Alpha and beta of every feasible pair run in one frame loop over a
     (T_max, 2, B, S_max+2) array: row 0 is alpha, row 1 beta run as the
@@ -162,59 +167,58 @@ def ctc_loss_batch(
     targets, forward and reversed, are padded with blanks into one
     (2, B, L_max) array, and the extended labels and skip masks are built
     from it once for the batch. The emissions of both rows are one gather
-    from the grids padded with -inf into a (B, T_max, V_max) array: cells
-    past a pair's frames emit -inf, and cells past its extended labels
-    emit blank. Neither is ever read back: a state reads only the states
-    at or left of it one step earlier, and a pair's result is read at its
-    own last step. So each of its cells is the same elementwise operation
-    on the same operands as with no batch around it.
+    from the stacked rows: steps past a pair's frames read its frame 0
+    and are set to -inf, and states past its extended labels emit blank.
+    Neither is ever read back: a state reads only the states at or left
+    of it one step earlier, and a pair's result is read at its own last
+    step. So each of its cells is the same elementwise operation on the
+    same operands as with no batch around it.
 
     The rest runs once for the batch as well. Each pair's loglik comes
     from one gather of the last alpha rows. Alpha is read in place and
     beta with one gather, at each pair's own T and S, into one
-    (T_max, B, S_max) occupancy whose padded cells are -inf. One
-    np.add.at adds the occupancies into a zero (B, T_max, V_max) gamma;
-    its indices run t, pair, s in C order, so each cell adds its states
-    in s order from 0.0, as with one pair, and a padded cell adds +0.0,
-    which leaves every sum as it was. One `exp(logp) - gamma` then makes
-    all the gradients, and each result's grad is a view of it.
+    (T_max, B, S_max) occupancy whose cells past a pair's end are -inf.
+    One np.add.at adds the occupancies into a zero gamma of logp's shape
+    at the cells the forward emissions were read from; its indices run t,
+    pair, s in C order, so each cell adds its states in s order from 0.0,
+    as with one pair, and a step past a pair's end adds +0.0 to its frame
+    0, which leaves every sum as it was.
     """
-    results: list = [None] * len(grids)
-    items = []
-    for i, (grid, target) in enumerate(zip(grids, targets)):
-        lp = grid.logp
-        T, V = lp.shape
+    V = logp.shape[1]
+    if V < 2 or min(lengths, default=1) < 1:
+        raise ValueError(f"need T >= 1 and V >= 2, got T={min(lengths, default=0)}, V={V}")
+    _check_rows(logp)
+    starts = np.cumsum(lengths, dtype=np.int64) - lengths
+    losses: list = [None] * len(lengths)
+    feasible, items = [], []
+    for i, (T, target) in enumerate(zip(lengths, targets)):
         target = list(target)
         try:
             _check_target(target, V, T)
         except InfeasibleTarget as e:
-            results[i] = e
+            losses[i] = e
             continue
-        items.append((i, lp, target))
-    if not items:
-        return results
+        feasible.append(i)
+        items.append(target)
 
     B = len(items)
     pairs = np.arange(B)
-    n_frames = np.array([lp.shape[0] for _, lp, _ in items])
-    n_states = np.array([2 * len(target) + 1 for *_, target in items])
-    t_max = int(n_frames.max())
-    l_max = max(len(target) for *_, target in items)
+    n_frames = np.array([lengths[i] for i in feasible], dtype=np.int64)
+    n_states = np.array([2 * len(target) + 1 for target in items], dtype=np.int64)
+    t_max = int(n_frames.max(initial=1))
+    l_max = int(n_states.max(initial=1)) // 2
     labels = np.full((2, B, l_max), BLANK_ID)
-    padded = np.full((B, t_max, max(lp.shape[1] for _, lp, _ in items)), NEG_INF)
-    for j, (_, lp, target) in enumerate(items):
+    for j, target in enumerate(items):
         labels[0, j, : len(target)] = target
         labels[1, j, : len(target)] = target[::-1]
-        padded[j, : lp.shape[0], : lp.shape[1]] = lp
     ext, skip = _extended_labels(labels)
-    # frame t of a reversed pair is frame T-1-t; past T it wraps into the
-    # -inf padding, as frame t does forwards
+    # frame t of a reversed pair is frame T-1-t; steps past T read frame 0
     steps = np.arange(t_max)[:, None]
-    reversed_steps = (n_frames - 1 - steps) % t_max
-    first = pairs * t_max  # each pair's frame 0 among padded's rows
-    rows = np.stack((first + steps, first + reversed_steps), axis=1)
-    cells = rows[..., None] * padded.shape[2] + ext  # (t, row, pair, s) in padded
-    emit = np.take(padded, cells)
+    live = steps < n_frames
+    frame = np.stack((steps * live, (n_frames - 1 - steps) * live), axis=1)
+    cells = (starts[feasible] + frame)[..., None] * V + ext  # (t, row, pair, s)
+    emit = np.take(logp, cells)
+    np.copyto(emit, NEG_INF, where=~live[:, None, :, None])
 
     # both recursions start in their first two states; each later step adds
     # the recursion to its emissions
@@ -237,9 +241,10 @@ def ctc_loss_batch(
     # occupancy of extended state s at frame t; alpha and beta both include
     # the frame-t emission, so divide it out once. beta[t, j, s] is
     # ab[T-1-t, 1, j, S+1-s]: past T the time wraps into rows the -inf
-    # frames left at -inf, and past S the state clips to a -inf pad column,
-    # so padded cells get -inf or NaN and then -inf, as do all cells of a
-    # pair whose loglik is -inf
+    # emissions left at -inf, and past S the state clips to a -inf pad
+    # column, so those cells get -inf or NaN and then -inf, as do all cells
+    # of a pair whose loglik is -inf
+    reversed_steps = (n_frames - 1 - steps) % t_max
     beta_rows = ((reversed_steps * 2 + 1) * B + pairs) * width
     beta_cols = np.maximum(n_states[:, None] + 1 - np.arange(2 * l_max + 1), 0)
     with np.errstate(invalid="ignore"):
@@ -248,31 +253,34 @@ def ctc_loss_batch(
         occ -= np.array(logliks)[:, None]
     occ[np.isnan(occ)] = NEG_INF
 
-    # gamma[j, t, v] adds exp(occ[t, j, s]) over the s with ext[j, s] == v,
-    # in s order from 0.0; padded cells add +0.0
-    gamma = np.zeros(padded.shape)
+    # gamma[r, v] adds exp(occ[t, j, s]) over the s with ext[j, s] == v at
+    # the row r pair j's step t read, in s order from 0.0
+    gamma = np.zeros(logp.shape)
     np.add.at(gamma.reshape(-1), cells[:, 0].ravel(), np.exp(occ, out=occ).ravel())
-    grads = np.exp(padded, out=padded)
+    grads = np.exp(logp, out=logp)
     grads -= gamma
-    for j, (i, lp, _) in enumerate(items):
-        if logliks[j] == NEG_INF:
-            results[i] = InfeasibleTarget("no feasible path despite length check")
+    for i, loglik in zip(feasible, logliks):
+        if loglik == NEG_INF:
+            losses[i] = InfeasibleTarget("no feasible path despite length check")
         else:
-            T, V = lp.shape
-            results[i] = CtcLossResult(loss=-logliks[j], grad=grads[j, :T, :V])
-    return results
+            losses[i] = -loglik
+    for i, loss in enumerate(losses):
+        if isinstance(loss, InfeasibleTarget):
+            grads[starts[i] : starts[i] + lengths[i]] = 0.0
+    return losses, grads
 
 
 def ctc_loss(grid: PosteriorGrid, target: Sequence[int]) -> CtcLossResult:
-    """Negative log-likelihood of the target plus its exact gradient.
+    """Negative log-likelihood of the target plus its exact gradient: the
+    batch of one, on a copy of the grid's rows.
 
     Raises InfeasibleTarget instead of returning an infinite loss; a silent
     +inf would corrupt training averages.
     """
-    (result,) = ctc_loss_batch([grid], [target])
-    if isinstance(result, InfeasibleTarget):
-        raise result
-    return result
+    (loss,), grad = ctc_loss_batch(grid.logp.copy(), [grid.num_frames], [target])
+    if isinstance(loss, InfeasibleTarget):
+        raise loss
+    return CtcLossResult(loss=loss, grad=grad)
 
 
 def read_grid(path) -> PosteriorGrid:

@@ -107,6 +107,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,7 +194,10 @@ class _LmCache:
 
     A model keeps one table per vocabulary in its `decoding_tables`,
     shared by every decode with both; the methods take the model as an
-    argument, so the table holds no reference back to it. Without a model
+    argument, so the table holds no reference back to it. Every change to
+    a shared table is made under its `lock` (`_Fusion.keep`), so decodes
+    in several threads grow it as one decode would: `extend` and `id_of`
+    look a cell or state up again before making it. Without a model
     each decode makes its own table with the one state `()`, whose row is
     all zeros and whose every run scores 0.0 as `<unk>`, so that it has
     two fusion states and leaves the log10 sums exactly at 0.0 as if no
@@ -210,6 +214,7 @@ class _LmCache:
         # every non-empty prefix of a vocabulary word, mapped to itself so
         # that the fusion states with one run share its string
         self.prefixes = {w[:n]: w[:n] for w in vocabulary for n in range(1, len(w) + 1)}
+        self.lock = threading.Lock()
         self.ids: dict = {}
         self.states: list = []
         self.rows = np.zeros((8, len(self.cjk_words)))
@@ -411,7 +416,10 @@ class _Fusion:
         entry's completed LM state, or for a Latin unit from `latin` at the
         entry's fusion state. Only cells not yet filled go through the cache
         in Python, in ascending order, the `next_fid` cells first; a cell
-        that two survivors miss in one frame is made by the first alone."""
+        that two survivors miss in one frame is made by the first alone.
+        Those misses hold the table's lock, so a cell that another thread
+        filled since it was read is looked up, not made again, and a warm
+        decode never takes the lock."""
         model, cache = self.model, self.cache
         fid = self.fid[ks]
         self.log10 = self.cand_log10.ravel()[flat]
@@ -420,14 +428,20 @@ class _Fusion:
         # state's empty run, and takes its fusion state from `latin` below
         base, cols = self.done_state[k_ext], cache.next_col[v_ext]
         fid_ext = cache.next_fid[base, cols]
-        for j in (fid_ext < 0).nonzero()[0].tolist():
-            fid_ext[j] = cache.advance(model, int(base[j]), int(cols[j]) - 1)
+        missed = (fid_ext < 0).nonzero()[0].tolist()
+        if missed:
+            with cache.lock:
+                for j in missed:
+                    fid_ext[j] = cache.advance(model, int(base[j]), int(cols[j]) - 1)
         latin = cache.is_latin[v_ext].nonzero()[0]
         if len(latin):
             f, v = self.fid[k_ext[latin]], v_ext[latin]
             got = cache.latin[f, cache.latin_col[v]]
-            for j in (got < 0).nonzero()[0].tolist():
-                got[j] = cache.extend(model, int(f[j]), int(v[j]))
+            missed = (got < 0).nonzero()[0].tolist()
+            if missed:
+                with cache.lock:
+                    for j in missed:
+                        got[j] = cache.extend(model, int(f[j]), int(v[j]))
             fid_ext[latin] = got
         fid[ext] = fid_ext
         self.fid = fid
@@ -469,6 +483,10 @@ def _flat_tables(V: int, K: int) -> tuple[np.ndarray, np.ndarray]:
 _NOT_IN_BEAM = -(1 << 62)
 
 
+class FusionOverflow(ValueError):
+    """Fusion weights so large that a fused score overflows or is NaN."""
+
+
 def beam_decode(
     grid: PosteriorGrid,
     vocab: GraphemeVocab,
@@ -480,8 +498,22 @@ def beam_decode(
 
     Prefixes carry blank-ending and non-blank-ending mass separately;
     pruning keys on the fused partial score. Ties break lexicographically
-    by prefix ids, so identical inputs give identical outputs.
+    by prefix ids, so identical inputs give identical outputs. Raises
+    FusionOverflow, naming alpha and beta, rather than rank scores that
+    overflowed or turned NaN: no other operation of the search overflows
+    or takes an invalid operand.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _beam_search(grid, vocab, cfg, model, nbest)
+    except FloatingPointError as e:
+        raise FusionOverflow(
+            f"fusion weights alpha={cfg.alpha!r} and beta={cfg.beta!r} "
+            f"are too large for the fused scores: {e}"
+        ) from None
+
+
+def _beam_search(grid, vocab, cfg, model, nbest) -> list[Hypothesis]:
     logp = grid.logp
     V = logp.shape[1]
     if V != len(vocab):

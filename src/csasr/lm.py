@@ -89,8 +89,8 @@ class NGramModel:
     Its decoding tables fill lazily and deterministically: each decode
     with the model adds the rows and transitions of the LM states it
     reaches, every one a function of the model alone, so the order of
-    the decodes changes no value. Decode with one model from one thread
-    at a time.
+    the decodes changes no value, and decodes in several threads may
+    share the model.
     """
 
     order: int

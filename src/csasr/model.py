@@ -77,8 +77,10 @@ def init_model(
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Row-wise log-softmax of a 2-D array, computed in place and returned."""
+    logits -= logits.max(axis=1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    return logits
 
 
 def forward_batch(model: ToyAcousticModel, batch_frames: Sequence[np.ndarray]):
@@ -103,9 +105,10 @@ def forward_batch(model: ToyAcousticModel, batch_frames: Sequence[np.ndarray]):
     stay one gemm per utterance, of that utterance's own shape.
 
     The output gemms write their rows into one stacked (sum T, V) array,
-    which gets the bias and one log-softmax. The log-softmax reduces each
-    row on its own, over that row's V contiguous values, so no row's bits
-    depend on the rows around it.
+    which gets the bias and one log-softmax in place, and that array is
+    logp. The log-softmax reduces each row on its own, over that row's V
+    contiguous values, so no row's bits depend on the rows around it, and
+    in place it makes the same subtractions.
     """
     batch = [np.asarray(frames, dtype=np.float64) for frames in batch_frames]
     for frames in batch:
@@ -154,36 +157,40 @@ def backward_batch(
     model: ToyAcousticModel,
     batch_frames: Sequence[np.ndarray],
     hs: np.ndarray,
-    batch_dlogits: Sequence[np.ndarray],
+    dlogits: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Backpropagation through time for a batch of at least one utterance,
-    from its padded states hs: forward_batch's, or a selection of their
-    rows. Returns the gradients per parameter summed over the utterances,
-    in batch order from 0.0.
+    from forward_batch's padded states hs and the gradients with respect
+    to the logits stacked as forward_batch stacks its log-probabilities.
+    Returns the gradients per parameter summed over the utterances, in
+    batch order from 0.0.
 
     Only the dh recursion runs per frame, once over the batch, and each
-    step is bit-equal to one utterance's. Utterance j's step k is its frame
-    T_j-1-k, and the frames, states and gradients of every step are
-    gathered once before the loop from the stacked frames and gradients
-    and from hs. Steps past frame 0 read frame 0's rows and the zero
-    initial state and get a zero tanh derivative, so their da is +-0.0.
-    The w_hy and w_hh products are stacked gemvs, the same BLAS call per
-    frame as `w_hy.T @ dlogits[t]` on one utterance (the gemm form is ruled
-    out as in forward_batch), and the rest is elementwise.
+    step is bit-equal to one utterance's. The w_hy term `w_hy.T @ row`
+    is taken of every stacked row first, a stacked gemv that makes the
+    same BLAS call per frame as on one utterance (the gemm form is ruled
+    out as in forward_batch). Utterance j's step k is its frame T_j-1-k,
+    and that term, the frame and the states of every step are gathered
+    once before the loop, by step, from the stacked rows and from hs.
+    Steps past frame 0 read frame 0's rows and the zero initial state and
+    get a zero tanh derivative, so their da is +-0.0. The w_hh products
+    are stacked gemvs too, and the rest is elementwise.
 
     Each step adds the outer products of da with [x_t, 1, h_{t-1}] into a
     (B, H, F+1+H) accumulator, so each utterance's w_xh, b_h and w_hh
     gradients add frame by frame, last frame first, from 0.0. Frame 0 has
     the zero state as h_{-1}, and the padded steps' products are +-0.0, so
     what they add leaves every sum as it was: a sum that starts from +0.0
-    is never -0.0. After the loop the accumulator is summed over axis 0
-    from 0.0, which adds the utterances in batch order, one H x (F+1+H)
-    block at a time. A matrix product such as `das.T @ X` would let BLAS
-    reorder the sums, and so would one reduce over frames and utterances
-    at once. Two things stay per utterance: the w_hy gradient
-    `dlogits.T @ hs`, a gemm whose bits depend on its shape, and the b_y
-    sum, as `np.add.reduceat` differed from `sum(axis=0)` in the last
-    bits; both are written into stacks summed over axis 0 in the same way.
+    is never -0.0. An utterance whose gradient rows are all zero adds
+    +-0.0 in the same way. After the loop the accumulator is summed over
+    axis 0 from 0.0, which adds the utterances in batch order, one
+    H x (F+1+H) block at a time. A matrix product such as `das.T @ X`
+    would let BLAS reorder the sums, and so would one reduce over frames
+    and utterances at once. Two things stay per utterance, on its own run
+    of rows: the w_hy gradient `dlogits.T @ hs`, a gemm whose bits depend
+    on its shape, and the b_y sum, as `np.add.reduceat` differed from
+    `sum(axis=0)` in the last bits; both are written into stacks summed
+    over axis 0 in the same way.
     """
     p = model.params
     frames = [np.asarray(x, dtype=np.float64) for x in batch_frames]
@@ -194,9 +201,9 @@ def backward_batch(
     left = np.maximum(lengths - np.arange(n_steps + 1)[:, None], 0)
     valid = left[:-1, :, None] > 0
     # step k reads frame left[k + 1] of the stacked rows: T_j-1-k, or frame 0
-    rows = np.cumsum(lengths) - lengths + left[1:]
+    starts = np.cumsum(lengths) - lengths
+    rows = starts + left[1:]
     x_rev = np.take(np.concatenate(frames), rows, axis=0)
-    dl_rev = np.take(np.concatenate(batch_dlogits), rows, axis=0)
     # utterance j's h_{T_j-1-k} sits at hs[j, left[k]], and left 0 is the
     # zero initial state
     h_rev = np.take(hs.reshape(-1, hidden), np.arange(len(frames)) * hs.shape[1] + left, axis=0)
@@ -204,7 +211,7 @@ def backward_batch(
     inputs = np.concatenate((x_rev, np.ones(valid.shape), h_rev[1:]), axis=2)
 
     w_hy_t, w_hh_t = p["w_hy"].T, p["w_hh"].T
-    das = w_hy_t @ dl_rev[..., None]  # the w_hy term, then da
+    das = np.take(w_hy_t @ dlogits[..., None], rows, axis=0)  # the w_hy term, then da
     dh_next = np.zeros(das.shape[1:])
     acc = np.zeros((len(frames), hidden, inputs.shape[2]))
     outer = np.empty_like(acc)
@@ -217,7 +224,8 @@ def backward_batch(
 
     w_hy = np.empty((len(frames),) + p["w_hy"].shape)
     b_y = np.empty((len(frames),) + p["b_y"].shape)
-    for j, (dl, t_len) in enumerate(zip(batch_dlogits, lengths.tolist())):
+    for j, (start, t_len) in enumerate(zip(starts.tolist(), lengths.tolist())):
+        dl = dlogits[start : start + t_len]
         np.matmul(dl.T, hs[j, 1 : t_len + 1, :, 0], out=w_hy[j])
         dl.sum(axis=0, out=b_y[j])
     return {
@@ -240,7 +248,7 @@ def backward(
     backward_batch does."""
     padded = np.zeros((1, len(hs) + 1, model.hidden_dim, 1))
     padded[0, 1:, :, 0] = hs
-    return backward_batch(model, [frames], padded, [dlogits])
+    return backward_batch(model, [frames], padded, dlogits)
 
 
 class VocabMismatch(ValueError):

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import model as model_mod
-from .ctc import CtcLossResult, PosteriorGrid, ctc_loss_batch
+from .ctc import InfeasibleTarget, ctc_loss_batch
 from .ctc import ctc_loss  # noqa: F401 - bench/tracer.py wraps training.ctc_loss by name
 from .features import TooShort, extract_features, read_feat, read_wav
 from .vocab import GraphemeVocab, MalformedFile, UnknownGrapheme, encode, read_utf8
@@ -192,18 +192,17 @@ class SgdTrainer:
         """One update from the mean CTC gradient over the feasible batch items.
 
         Forward, CTC and BPTT each run one frame loop for the whole batch,
-        and the layers hand each other batch arrays: forward's stacked
-        log-probabilities get one check that each row is normalized (the
-        rows of infeasible items included) and become the grids as views;
-        CTC's gradients are views of one padded array; BPTT gets the
-        feasible items alone, with their rows of forward's padded states
-        (all of them, not copied, when none was skipped). The update is
-        bit-identical to one built an utterance at a time: every value is
-        the same elementwise operation or per-utterance BLAS call, each
-        gamma cell adds in s order from 0.0, each utterance's w_xh, b_h
-        and w_hh gradients add frame by frame from 0.0, padded cells add
-        +-0.0, which leaves a sum from 0.0 as it was, and the
-        per-utterance gradients are summed in batch order.
+        and hand each other one stacked (sum of T, V) array: forward's
+        log-probabilities, which CTC checks once, row by row, and
+        overwrites with the gradients, which BPTT reads as they are, with
+        forward's padded states. Every item goes to BPTT; an infeasible
+        one's gradient rows are zeros, so it adds +-0.0 to sums that start
+        from +0.0 and leaves them as they were. The update is bit-identical
+        to one built an utterance at a time: every value is the same
+        elementwise operation or per-utterance BLAS call, each gamma cell
+        adds in s order from 0.0, each utterance's w_xh, b_h and w_hh
+        gradients add frame by frame from 0.0, padded cells add +-0.0, and
+        the per-utterance gradients are summed in batch order.
 
         Returns (mean loss, count skipped as infeasible, the feasible
         losses by language).
@@ -212,23 +211,18 @@ class SgdTrainer:
             raise EmptyBatch("batch has no items")
         frames = [ex.frames for ex in batch]
         hs, logp = model_mod.forward_batch(self.model, frames)
-        results = ctc_loss_batch(
-            PosteriorGrid.split(logp, [len(x) for x in frames]), [ex.target for ex in batch]
+        results, grads = ctc_loss_batch(
+            logp, [len(x) for x in frames], [ex.target for ex in batch]
         )
-        feasible = [i for i, r in enumerate(results) if isinstance(r, CtcLossResult)]
-        skipped = len(batch) - len(feasible)
-        if not feasible:
-            raise AllInfeasible(f"all {len(batch)} items infeasible")
-        total = model_mod.backward_batch(
-            self.model,
-            [frames[i] for i in feasible],
-            hs[feasible] if skipped else hs,
-            [results[i].grad for i in feasible],
-        )
-        losses = [results[i].loss for i in feasible]
+        losses = []
         by_language: dict[str, list[float]] = {}
-        for i in feasible:
-            by_language.setdefault(batch[i].language, []).append(results[i].loss)
+        for ex, loss in zip(batch, results):
+            if not isinstance(loss, InfeasibleTarget):
+                losses.append(loss)
+                by_language.setdefault(ex.language, []).append(loss)
+        if not losses:
+            raise AllInfeasible(f"all {len(batch)} items infeasible")
+        total = model_mod.backward_batch(self.model, frames, hs, grads)
 
         cfg = self.cfg
         scale = 1.0 / len(losses)
@@ -239,7 +233,7 @@ class SgdTrainer:
             v += g
             step = g + cfg.momentum * v if cfg.nesterov else v
             p -= cfg.learning_rate * step
-        return float(np.mean(losses)), skipped, by_language
+        return float(np.mean(losses)), len(batch) - len(losses), by_language
 
 
 def train_epochs(

@@ -299,6 +299,37 @@ def test_lm_text_without_any_utterance_exits_2_naming_the_file(
     assert not arpa.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weights", [["--alpha", "1e308"], ["--alpha", "0", "--beta", "1e308"]])
+def test_fusion_weights_that_overflow_exit_2_naming_them(pipeline, weights, capsys):
+    # these once printed numpy overflow warnings, then "error: list index
+    # out of range", and exited 1
+    code = main([
+        "decode", "--vocab", str(pipeline["vocab"]), "--checkpoint", str(pipeline["tuned"]),
+        "--manifest", str(pipeline["data"] / "test_manifest.csv"), "--lm", str(pipeline["arpa"]),
+        "--beam", "10", *weights,
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    alpha, beta = (1e308, 1.0) if len(weights) == 2 else (0.0, 1e308)
+    assert captured.err.startswith(f"error: fusion weights alpha={alpha!r} and beta={beta!r}")
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_matrix_with_fusion_weights_that_overflow_exits_2(tmp_path, capsys):
+    # the fused column once failed with "error: list index out of range"
+    code = main([
+        "--seed", "0", "--output-dir", str(tmp_path / "matrix"), "run-matrix",
+        "--latin", "abc", "--cjk", "你我", "--mono-count", "4", "--cs-count", "10",
+        "--test-count", "3", "--hidden", "4", "--pretrain-epochs", "1",
+        "--finetune-epochs", "1", "--lm-order", "2", "--lm-text-count", "5", "--beam", "2",
+        "--alpha", "1e308",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: fusion weights alpha=1e+308 and beta=")
+
+
 def test_synth_without_output_dir_exits_2(capsys):
     code = main(["synth", "--language", "L1", "--count", "1"])
     assert code == 2

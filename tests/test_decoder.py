@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from collections import Counter
 
@@ -46,6 +47,25 @@ def test_beam_without_lm_matches_exhaustive_argmax(tiny_vocab):
         grid = random_grid(rng, 4, len(tiny_vocab))
         best = beam_decode(grid, tiny_vocab, NO_LM)[0]
         assert best.ids == exhaustive_best(grid, tiny_vocab, None, NO_LM)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "alpha, beta, with_lm",
+    [(1e308, 1.0, True), (1e308, 1.0, False), (0.0, 1e308, True), (0.0, 1e308, False),
+     (-1e308, 0.0, True)],
+)
+def test_fusion_weights_that_overflow_raise_naming_them(alpha, beta, with_lm):
+    # such weights once made numpy warn and returned an empty n-best
+    corpus = [lm_mod.tokenize_lm(s) for s in ("ab a 你", "a 你 你", "ba ab")]
+    model = lm_mod.train_kn(corpus, order=2) if with_lm else None
+    grid = random_grid(np.random.default_rng(11), 6, len(TINY))
+    named = re.escape(f"alpha={alpha!r} and beta={beta!r}")
+    with pytest.raises(decoder_mod.FusionOverflow, match=named) as info:
+        beam_decode(grid, TINY, FusionConfig(alpha, beta, 10), model)
+    assert isinstance(info.value, ValueError)
+    # weights just as far from 1 that leave every score finite still rank
+    assert beam_decode(grid, TINY, FusionConfig(alpha and 1e300, beta and 1e300, 10), model)
 
 
 def test_beam_with_lm_matches_exhaustive_argmax(tiny_vocab):

@@ -477,6 +477,50 @@ def test_concurrent_decodes_equal_the_reference(monkeypatch):
     _assert_tables_fresh(asked)
 
 
+def _fusion_states(cache):
+    """Each fusion state of a table as its LM state and pending run."""
+    return sorted(
+        (cache.states[cache.run_state[f]], run or "", run is None)
+        for f, run in enumerate(cache.runs)
+    )
+
+
+def test_two_threads_growing_one_model_table_decode_as_one_thread(tmp_path):
+    # both threads decode the 12 nested-fixture grids with one fresh model,
+    # so they miss the same cells of its one table at about the same time,
+    # switching as often as the interpreter allows
+    rng = np.random.default_rng(7600)
+    grids = [latin_run_grid(rng, t, NESTED_VOCAB) for t in NESTED_RUNS * 2]
+    kn = nested_lms(tmp_path)[0]
+    cfg = FusionConfig(0.2, 1.0, 100)
+    alone = dataclasses.replace(kn)
+    want = _nested_nbests(beam_decode, grids, cfg, alone)
+    (table,) = alone.decoding_tables.values()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(20):
+            shared = dataclasses.replace(kn)
+            got = [None, None]
+            start = threading.Barrier(2)
+
+            def run(i):
+                start.wait(timeout=30)
+                got[i] = _nested_nbests(beam_decode, grids, cfg, shared)
+
+            threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == [want, want], trial
+            (cache,) = shared.decoding_tables.values()
+            assert _fusion_states(cache) == _fusion_states(table), trial
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("width", (1, 3, 10, 100))
 def test_beam_decode_equals_reference_with_an_lm_lacking_prefixes(width, tmp_path):
     path = tmp_path / "closure.arpa"

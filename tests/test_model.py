@@ -120,7 +120,7 @@ def test_backward_batch_memory_stays_per_frame():
     rng = np.random.default_rng(8)
     m = init_model(12, 41, hidden_dim=64, seed=2)
     frames = [rng.normal(size=(30, 12)) for _ in range(20)]
-    dlogits = [rng.normal(size=(30, 41)) for _ in range(20)]
+    dlogits = np.concatenate([rng.normal(size=(30, 41)) for _ in range(20)])
     hs, _ = forward_batch(m, frames)
     tracemalloc.start()
     try:

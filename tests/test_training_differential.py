@@ -9,7 +9,7 @@ and stack per-utterance BLAS calls, and keep every sum in its old order.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from csasr import model as model_mod
 from csasr import synth, training
@@ -68,46 +68,74 @@ def _grid(rng, T, V, cells="finite", scale=1.0):
 
 
 def _assert_ctc_equals_reference(grids, targets):
-    got = ctc_loss_batch(grids, targets)
-    assert len(got) == len(grids)
-    for grid, target, result in zip(grids, targets, got):
+    """One ctc_loss_batch per vocabulary size, over the stacked rows of its
+    grids in order; returns each pair's loss, or its InfeasibleTarget, and
+    gradient rows."""
+    got = [None] * len(grids)
+    for V in {grid.logp.shape[1] for grid in grids}:
+        idx = [i for i, grid in enumerate(grids) if grid.logp.shape[1] == V]
+        stacked = np.concatenate([grids[i].logp for i in idx])
+        losses, grads = ctc_loss_batch(
+            stacked, [grids[i].num_frames for i in idx], [targets[i] for i in idx]
+        )
+        assert grads is stacked and len(losses) == len(idx)
+        bounds = np.cumsum([0] + [grids[i].num_frames for i in idx])
+        for i, loss, start, stop in zip(idx, losses, bounds, bounds[1:]):
+            got[i] = loss, grads[start:stop]
+    for grid, target, (loss, grad) in zip(grids, targets, got):
         try:
             want = reference_training.ctc_loss(grid, target)
         except InfeasibleTarget:
-            assert isinstance(result, InfeasibleTarget)
+            assert isinstance(loss, InfeasibleTarget)
+            assert grad.tobytes() == np.zeros(grad.shape).tobytes()
             continue
-        assert result.loss == want.loss
-        assert result.grad.shape == want.grad.shape
-        assert result.grad.tobytes() == want.grad.tobytes()
+        assert loss == want.loss
+        assert grad.shape == want.grad.shape
+        assert grad.tobytes() == want.grad.tobytes()
     return got
+
+
+def _large_vocabulary_cases(V=3029, seed=23):
+    """A few short utterances over thousands of units, targets reaching the
+    last unit, one with a repeat and one too long for its frames."""
+    rng = np.random.default_rng(seed)
+    return [
+        (_grid(rng, 5, V, scale=4.0), [V - 1, 7, 7]),
+        (_grid(rng, 1, V), []),
+        (_grid(rng, 3, V, "scattered"), [1, 2, 3, 3]),
+        (_grid(rng, 9, V), [int(u) for u in rng.integers(1, V, 4)]),
+    ]
 
 
 @settings(max_examples=600, deadline=None)
 @given(st.lists(ctc_cases(), min_size=1, max_size=20))
+@example(_large_vocabulary_cases())
+@example(_large_vocabulary_cases(1200, 29) + _large_vocabulary_cases(seed=31))
 def test_ctc_loss_equals_reference(cases):
     got = _assert_ctc_equals_reference([grid for grid, _ in cases], [t for _, t in cases])
     grid, target = cases[0]  # the per-utterance entry point is the same code
-    if isinstance(got[0], InfeasibleTarget):
+    if isinstance(got[0][0], InfeasibleTarget):
         with pytest.raises(InfeasibleTarget):
             ctc_loss(grid, target)
     else:
-        assert ctc_loss(grid, target).grad.tobytes() == got[0].grad.tobytes()
+        assert ctc_loss(grid, target).grad.tobytes() == got[0][1].tobytes()
 
 
 def test_ctc_loss_with_one_feasible_pair_of_the_shortest_t_equals_reference():
     """Two pairs pass the length check but have no path; they share the
-    padded arrays, up to the longest T and target, with the one pair that
+    batch arrays, up to the longest T and target, with the one pair that
     aligns, whose frames are the fewest."""
     rng = np.random.default_rng(19)
     cases = [
         (_grid(rng, 30, 41, "blank"), []),  # passes the length check, no path
         (_grid(rng, 4, 41), [5, 5, 6, 7]),  # too long for its frames
-        (_grid(rng, 1, 3), [1]),  # the feasible pair
-        (_grid(rng, 25, 7, "blank"), [2, 2, 3]),  # no path: blanks needed
+        (_grid(rng, 1, 41), [1]),  # the feasible pair
+        (_grid(rng, 25, 41, "blank"), [2, 2, 3]),  # no path: blanks needed
         (_grid(rng, 12, 41), list(range(1, 14))),  # too long
     ]
     got = _assert_ctc_equals_reference(*zip(*cases))
-    assert [isinstance(r, InfeasibleTarget) for r in got] == [True, True, False, True, True]
+    infeasible = [isinstance(loss, InfeasibleTarget) for loss, _ in got]
+    assert infeasible == [True, True, False, True, True]
 
 
 def _summed(m, per_utterance):
@@ -135,9 +163,8 @@ def _assert_same_grads(got, want):
     st.integers(0, 2**32 - 1),
 )
 def test_backward_equals_reference(hidden, width, V, utterances, seed):
-    """Utterances drawn False are left out, as the step leaves out the
-    infeasible ones: BPTT gets the kept ones with their rows of hs. The
-    first is always kept."""
+    """Utterances drawn False get all-zero gradient rows, as the step gives
+    the infeasible ones, and must add nothing. The first is always kept."""
     rng = np.random.default_rng(seed)
     m = init_model(width, V, hidden, seed=seed % 1000)
     batch_frames, batch_dlogits = [], []
@@ -150,10 +177,10 @@ def test_backward_equals_reference(hidden, width, V, utterances, seed):
         batch_dlogits.append(dlogits)
     kept = [n == 0 or keep for n, (_, keep) in enumerate(utterances)]
     hs, logp = forward_batch(m, batch_frames)
-    rows = [b for b, k in enumerate(kept) if k]
-    got = backward_batch(
-        m, [batch_frames[b] for b in rows], hs[rows], [batch_dlogits[b] for b in rows]
+    stacked = np.concatenate(
+        [dl if k else np.zeros_like(dl) for dl, k in zip(batch_dlogits, kept)]
     )
+    got = backward_batch(m, batch_frames, hs, stacked)
     want = []
     start = 0
     for b, (frames, dlogits) in enumerate(zip(batch_frames, batch_dlogits)):
@@ -226,8 +253,23 @@ def step_cases(draw):
     return m, cfg, batch
 
 
+def _large_vocabulary_step_case(V=3029, seed=37):
+    """A few short utterances over thousands of units: targets reaching the
+    last unit, one with a repeat, one empty and one too long to align."""
+    rng = np.random.default_rng(seed)
+    m = init_model(4, V, 5, seed=seed)
+    targets = [(V - 1, 9), (3, 3), (), (1, 2, 3), (int(rng.integers(1, V)), 5)]
+    batch = [
+        Example(rng.normal(0.0, 1.0, (T, 4)), target, 0, language)
+        for T, target, language in zip((6, 3, 1, 2, 8), targets, ("L1", "L2", "mixed", "L1", "L2"))
+    ]
+    return m, TrainConfig(learning_rate=0.3, momentum=0.9), batch
+
+
 @settings(max_examples=150, deadline=None)
 @given(step_cases())
+@example(_large_vocabulary_step_case())
+@example(_large_vocabulary_step_case(1500, 41))
 def test_step_equals_reference(case):
     m, cfg, batch = case
     new, old = SgdTrainer(m.copy(), cfg), SgdTrainer(m.copy(), cfg)

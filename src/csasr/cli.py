@@ -277,6 +277,10 @@ def run_matrix(out_dir: Path, seed: int, opts) -> dict[tuple[str, str], float]:
     the CER matrix; identical seeds give byte-identical artifacts. The
     corpora stay in memory: only vocab.txt, lm.arpa and cer_matrix.csv
     are written."""
+    fused_cfg = decoder.FusionConfig(opts.alpha, opts.beta, opts.beam)
+    # the first fused frame would multiply an infinite alpha * ln 10 by +0.0
+    if not math.isfinite(fused_cfg.alpha * decoder.LN10):
+        raise decoder.FusionOverflow(fused_cfg, "alpha * ln 10 is not finite")
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = _spec(opts, seed)
     vocab = _inventory_vocab(spec)
@@ -294,7 +298,6 @@ def run_matrix(out_dir: Path, seed: int, opts) -> dict[tuple[str, str], float]:
 
     feature_dim = opts.feature_dim
     base_cfg = decoder.FusionConfig(alpha=0.0, beta=0.0, beam_width=opts.beam)
-    fused_cfg = decoder.FusionConfig(opts.alpha, opts.beta, opts.beam)
     pretrain_cfg = _train_config(opts, opts.pretrain_epochs, seed + 1)
     scratch_cfg = _train_config(opts, opts.finetune_epochs, seed + 2)
     tune_cfg = _train_config(opts, opts.finetune_epochs, seed + 3)

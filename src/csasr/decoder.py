@@ -87,10 +87,10 @@ completed LM state's transitions, each naming the empty run's fusion
 state at the LM state it leads to. Neither is a node x unit table: the
 model bounds the states, which decodes share, and a fusion state's Latin
 row holds the Latin units alone. Rows, transitions and fusion states
-(`_LmCache` gives their bounds) are kept in one table per model and
-vocabulary, shared by every decode with both, so a decode builds only
-what no earlier one reached, and a decode that reaches nothing new calls
-the LM not at all.
+(`_LmCache` gives their bounds) are kept in one table per model, or none,
+and vocabulary, shared by every decode with both, so a decode builds
+only what no earlier one reached, and one that reaches nothing new
+calls the LM not at all.
 
 This is bit-identical to scoring each candidate separately in Python
 (tests/reference_decoder.py): numpy adds, multiplies and compares
@@ -160,11 +160,13 @@ def fused_score(
 
 
 class _LmCache:
-    """LM tables of one model and one vocabulary: its LM states and the
-    fusion states over them, each by id, built once from the vocabulary.
-    `cjk_words` are its CJK units in order, each one outside the LM
-    vocabulary as `<unk>`; the per-unit tables that `_Fusion` reads come
-    from `_unit_tables`.
+    """LM tables of one model, or none, and one vocabulary: its LM states
+    and the fusion states over them, each by id, and the unit tables that
+    `_Fusion` reads, built with the table: per unit, whether it is Latin,
+    the run it adds to a pending word, its column of `latin` (the k-th
+    Latin unit's is k), the row of the per-frame log10 and word tables it
+    reads, and its column of `next_fid`. `cjk_words` are its CJK units in
+    order, each one outside the LM vocabulary as `<unk>`.
 
     `rows[i]` holds `lm.log10` of each CJK word at LM state i, built when
     state i is first reached. Fusion state f is an LM state, `run_state[f]`,
@@ -192,23 +194,37 @@ class _LmCache:
     fusion state: only `rows` and `next_fid` grow with C, and a fusion
     state costs the same at every V.
 
-    A model keeps one table per vocabulary in its `decoding_tables`,
-    shared by every decode with both; the methods take the model as an
-    argument, so the table holds no reference back to it. Every change to
-    a shared table is made under its `lock` (`_Fusion.keep`), so decodes
-    in several threads grow it as one decode would: `extend` and `id_of`
-    look a cell or state up again before making it. Without a model
-    each decode makes its own table with the one state `()`, whose row is
-    all zeros and whose every run scores 0.0 as `<unk>`, so that it has
-    two fusion states and leaves the log10 sums exactly at 0.0 as if no
-    LM were applied.
+    One table per model, or none, and vocabulary (`of`) is shared by
+    every decode with both; the methods take the model as an argument, so
+    the table holds no reference back to it. Each change to a table is
+    made under its `lock` (`_Fusion.keep`), so decodes in several threads
+    grow it as one decode would: `extend`, `id_of` and `_unk` look a cell
+    or state up again before making it. The unit tables are read-only.
+    Without a model the table has the one state `()`, whose row is all
+    zeros and whose every run scores 0.0 as `<unk>`: two fusion states,
+    which leave the log10 sums exactly at 0.0 as if no LM were applied.
     """
 
     def __init__(self, model, vocab: GraphemeVocab):
-        (
-            self.is_latin, self.latin_unit, self.latin_col, self.log10_row,
-            self.words_row, self.next_col, cjk_units,
-        ) = _unit_tables(vocab)
+        units = vocab.units
+        scripts = [None] + [vocab.script_of_id(v) for v in range(1, len(units))]
+        self.is_latin = np.array([s == SCRIPT_LATIN for s in scripts])
+        cjk_ids = np.flatnonzero([s == SCRIPT_CJK for s in scripts])
+        cjk_units = [units[v] for v in cjk_ids]
+        self.latin_unit = tuple(u if latin else "" for u, latin in zip(units, self.is_latin))
+        self.latin_col = np.where(self.is_latin, np.cumsum(self.is_latin) - 1, 0)
+        # row 0 the beam's own fields (the beam itself, or a Latin unit that
+        # only grows the pending run), 1 those with the pending word
+        # completed (a separator), 2 + j that plus the j-th CJK unit
+        self.log10_row = np.where(self.is_latin, 0, 1)
+        self.log10_row[0] = 0
+        self.log10_row[cjk_ids] = 2 + np.arange(len(cjk_ids))
+        # 1 + j for the j-th CJK unit, 0 (the state itself) for every other
+        self.next_col = np.where(self.log10_row >= 2, self.log10_row - 1, 0)
+        self.words_row = np.minimum(self.log10_row, 2)
+        for table in (self.is_latin, self.latin_col, self.log10_row, self.next_col,
+                      self.words_row):
+            table.flags.writeable = False
         vocabulary = model.vocabulary if model is not None else ()
         self.cjk_words = tuple(u if u in vocabulary else lm_mod.UNK for u in cjk_units)
         # every non-empty prefix of a vocabulary word, mapped to itself so
@@ -228,10 +244,10 @@ class _LmCache:
 
     @staticmethod
     def of(model, vocab: GraphemeVocab) -> _LmCache:
-        """The table that decodes with model and vocab use: the model's
-        own for vocab, or without a model a fresh one."""
+        """The one table that decodes with model, or none, and vocab share:
+        the model's own for vocab, or without a model `_no_lm_table`'s."""
         if model is None:
-            return _LmCache(None, vocab)
+            return _no_lm_table(vocab)
         cache = model.decoding_tables.get(vocab)
         if cache is None:
             cache = model.decoding_tables[vocab] = _LmCache(model, vocab)
@@ -304,6 +320,12 @@ class _LmCache:
         return f
 
 
+@functools.lru_cache(maxsize=8)
+def _no_lm_table(vocab: GraphemeVocab) -> _LmCache:
+    """The table of every decode with vocab and no model."""
+    return _LmCache(None, vocab)
+
+
 def _doubled(table: np.ndarray, fill) -> np.ndarray:
     """table with as many rows again, filled with fill."""
     return np.concatenate([table, np.full_like(table, fill)])
@@ -332,43 +354,11 @@ def _best(scores: np.ndarray, n: int, spell, threshold: float) -> np.ndarray:
     return kept
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_tables(vocab: GraphemeVocab):
-    """The per-unit tables of a fusion state, built once per vocabulary:
-    whether unit v is Latin, the run it adds to a pending word, its column
-    of `_LmCache.latin` (the k-th Latin unit's is k), the row of the
-    per-frame log10 and word tables it reads, the column of the LM state
-    transitions it takes, and the CJK units in order. Every table with the
-    vocabulary shares them, so they are read-only."""
-    units = vocab.units
-    scripts = [None] + [vocab.script_of_id(v) for v in range(1, len(units))]
-    is_latin = np.array([s == SCRIPT_LATIN for s in scripts])
-    cjk_cols = np.array([s == SCRIPT_CJK for s in scripts])
-    cjk_ids = np.flatnonzero(cjk_cols)
-    latin_unit = tuple(u if latin else "" for u, latin in zip(units, is_latin))
-    latin_col = np.where(is_latin, np.cumsum(is_latin) - 1, 0)
-    # which row of the per-frame log10 and word tables candidate row v
-    # reads: 0 the beam's own fields (the beam itself, or a Latin unit
-    # that only grows the pending run), 1 those with the pending word
-    # completed (a separator), 2 + j that plus the j-th CJK unit
-    log10_row = np.where(is_latin, 0, 1)
-    log10_row[0] = 0
-    log10_row[cjk_ids] = 2 + np.arange(len(cjk_ids))
-    # the column of the LM state transitions unit v takes: 1 + j for
-    # the j-th CJK unit, 0 (the state itself) for every other unit
-    next_col = np.where(cjk_cols, log10_row - 1, 0)
-    words_row = np.minimum(log10_row, 2)
-    for table in (is_latin, latin_col, log10_row, words_row, next_col):
-        table.flags.writeable = False
-    cjk_units = tuple(units[v] for v in cjk_ids)
-    return is_latin, latin_unit, latin_col, log10_row, words_row, next_col, cjk_units
-
-
 class _Fusion:
     """The fusion fields of each beam entry, in beam order: its fusion
     state id, and the log10 LM sum and word count of its completed
-    tokens. Its fusion states and per-unit tables are one `_LmCache`, one
-    table per model and vocabulary. `scores` adds the fused bonus to the
+    tokens. Its fusion states and unit tables are the `_LmCache` of its
+    model, or none, and vocabulary. `scores` adds the fused bonus to the
     V x K candidate masses, `keep` gives the survivors their fields, and
     `final` adds the completed terms to the total masses.
 
@@ -486,6 +476,12 @@ _NOT_IN_BEAM = -(1 << 62)
 class FusionOverflow(ValueError):
     """Fusion weights so large that a fused score overflows or is NaN."""
 
+    def __init__(self, cfg: FusionConfig, why):
+        super().__init__(
+            f"fusion weights alpha={cfg.alpha!r} and beta={cfg.beta!r} "
+            f"are too large for the fused scores: {why}"
+        )
+
 
 def beam_decode(
     grid: PosteriorGrid,
@@ -507,10 +503,7 @@ def beam_decode(
         with np.errstate(over="raise", invalid="raise"):
             return _beam_search(grid, vocab, cfg, model, nbest)
     except FloatingPointError as e:
-        raise FusionOverflow(
-            f"fusion weights alpha={cfg.alpha!r} and beta={cfg.beta!r} "
-            f"are too large for the fused scores: {e}"
-        ) from None
+        raise FusionOverflow(cfg, e) from None
 
 
 def _beam_search(grid, vocab, cfg, model, nbest) -> list[Hypothesis]:

@@ -317,17 +317,47 @@ def test_fusion_weights_that_overflow_exit_2_naming_them(pipeline, weights, caps
 
 
 @pytest.mark.filterwarnings("error")
-def test_run_matrix_with_fusion_weights_that_overflow_exits_2(tmp_path, capsys):
-    # the fused column once failed with "error: list index out of range"
-    code = main([
-        "--seed", "0", "--output-dir", str(tmp_path / "matrix"), "run-matrix",
-        "--latin", "abc", "--cjk", "你我", "--mono-count", "4", "--cs-count", "10",
-        "--test-count", "3", "--hidden", "4", "--pretrain-epochs", "1",
-        "--finetune-epochs", "1", "--lm-order", "2", "--lm-text-count", "5", "--beam", "2",
-        "--alpha", "1e308",
-    ])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: fusion weights alpha=1e+308 and beta=")
+def test_decode_without_an_lm_or_word_bonus_takes_any_finite_alpha(pipeline, capsys):
+    # no LM term and no bonus leave nothing to fuse, so the decode is plain CTC
+    outputs = []
+    for alpha in ("1e308", "0"):
+        assert main([
+            "decode", "--vocab", str(pipeline["vocab"]), "--checkpoint", str(pipeline["tuned"]),
+            "--manifest", str(pipeline["data"] / "test_manifest.csv"), "--beam", "10",
+            "--alpha", alpha, "--beta", "0",
+        ]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out and outputs[0].err == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_matrix_with_fusion_weights_that_overflow_exits_2(tmp_path, capsys, monkeypatch):
+    # the fused column once failed with "error: list index out of range".
+    # An infinite alpha * ln 10 fails every fused decode at its first frame,
+    # so it is refused before any file is written or model trained; a beta
+    # that overflows only once a prefix has two words fails at that column
+    def run_matrix(alpha, beta):
+        out = tmp_path / f"matrix_{alpha}_{beta}"
+        code = main([
+            "--seed", "0", "--output-dir", str(out), "run-matrix",
+            "--latin", "abc", "--cjk", "你我", "--mono-count", "4", "--cs-count", "10",
+            "--test-count", "3", "--hidden", "4", "--pretrain-epochs", "1",
+            "--finetune-epochs", "1", "--lm-order", "2", "--lm-text-count", "5",
+            "--beam", "2", f"--alpha={alpha}", f"--beta={beta}",
+        ])
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: fusion weights alpha={float(alpha)!r} and beta={beta}")
+        return code, sorted(p.name for p in out.iterdir())
+
+    def train(*args):
+        raise AssertionError("trained a model")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(training, "run_joint_training", train)
+        assert run_matrix("1e308", "1.0") == (2, [])
+        assert run_matrix("-1e308", "1.0") == (2, [])
+    assert run_matrix("0.2", "1e+308") == (2, ["lm.arpa", "vocab.txt"])
 
 
 def test_synth_without_output_dir_exits_2(capsys):

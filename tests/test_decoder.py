@@ -317,9 +317,9 @@ def test_every_filled_transition_names_the_fusion_state_it_leads_to(tmp_path):
 
 
 def test_word_bonus_decode_without_an_lm_keeps_two_fusion_states(monkeypatch):
-    # without an LM every non-empty run scores 0.0 as <unk>, so a decode's
-    # own cache holds the empty run and the <unk> state, however many runs
-    # its beams spell
+    # without an LM every non-empty run scores 0.0 as <unk>, so the table
+    # that every such decode with the vocabulary shares holds the empty run
+    # and the <unk> state, however many runs its beams spell
     caches, real = [], decoder_mod._LmCache.of
 
     def recording_of(model, vocab):
@@ -366,6 +366,60 @@ def test_one_table_per_vocabulary_that_differs_in_latin_units(monkeypatch):
     for (vocab, grid, cfg), hyps in zip(cases, want):
         assert beam_decode(grid, vocab, cfg, model) == hyps, (vocab, cfg)
     assert calls == []
+
+
+def test_word_bonus_decodes_without_an_lm_share_one_table_per_vocabulary(monkeypatch):
+    # cold, warm and cold again in the other order, every n-best is the
+    # reference's. Equal vocabularies read one table, which only its first
+    # decode grows; one with other Latin units gets a table of its own
+    rng = np.random.default_rng(19)
+    cases = [
+        (vocab, latin_run_grid(rng, t, vocab), FusionConfig(0.0, beta, width))
+        for width in (1, 3, 10, 100)
+        for vocab, runs in zip(LATIN_VOCABS, LATIN_VOCAB_RUNS)
+        for t, beta in zip(runs, (1.0, -0.5))
+    ]
+    want = [reference_beam_decode(grid, vocab, cfg, None) for vocab, grid, cfg in cases]
+    decoder_mod._no_lm_table.cache_clear()
+    cold = [beam_decode(grid, vocab, cfg) for vocab, grid, cfg in cases]
+    warm = [beam_decode(grid, vocab, cfg) for vocab, grid, cfg in cases]
+    decoder_mod._no_lm_table.cache_clear()
+    reordered = [beam_decode(grid, vocab, cfg) for vocab, grid, cfg in reversed(cases)]
+    assert cold == warm == reordered[::-1] == want
+
+    decoder_mod._no_lm_table.cache_clear()
+    tables, real_of = [], decoder_mod._LmCache.of
+    made, real_add = [], decoder_mod._LmCache._add
+
+    def recording_of(model, vocab):
+        tables.append(real_of(model, vocab))
+        return tables[-1]
+
+    def recording_add(table, *args):
+        made.append(table)
+        return real_add(table, *args)
+
+    monkeypatch.setattr(decoder_mod._LmCache, "of", staticmethod(recording_of))
+    monkeypatch.setattr(decoder_mod._LmCache, "_add", recording_add)
+    vocab, other, cfg = *LATIN_VOCABS, FusionConfig(0.0, 1.0, 100)
+    equal = GraphemeVocab(vocab.units)
+    assert equal == vocab and equal is not vocab
+    grid = latin_run_grid(rng, "ab ba 你 a", vocab)
+    beam_decode(grid, vocab, cfg)
+    assert made and tables[0].runs == ["", None]
+    made.clear()
+    beam_decode(grid, equal, cfg)
+    assert made == [] and tables[1] is tables[0]
+    beam_decode(latin_run_grid(rng, "c'a b 好", other), other, cfg)
+    assert tables[2] is not tables[0] and tables[2].latin_unit != tables[0].latin_unit
+    for table, v in zip(tables, (vocab, equal, other)):
+        latin = sum(v.script_of_id(u) == SCRIPT_LATIN for u in range(len(v)))
+        assert table.latin.shape[1] == latin
+        for units in (table.is_latin, table.latin_col, table.log10_row, table.words_row,
+                      table.next_col):
+            assert not units.flags.writeable
+            with pytest.raises(ValueError):
+                units[0] = 0
 
 
 def _record_fusion(monkeypatch):

@@ -487,38 +487,56 @@ def _fusion_states(cache):
 
 def test_two_threads_growing_one_model_table_decode_as_one_thread(tmp_path):
     # both threads decode the 12 nested-fixture grids with one fresh model,
+    # or with no model and the shared table of the vocabulary made afresh,
     # so they miss the same cells of its one table at about the same time,
     # switching as often as the interpreter allows
     rng = np.random.default_rng(7600)
     grids = [latin_run_grid(rng, t, NESTED_VOCAB) for t in NESTED_RUNS * 2]
-    kn = nested_lms(tmp_path)[0]
     cfg = FusionConfig(0.2, 1.0, 100)
-    alone = dataclasses.replace(kn)
-    want = _nested_nbests(beam_decode, grids, cfg, alone)
-    (table,) = alone.decoding_tables.values()
+
+    def fresh(kn):
+        if kn is None:
+            decoder._no_lm_table.cache_clear()
+            return None
+        return dataclasses.replace(kn)
+
+    def table_of(model):
+        if model is None:
+            return _LmCache.of(None, NESTED_VOCAB)
+        (cache,) = model.decoding_tables.values()
+        return cache
+
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for trial in range(20):
-            shared = dataclasses.replace(kn)
-            got = [None, None]
-            start = threading.Barrier(2)
+    for kn in (nested_lms(tmp_path)[0], None):
+        alone = fresh(kn)
+        want = _nested_nbests(beam_decode, grids, cfg, alone)
+        table = table_of(alone)
+        if kn is None:
+            assert _fusion_states(table) == [((), "", False), ((), "", True)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                shared = fresh(kn)
+                got = [None, None]
+                start = threading.Barrier(2)
 
-            def run(i):
-                start.wait(timeout=30)
-                got[i] = _nested_nbests(beam_decode, grids, cfg, shared)
+                def run(i):
+                    start.wait(timeout=30)
+                    got[i] = _nested_nbests(beam_decode, grids, cfg, shared)
 
-            threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert got == [want, want], trial
-            (cache,) = shared.decoding_tables.values()
-            assert _fusion_states(cache) == _fusion_states(table), trial
-    finally:
-        sys.setswitchinterval(interval)
+                threads = [
+                    threading.Thread(target=run, args=(i,), daemon=True) for i in range(2)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                case = (trial, "no LM" if kn is None else "KN")
+                assert got == [want, want], case
+                assert _fusion_states(table_of(shared)) == _fusion_states(table), case
+        finally:
+            sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("width", (1, 3, 10, 100))

@@ -178,11 +178,11 @@ def ctc_loss_batch(
     from one gather of the last alpha rows. Alpha is read in place and
     beta with one gather, at each pair's own T and S, into one
     (T_max, B, S_max) occupancy whose cells past a pair's end are -inf.
-    One np.add.at adds the occupancies into a zero gamma of logp's shape
-    at the cells the forward emissions were read from; its indices run t,
-    pair, s in C order, so each cell adds its states in s order from 0.0,
-    as with one pair, and a step past a pair's end adds +0.0 to its frame
-    0, which leaves every sum as it was.
+    One np.bincount adds the occupancies, in input order from 0.0, into a
+    gamma of logp's size at the cells the forward emissions were read
+    from; its indices run t, pair, s in C order, so each cell adds its
+    states in s order from 0.0, as with one pair, and a step past a pair's
+    end adds +0.0 to its frame 0, which leaves every sum as it was.
     """
     V = logp.shape[1]
     if V < 2 or min(lengths, default=1) < 1:
@@ -255,10 +255,9 @@ def ctc_loss_batch(
 
     # gamma[r, v] adds exp(occ[t, j, s]) over the s with ext[j, s] == v at
     # the row r pair j's step t read, in s order from 0.0
-    gamma = np.zeros(logp.shape)
-    np.add.at(gamma.reshape(-1), cells[:, 0].ravel(), np.exp(occ, out=occ).ravel())
+    gamma = np.bincount(cells[:, 0].ravel(), np.exp(occ, out=occ).ravel(), logp.size)
     grads = np.exp(logp, out=logp)
-    grads -= gamma
+    grads -= gamma.reshape(logp.shape)
     for i, loglik in zip(feasible, logliks):
         if loglik == NEG_INF:
             losses[i] = InfeasibleTarget("no feasible path despite length check")

@@ -84,13 +84,14 @@ as a word and the LM state after it. So each unit leads from a fusion
 state to the next by one table lookup: a Latin unit through a fusion
 state x Latin unit table, a separator or a CJK unit through the
 completed LM state's transitions, each naming the empty run's fusion
-state at the LM state it leads to. Neither is a node x unit table: the
-model bounds the states, which decodes share, and a fusion state's Latin
-row holds the Latin units alone. Rows, transitions and fusion states
-(`_LmCache` gives their bounds) are kept in one table per model, or none,
-and vocabulary, shared by every decode with both, so a decode builds
-only what no earlier one reached, and one that reaches nothing new
-calls the LM not at all.
+state at the LM state it leads to; a frame makes the cells it finds
+unfilled in ascending order of the extensions. Neither is a node x unit
+table: the model bounds the states, which decodes share, and a fusion
+state's Latin row holds the Latin units alone. Rows, transitions and
+fusion states (`_LmCache` gives their bounds) are kept in one table per
+model, or none, and vocabulary, shared by every decode with both, so a
+decode builds only what no earlier one reached, and one that reaches
+nothing new calls the LM not at all.
 
 This is bit-identical to scoring each candidate separately in Python
 (tests/reference_decoder.py): numpy adds, multiplies and compares
@@ -118,6 +119,8 @@ from .vocab import SCRIPT_CJK, SCRIPT_LATIN, GraphemeVocab, decode_ids
 
 LN10 = math.log(10.0)
 NEG_INF = float("-inf")
+# held by `_LmCache.of`, so that threads whose decodes start together share a table
+_TABLES_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -191,15 +194,16 @@ class _LmCache:
     With S LM states, C CJK words, L Latin units and P non-empty prefixes
     of vocabulary words, the tables hold S x C row entries, S x (1 + C)
     transitions, at most S x (2 + P) fusion states and L `latin` cells per
-    fusion state: only `rows` and `next_fid` grow with C, and a fusion
-    state costs the same at every V.
+    fusion state (one if L is 0): only `rows` and `next_fid` grow with C,
+    and a fusion state costs the same at every V.
 
     One table per model, or none, and vocabulary (`of`) is shared by
     every decode with both; the methods take the model as an argument, so
-    the table holds no reference back to it. Each change to a table is
-    made under its `lock` (`_Fusion.keep`), so decodes in several threads
-    grow it as one decode would: `extend`, `id_of` and `_unk` look a cell
-    or state up again before making it. The unit tables are read-only.
+    the table holds no reference back to it. `_Fusion.keep` makes the
+    cells a frame misses under its `lock`, in ascending order of the
+    extensions, so decodes in several threads grow it as one would:
+    `after`, `id_of` and `_unk` look a cell or state up again before making
+    it. The unit tables are read-only.
     Without a model the table has the one state `()`, whose row is all
     zeros and whose every run scores 0.0 as `<unk>`: two fusion states,
     which leave the log10 sums exactly at 0.0 as if no LM were applied.
@@ -239,19 +243,21 @@ class _LmCache:
         self.runs: list = []
         self.run_state, self.done = np.zeros(8, int), np.zeros(8, int)
         self.log10, self.words = np.zeros(8), np.zeros(8)
-        self.latin = np.full((8, np.count_nonzero(self.is_latin)), -1, dtype=np.int32)
+        # one column even with no Latin unit: `keep` reads one for every unit
+        self.latin = np.full((8, max(1, np.count_nonzero(self.is_latin))), -1, dtype=np.int32)
         self.start = int(self.next_fid[self.id_of(model, (lm_mod.BOS,)), 0])
 
     @staticmethod
     def of(model, vocab: GraphemeVocab) -> _LmCache:
         """The one table that decodes with model, or none, and vocab share:
         the model's own for vocab, or without a model `_no_lm_table`'s."""
-        if model is None:
-            return _no_lm_table(vocab)
-        cache = model.decoding_tables.get(vocab)
-        if cache is None:
-            cache = model.decoding_tables[vocab] = _LmCache(model, vocab)
-        return cache
+        with _TABLES_LOCK:
+            if model is None:
+                return _no_lm_table(vocab)
+            cache = model.decoding_tables.get(vocab)
+            if cache is None:
+                cache = model.decoding_tables[vocab] = _LmCache(model, vocab)
+            return cache
 
     def id_of(self, model, context) -> int:
         """The id of the LM state that context is looked up as, its row and
@@ -269,21 +275,22 @@ class _LmCache:
             self.next_fid[i, 0] = self._add(i, "", 0.0, i, 0.0)
         return i
 
-    def advance(self, model, i: int, j: int) -> int:
-        """The fusion state of the empty run after CJK word j at LM state i."""
-        k = self.id_of(model, self.states[i] + (self.cjk_words[j],))
-        f = self.next_fid[i, 1 + j] = self.next_fid[k, 0]  # id_of may reallocate
-        return int(f)
-
-    def extend(self, model, f: int, v: int) -> int:
-        """The fusion state after Latin unit v from fusion state f."""
-        col = self.latin_col[v]
-        to = self.latin[f, col]
-        if to < 0:
-            run, i = self.runs[f], int(self.run_state[f])
-            to = f if run is None else self._run(model, i, run + self.latin_unit[v])
-            self.latin[f, col] = to
-        return int(to)
+    def after(self, model, f: int, v: int) -> int:
+        """The fusion state after unit v from fusion state f, its cell made
+        if it is still -1: for a Latin unit f's `latin` cell, else the
+        `next_fid` cell of f's completed LM state."""
+        if self.is_latin[v]:
+            col = self.latin_col[v]
+            if self.latin[f, col] < 0:
+                run, i = self.runs[f], int(self.run_state[f])
+                to = f if run is None else self._run(model, i, run + self.latin_unit[v])
+                self.latin[f, col] = to  # _run may reallocate
+            return int(self.latin[f, col])
+        i, col = self.done[f], self.next_col[v]
+        if self.next_fid[i, col] < 0:
+            k = self.id_of(model, self.states[i] + (self.cjk_words[col - 1],))
+            self.next_fid[i, col] = self.next_fid[k, 0]  # id_of may reallocate
+        return int(self.next_fid[i, col])
 
     def _run(self, model, i: int, run: str) -> int:
         """The fusion state of LM state i and the non-empty run, new unless
@@ -376,14 +383,12 @@ class _Fusion:
 
     def scores(self, cand: np.ndarray) -> np.ndarray:
         """The fused partial score of every candidate; each candidate's
-        log10 sum and word count, and each entry's completed LM state,
-        are kept for `keep`."""
+        log10 sum and word count are kept for `keep`."""
         cache, fid = self.cache, self.fid
-        self.done_state = cache.done[fid]
         done = self.log10 + cache.log10[fid]
         tab = np.empty((2 + len(cache.cjk_words), len(fid)))
         tab[0], tab[1] = self.log10, done
-        np.add(done, cache.rows.take(self.done_state, axis=0).T, out=tab[2:])
+        np.add(done, cache.rows.take(cache.done[fid], axis=0).T, out=tab[2:])
         self.cand_log10 = tab.take(cache.log10_row, axis=0)
         done = self.words + cache.words[fid]
         tab = np.empty((3, len(fid)))
@@ -402,39 +407,30 @@ class _Fusion:
 
         Every survivor takes its candidate's log10 sum and word count, and
         its entry's fusion state, by whole-beam gathers; an extension then
-        takes the fusion state its unit leads to, from `next_fid` at the
-        entry's completed LM state, or for a Latin unit from `latin` at the
-        entry's fusion state. Only cells not yet filled go through the cache
-        in Python, in ascending order, the `next_fid` cells first; a cell
-        that two survivors miss in one frame is made by the first alone.
-        Those misses hold the table's lock, so a cell that another thread
-        filled since it was read is looked up, not made again, and a warm
-        decode never takes the lock."""
-        model, cache = self.model, self.cache
-        fid = self.fid[ks]
+        takes the fusion state its unit leads to by one lookup: from `latin`
+        at the entry's fusion state for a Latin unit, else from `next_fid`
+        at the entry's completed LM state. Only cells not yet filled go
+        through the cache in Python (`_LmCache.after`), in ascending order
+        of the extensions; a cell that two survivors miss in one frame is
+        made by the first alone. Those misses hold the table's lock, so a
+        cell that another thread filled since it was read is looked up, not
+        made again, and a warm decode never takes the lock."""
+        cache = self.cache
+        f = self.fid[k_ext]
+        self.fid = self.fid[ks]
         self.log10 = self.cand_log10.ravel()[flat]
         self.words = self.cand_words.ravel()[flat]
-        # a Latin unit reads column 0 of `next_fid` here, the completed
-        # state's empty run, and takes its fusion state from `latin` below
-        base, cols = self.done_state[k_ext], cache.next_col[v_ext]
-        fid_ext = cache.next_fid[base, cols]
-        missed = (fid_ext < 0).nonzero()[0].tolist()
+        to = np.where(
+            cache.is_latin[v_ext],
+            cache.latin[f, cache.latin_col[v_ext]],
+            cache.next_fid[cache.done[f], cache.next_col[v_ext]],
+        )
+        missed = (to < 0).nonzero()[0].tolist()
         if missed:
             with cache.lock:
                 for j in missed:
-                    fid_ext[j] = cache.advance(model, int(base[j]), int(cols[j]) - 1)
-        latin = cache.is_latin[v_ext].nonzero()[0]
-        if len(latin):
-            f, v = self.fid[k_ext[latin]], v_ext[latin]
-            got = cache.latin[f, cache.latin_col[v]]
-            missed = (got < 0).nonzero()[0].tolist()
-            if missed:
-                with cache.lock:
-                    for j in missed:
-                        got[j] = cache.extend(model, int(f[j]), int(v[j]))
-            fid_ext[latin] = got
-        fid[ext] = fid_ext
-        self.fid = fid
+                    to[j] = cache.after(self.model, int(f[j]), int(v_ext[j]))
+        self.fid[ext] = to
 
     def final(self, totals: np.ndarray) -> np.ndarray:
         """Q of every prefix in the beam, its pending run scored as a word."""

@@ -275,14 +275,39 @@ def test_lm_work_is_one_score_per_state_and_word_or_unk(monkeypatch, tmp_path):
         assert calls == [] and len(cache.runs) == made
 
 
-def test_every_filled_transition_names_the_fusion_state_it_leads_to(tmp_path):
+def _missed_per_frame(monkeypatch):
+    """The list that gets, per frame of a fused decode, the set of unit
+    classes ("latin" or "cjk") whose transition cells the frame made."""
+    frames, keep, after = [], decoder_mod._Fusion.keep, decoder_mod._LmCache.after
+
+    def recording_keep(fusion, *args):
+        frames.append(set())
+        keep(fusion, *args)
+
+    def recording_after(cache, model, f, v):
+        frames[-1].add("latin" if cache.is_latin[v] else "cjk")
+        return after(cache, model, f, v)
+
+    monkeypatch.setattr(decoder_mod._Fusion, "keep", recording_keep)
+    monkeypatch.setattr(decoder_mod._LmCache, "after", recording_after)
+    return frames
+
+
+def test_every_filled_transition_names_the_fusion_state_it_leads_to(monkeypatch, tmp_path):
     # after cold fused decodes over runs in the vocabulary, runs that only
     # start words and runs that start none: a CJK or separator cell names
     # the empty run at the LM state it leads to, and a Latin cell the run
-    # one unit longer at the same LM state, or that state's <unk> state
+    # one unit longer at the same LM state, or that state's <unk> state.
+    # The first decode has a frame past its first whose survivors miss a
+    # Latin and a CJK cell together, both made in the one miss loop
     vocab = NESTED_VOCAB
     latin = [u for v, u in enumerate(vocab.units) if vocab.script_of_id(v) == SCRIPT_LATIN]
+    missed = _missed_per_frame(monkeypatch)
+    mixed = latin_run_grid(np.random.default_rng(20), "你a", vocab)
     for model in nested_lms(tmp_path):
+        missed.clear()
+        beam_decode(mixed, vocab, FusionConfig(0.2, 1.0, 10), model)
+        assert {"latin", "cjk"} in missed[1:]
         for width in (10, 100):
             for grid in _nested_grids(19):
                 beam_decode(grid, vocab, FusionConfig(0.2, 1.0, width), model)

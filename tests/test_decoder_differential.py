@@ -10,6 +10,7 @@ import itertools
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -333,24 +334,31 @@ def _assert_tables_fresh(asked):
 # rows alternate, so every class's rows of the per-frame fusion tables are
 # gathered out of order
 INTERLEAVED_VOCAB = GraphemeVocab(("<blank>", "你", "a", " ", "好", "'", "b"))
+# no Latin unit, so that no extension is a Latin one
+CJK_VOCAB = GraphemeVocab(("<blank>", "你", " ", "好", "们"))
 
 
 @pytest.mark.parametrize("width", (1, 3, 10, 100, 10**6))
 def test_beam_decode_equals_reference_with_interleaved_unit_classes(monkeypatch, width):
-    # every weight, with and without an LM, cold and warm; from width 10 up
-    # the beam outgrows V, so K passes V during the decode
+    # every weight, with and without an LM, cold and warm, and over
+    # CJK_VOCAB too; from width 10 up the beam outgrows V, so K passes V
+    # during the decode
     vocab, V = INTERLEAVED_VOCAB, len(INTERLEAVED_VOCAB)
     rng = np.random.default_rng(8500 + min(width, 1000))
     grids = [_grid(rng, 4 if width == 10**6 else int(rng.integers(3, 9)), vocab) for _ in range(8)]
     if width < 10**6:  # too long for a beam that keeps every prefix
         grids += [latin_run_grid(rng, t, vocab) for t in ("ab 你a'b", "好 ba'a 你")]
+    cases = [(vocab, g) for g in grids] + [
+        (CJK_VOCAB, _grid(rng, 4 if width == 10**6 else int(rng.integers(3, 9)), CJK_VOCAB))
+        for _ in range(4)
+    ]
     asked = _recorded_flat_tables(monkeypatch)
     for case, (alpha, beta) in enumerate(itertools.product((-0.3, 0.0, 0.2), (0.0, 1.0))):
         cfg = FusionConfig(alpha, beta, width)
         for model in (None, dataclasses.replace(MODELS[ORDERS[case % len(ORDERS)]])):
-            want = [_nbest(reference_decoder.beam_decode, g, cfg, model, vocab) for g in grids]
-            cold = [_nbest(beam_decode, g, cfg, model, vocab) for g in grids]
-            warm = [_nbest(beam_decode, g, cfg, model, vocab) for g in grids]
+            want = [_nbest(reference_decoder.beam_decode, g, cfg, model, v) for v, g in cases]
+            cold = [_nbest(beam_decode, g, cfg, model, v) for v, g in cases]
+            warm = [_nbest(beam_decode, g, cfg, model, v) for v, g in cases]
             assert cold == warm == want, (width, cfg, model and model.order)
     _assert_tables_fresh(asked)
     if width >= 10:
@@ -537,6 +545,44 @@ def test_two_threads_growing_one_model_table_decode_as_one_thread(tmp_path):
                 assert _fusion_states(table_of(shared)) == _fusion_states(table), case
         finally:
             sys.setswitchinterval(interval)
+
+
+def test_first_decodes_in_two_threads_build_one_table_per_model_and_vocabulary(
+    monkeypatch, tmp_path
+):
+    # two threads start their first decodes with one fresh model, then with
+    # no model and the vocabulary's table dropped, at once; each table build
+    # is slowed, so that a thread that looked the table up without waiting
+    # for the other's build would build a second one
+    built, real = [], _LmCache.__init__
+
+    def slow_init(table, model, vocab):
+        built.append((None if model is None else id(model), vocab))
+        time.sleep(0.2)
+        real(table, model, vocab)
+
+    monkeypatch.setattr(_LmCache, "__init__", slow_init)
+    kn = nested_lms(tmp_path)[0]
+    grid = latin_run_grid(np.random.default_rng(7700), NESTED_RUNS[1], NESTED_VOCAB)
+    cfg = FusionConfig(0.2, 1.0, 10)
+    decoder._no_lm_table.cache_clear()
+    for model in (kn, None):
+        got = [None, None]
+        start = threading.Barrier(2)
+
+        def run(i):
+            start.wait(timeout=30)
+            got[i] = _nbest(beam_decode, grid, cfg, model, NESTED_VOCAB)
+
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got[0] is not None and got[0] == got[1]
+    assert built == [(id(kn), NESTED_VOCAB), (None, NESTED_VOCAB)]
+    decoder._no_lm_table.cache_clear()
 
 
 @pytest.mark.parametrize("width", (1, 3, 10, 100))

@@ -85,30 +85,24 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def forward_batch(model: ToyAcousticModel, batch_frames: Sequence[np.ndarray]):
     """Hidden states and normalized log-probabilities of a batch, kept for
-    backward_batch: (hs, logp). hs is (B, T_max + 1, H, 1): hs[b, t + 1]
-    is utterance b's state h_t and hs[b, 0] the zero initial state, so b's
-    states are the contiguous rows hs[b, 1 : T_b + 1, :, 0], and the states
-    past its end are finite but meaningless. logp stacks the utterances'
-    (T_b, V) log-probabilities in order.
+    backward_batch, which reads hs in place: (hs, logp). hs is the
+    step-major buffer the recurrence ran in, (T_max + 1, B, H, 1):
+    hs[t + 1, b] is utterance b's h_t, hs[0] the zero initial state, and
+    the states past an utterance's end are finite but meaningless. logp
+    stacks the utterances' (T_b, V) log-probabilities in order.
 
-    The tanh recurrence runs once over the batch, padded to the longest
-    utterance, and each state is bit-equal to what a loop over one
-    utterance computes. `w_hh @ h` with h of shape (B, H, 1) is a stacked
-    matmul that makes one BLAS gemv per utterance, the same call as
-    `w_hh @ h` on one utterance's (H,) state; adding it in place to the
-    input term is the same sum, and the add and the tanh are elementwise,
-    so they round each element alike whatever the array around it. Padded
-    frames have zero inputs and their states are never read, as the
-    recurrence only looks back. The gemm form `h @ w_hh.T` over (B, H)
-    states is ruled out: BLAS may order its sums unlike gemv, and on some
-    shapes the bits differ. For the same reason the input and output layers
-    stay one gemm per utterance, of that utterance's own shape.
+    Each state and row is bit-equal to one utterance's. `w_hh @ h` over
+    (B, H, 1) states makes one BLAS gemv per utterance, the call `w_hh @ h`
+    makes on one (H,) state, and the add and the tanh are elementwise.
+    Padded frames have zero inputs, and the recurrence only looks back.
+    The input and output layers are one gemm per utterance, of its own
+    shape; the output gemms write one stacked (sum T, V) array that gets
+    the bias and a log-softmax in place, each row reduced over its own V
+    values.
 
-    The output gemms write their rows into one stacked (sum T, V) array,
-    which gets the bias and one log-softmax in place, and that array is
-    logp. The log-softmax reduces each row on its own, over that row's V
-    contiguous values, so no row's bits depend on the rows around it, and
-    in place it makes the same subtractions.
+    Ruled out: the gemm `h @ w_hh.T` over (B, H) states and one gemm over
+    the stacked rows (their bits differ on some shapes); a batch-major
+    copy of hs for BPTT (it nearly doubled the traced peak).
     """
     batch = [np.asarray(frames, dtype=np.float64) for frames in batch_frames]
     for frames in batch:
@@ -117,18 +111,17 @@ def forward_batch(model: ToyAcousticModel, batch_frames: Sequence[np.ndarray]):
                 f"frames shape {frames.shape} vs model input width {model.input_dim}"
             )
     p = model.params
-    steps = np.zeros((max(map(len, batch)) + 1, len(batch), model.hidden_dim, 1))
+    hs = np.zeros((max(map(len, batch)) + 1, len(batch), model.hidden_dim, 1))
     for b, frames in enumerate(batch):
-        steps[1 : len(frames) + 1, b, :, 0] = frames @ p["w_xh"].T + p["b_h"]
-    w_hh, h = p["w_hh"], steps[0]
-    for hs_t in steps[1:]:  # holds the input term until it becomes h_t
+        hs[1 : len(frames) + 1, b, :, 0] = frames @ p["w_xh"].T + p["b_h"]
+    w_hh, h = p["w_hh"], hs[0]
+    for hs_t in hs[1:]:  # holds the input term until it becomes h_t
         hs_t += w_hh @ h
         h = np.tanh(hs_t, out=hs_t)
-    hs = np.ascontiguousarray(steps.swapaxes(0, 1))
     bounds = np.cumsum([0] + [len(frames) for frames in batch])
     logits = np.empty((bounds[-1], model.vocab_size))
     for b, (frames, start, stop) in enumerate(zip(batch, bounds, bounds[1:])):
-        np.matmul(hs[b, 1 : len(frames) + 1, :, 0], p["w_hy"].T, out=logits[start:stop])
+        np.matmul(hs[1 : len(frames) + 1, b, :, 0], p["w_hy"].T, out=logits[start:stop])
     logits += p["b_y"]
     return hs, _log_softmax(logits)
 
@@ -136,7 +129,7 @@ def forward_batch(model: ToyAcousticModel, batch_frames: Sequence[np.ndarray]):
 def forward_states(model: ToyAcousticModel, frames: np.ndarray):
     """Hidden states and normalized log-probabilities, kept for backward."""
     hs, logp = forward_batch(model, [frames])
-    return hs[0, 1:, :, 0], logp
+    return hs[1:, 0, :, 0], logp
 
 
 def forward(model: ToyAcousticModel, frames: np.ndarray) -> PosteriorGrid:
@@ -160,73 +153,68 @@ def backward_batch(
     dlogits: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Backpropagation through time for a batch of at least one utterance,
-    from forward_batch's padded states hs and the gradients with respect
-    to the logits stacked as forward_batch stacks its log-probabilities.
-    Returns the gradients per parameter summed over the utterances, in
-    batch order from 0.0.
+    from forward_batch's step-major states hs and the gradients with
+    respect to the logits, stacked as forward_batch stacks logp. Returns
+    the gradients per parameter summed over the utterances, in batch order
+    from 0.0.
 
-    Only the dh recursion runs per frame, once over the batch, and each
-    step is bit-equal to one utterance's. The w_hy term `w_hy.T @ row`
-    is taken of every stacked row first, a stacked gemv that makes the
-    same BLAS call per frame as on one utterance (the gemm form is ruled
-    out as in forward_batch). Utterance j's step k is its frame T_j-1-k,
-    and that term, the frame and the states of every step are gathered
-    once before the loop, by step, from the stacked rows and from hs.
-    Steps past frame 0 read frame 0's rows and the zero initial state and
-    get a zero tanh derivative, so their da is +-0.0. The w_hh products
-    are stacked gemvs too, and the rest is elementwise.
+    One loop runs over hs from the last step to the first, and each step
+    is bit-equal to one utterance's. The w_hy term `w_hy.T @ row` of every
+    stacked row, a stacked gemv making the per-frame BLAS call, is first
+    scattered into zeroed step-major cells through one flat index t * B + b,
+    and the frames likewise into zero-padded inputs. Step t reads
+    [x_t, 1, h_{t-1}] from those and hs[:-1], and its tanh derivative from
+    hs[1:]; the w_hh products are stacked gemvs, the rest elementwise. An
+    utterance's steps past its end come first and have no w_hy term, so
+    their da and dh are +-0.0: they leave sums that start from +0.0 as they
+    were, and the last frame's w_hy term, a sum from +0.0 and so never
+    -0.0, absorbs the sign of their zero dh. All-zero gradient rows add
+    +-0.0 likewise.
 
     Each step adds the outer products of da with [x_t, 1, h_{t-1}] into a
     (B, H, F+1+H) accumulator, so each utterance's w_xh, b_h and w_hh
-    gradients add frame by frame, last frame first, from 0.0. Frame 0 has
-    the zero state as h_{-1}, and the padded steps' products are +-0.0, so
-    what they add leaves every sum as it was: a sum that starts from +0.0
-    is never -0.0. An utterance whose gradient rows are all zero adds
-    +-0.0 in the same way. After the loop the accumulator is summed over
-    axis 0 from 0.0, which adds the utterances in batch order, one
-    H x (F+1+H) block at a time. A matrix product such as `das.T @ X`
-    would let BLAS reorder the sums, and so would one reduce over frames
-    and utterances at once. Two things stay per utterance, on its own run
-    of rows: the w_hy gradient `dlogits.T @ hs`, a gemm whose bits depend
-    on its shape, and the b_y sum, as `np.add.reduceat` differed from
-    `sum(axis=0)` in the last bits; both are written into stacks summed
-    over axis 0 in the same way.
+    gradients add frame by frame, last first, from 0.0; it is then summed
+    over axis 0 from 0.0, in batch order. The b_y sum and the w_hy gradient
+    `dlogits.T @ h` stay per utterance, summed the same way. That gemm
+    reads a contiguous copy of the utterance's states: at H = 1 numpy
+    multiplies a strided view by another path, which rounds differently.
+
+    Ruled out: `das.T @ X` or one reduce over frames and utterances
+    (reordered sums); `np.add.reduceat` for b_y (last bits differ); one
+    tensor of every frame's outer products (25 MiB at H 64); a 2-D
+    fancy-index scatter by (t, b) (slower than the flat index).
     """
     p = model.params
     frames = [np.asarray(x, dtype=np.float64) for x in batch_frames]
     lengths = np.array([len(x) for x in frames])
-    n_steps, f, hidden = int(lengths.max()), model.input_dim, model.hidden_dim
-    # left[k, j] = T_j - k, the frames of utterance j not yet backpropagated
-    # at step k, and 0 past its frame 0
-    left = np.maximum(lengths - np.arange(n_steps + 1)[:, None], 0)
-    valid = left[:-1, :, None] > 0
-    # step k reads frame left[k + 1] of the stacked rows: T_j-1-k, or frame 0
-    starts = np.cumsum(lengths) - lengths
-    rows = starts + left[1:]
-    x_rev = np.take(np.concatenate(frames), rows, axis=0)
-    # utterance j's h_{T_j-1-k} sits at hs[j, left[k]], and left 0 is the
-    # zero initial state
-    h_rev = np.take(hs.reshape(-1, hidden), np.arange(len(frames)) * hs.shape[1] + left, axis=0)
-    dtanh = (1.0 - h_rev[:-1] ** 2) * valid
-    inputs = np.concatenate((x_rev, np.ones(valid.shape), h_rev[1:]), axis=2)
+    n_utts, f, hidden = len(frames), model.input_dim, model.hidden_dim
+    steps = np.arange(len(hs) - 1)
+    # each stacked row's flat step-major cell t * B + b, utterance by utterance
+    cells = (steps[:, None] * n_utts + np.arange(n_utts)).T[lengths[:, None] > steps]
+    das = np.zeros(hs[1:].shape)  # the w_hy term, then da
+    das.reshape(-1, hidden, 1)[cells] = p["w_hy"].T @ dlogits[..., None]
+    xs = np.zeros(das.shape[:2] + (f,))
+    xs.reshape(-1, f)[cells] = np.concatenate(frames)
+    inputs = np.concatenate((xs, np.ones(das.shape[:2] + (1,)), hs[:-1, :, :, 0]), axis=2)
+    dtanh = 1.0 - hs[1:] ** 2
 
-    w_hy_t, w_hh_t = p["w_hy"].T, p["w_hh"].T
-    das = np.take(w_hy_t @ dlogits[..., None], rows, axis=0)  # the w_hy term, then da
+    w_hh_t = p["w_hh"].T
     dh_next = np.zeros(das.shape[1:])
-    acc = np.zeros((len(frames), hidden, inputs.shape[2]))
+    acc = np.zeros((n_utts, hidden, inputs.shape[2]))
     outer = np.empty_like(acc)
-    for da_t, dtanh_t, inputs_t in zip(das, dtanh[..., None], inputs):
+    for da_t, dtanh_t, inputs_t in zip(das[::-1], dtanh[::-1], inputs[::-1]):
         da_t += dh_next
         da_t *= dtanh_t
         dh_next = w_hh_t @ da_t
         acc += np.multiply(da_t, inputs_t[:, None, :], out=outer)
     summed = np.add.reduce(acc, axis=0, initial=0.0)
 
-    w_hy = np.empty((len(frames),) + p["w_hy"].shape)
-    b_y = np.empty((len(frames),) + p["b_y"].shape)
+    w_hy = np.empty((n_utts,) + p["w_hy"].shape)
+    b_y = np.empty((n_utts,) + p["b_y"].shape)
+    starts = np.cumsum(lengths) - lengths
     for j, (start, t_len) in enumerate(zip(starts.tolist(), lengths.tolist())):
         dl = dlogits[start : start + t_len]
-        np.matmul(dl.T, hs[j, 1 : t_len + 1, :, 0], out=w_hy[j])
+        np.matmul(dl.T, np.ascontiguousarray(hs[1 : t_len + 1, j, :, 0]), out=w_hy[j])
         dl.sum(axis=0, out=b_y[j])
     return {
         "w_xh": summed[:, :f],
@@ -246,8 +234,8 @@ def backward(
     """Backpropagation through time for one utterance from its (T, H)
     states; returns gradients per parameter, added to zeros as
     backward_batch does."""
-    padded = np.zeros((1, len(hs) + 1, model.hidden_dim, 1))
-    padded[0, 1:, :, 0] = hs
+    padded = np.zeros((len(hs) + 1, 1, model.hidden_dim, 1))
+    padded[1:, 0, :, 0] = hs
     return backward_batch(model, [frames], padded, dlogits)
 
 

@@ -2,8 +2,9 @@
 joint-training-then-fine-tune schedule.
 
 Batches come from duration-sorted buckets whose order is shuffled per
-epoch by seed; infeasible utterances inside a batch are skipped and
-counted rather than raised, so long as at least one item is usable.
+epoch by seed. Infeasible utterances are skipped and counted rather than
+raised: a batch of only such items makes no update and adds no loss, and
+only an epoch with no usable item at all raises AllInfeasible.
 """
 
 from __future__ import annotations
@@ -244,10 +245,12 @@ def train_epochs(
 ) -> list[float]:
     """Standard epoch loop; returns per-epoch mean losses.
 
-    Raises Diverged, naming the tag, epoch and batch (both counted from 1),
-    as soon as a batch loss or the update it made is not finite, or after
-    logging an epoch whose mean loss is above DIVERGENCE_FACTOR times the
-    first epoch's (the batch named is then the epoch's last).
+    Raises AllInfeasible, naming the tag and epoch, when no item of an
+    epoch can align. Raises Diverged, naming the tag, epoch and batch (both
+    counted from 1), as soon as a batch loss or the update it made is not
+    finite, or after logging an epoch whose mean loss is above
+    DIVERGENCE_FACTOR times the first epoch's (the batch named is then the
+    epoch's last).
     """
     if not examples:
         raise ValueError("no training examples")
@@ -259,7 +262,11 @@ def train_epochs(
         lang_losses: dict[str, list[float]] = {}
         skipped = 0
         for b, batch in enumerate(batches, 1):
-            loss, n_skip, by_language = trainer.step(batch)
+            try:
+                loss, n_skip, by_language = trainer.step(batch)
+            except AllInfeasible:
+                skipped += len(batch)
+                continue
             if not math.isfinite(loss):
                 raise Diverged(tag, epoch, b, f"batch loss is {loss}")
             if not all(np.isfinite(v).all() for v in model.params.values()):
@@ -268,6 +275,8 @@ def train_epochs(
             skipped += n_skip
             for lang, vals in by_language.items():
                 lang_losses.setdefault(lang, []).extend(vals)
+        if not epoch_losses:
+            raise AllInfeasible(f"{tag} epoch {epoch}: all {skipped} items infeasible")
         mean_loss = float(np.mean(epoch_losses))
         history.append(mean_loss)
         per_lang = " ".join(

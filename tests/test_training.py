@@ -195,6 +195,23 @@ def test_step_skips_infeasible_and_counts_them():
         trainer.step([])
 
 
+@pytest.mark.parametrize("batch_size", [1, 2])
+def test_training_skips_a_batch_of_only_infeasible_items(batch_size, caplog):
+    """Duration bucketing can put an unalignable item in a batch of its
+    own; whether training runs must not depend on the batch size."""
+    rng = np.random.default_rng(7)
+    good = _example(rng, 6, [1, 2])
+    bad = _example(rng, 1, [1, 1, 2, 2])  # far too short, and sorted first
+    cfg = TrainConfig(batch_size=batch_size, epochs=2)
+    model = init_model(3, 3, hidden_dim=4, seed=8)
+    with caplog.at_level("INFO", logger="csasr.training"):
+        history = train_epochs(model, [good, bad], cfg, tag="probe")
+    assert len(history) == 2 and np.isfinite(history).all()
+    assert caplog.text.count("skipped=1") == 2
+    with pytest.raises(AllInfeasible, match="probe epoch 1: all 2 items infeasible"):
+        train_epochs(model, [bad, bad], cfg, tag="probe")
+
+
 def _rows_checked(monkeypatch):
     """The row counts of each call to the row check from now on."""
     calls = []

@@ -162,6 +162,9 @@ def _assert_same_grads(got, want):
     st.lists(st.tuples(st.integers(1, 30), st.booleans()), min_size=1, max_size=20),
     st.integers(0, 2**32 - 1),
 )
+# at hidden 1, numpy takes a w_hy gemm over a strided view of the states
+# down a path whose sums round unlike a contiguous operand's
+@example(hidden=1, width=1, V=2, utterances=[(7, False), (1, False)], seed=0)
 def test_backward_equals_reference(hidden, width, V, utterances, seed):
     """Utterances drawn False get all-zero gradient rows, as the step gives
     the infeasible ones, and must add nothing. The first is always kept."""
@@ -186,7 +189,7 @@ def test_backward_equals_reference(hidden, width, V, utterances, seed):
     for b, (frames, dlogits) in enumerate(zip(batch_frames, batch_dlogits)):
         T = len(frames)
         want_hs, want_logp = reference_training.forward_states(m, frames)
-        assert hs[b, 1 : T + 1, :, 0].tobytes() == want_hs.tobytes()
+        assert hs[1 : T + 1, b, :, 0].tobytes() == want_hs.tobytes()
         assert logp[start : start + T].tobytes() == want_logp.tobytes()
         start += T
         if kept[b]:

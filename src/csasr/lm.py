@@ -13,6 +13,10 @@ that grams starting with `<s>` keep raw counts since nothing can precede
 them. `<s>` is context-only (placeholder -99 unigram), `</s>` is a
 predicted event, and the leftover unigram discount mass goes to `<unk>`.
 
+Training streams its orders (`train_kn` says how): it holds one
+order's raw counts or context totals at a time, never a second dict of
+every n-gram, and its tables are those of counting every order first.
+
 LM states. Every query looks a context up as its state (`state_of`): its
 longest suffix in `NGramModel.states`, the contexts that can still change
 a score, as in KenLM (Heafield 2011). `log10` gives a word's log10
@@ -42,7 +46,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -133,80 +136,101 @@ def train_kn(corpus: Iterable[Sequence[str]], order: int = 5) -> NGramModel:
     count-of-counts of the counts actually used at that order; any order
     where that estimate is undefined or falls outside (0,1) falls back to
     D = 0.5 and is reported in degenerate_orders.
+
+    Orders stream, as in Heafield et al. (2013): counts run from the top
+    order down and probabilities from the bottom up. Each order's counts
+    are one dict, rewritten in place from raw counts to counts in use and
+    then to probabilities, and freed once its table is written. Live at
+    once, beside the tables written:
+    - while order k is counted: its raw counts and the counts in use of
+      every order above, the next order down being made from order k's;
+    - while order k's probabilities are made: order k-1's, which they
+      interpolate with, and order k's context totals and backoff weights.
+      Order k-1's table is written then, its weights being order k's.
+    So no second dict of every n-gram is ever live. Every table is the
+    one that counting every order first gave, to the bit and in insertion
+    order: each value is the same float expression of the same counts,
+    and each dict is filled in the same order.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    sentences = [list(s) for s in corpus]
-    if not sentences:
+    padded = [([BOS] if order > 1 else []) + list(s) + [EOS] for s in corpus]
+    if not padded:
         raise ValueError("empty corpus")
 
-    raw: dict[int, Counter] = {k: Counter() for k in range(1, order + 1)}
-    for sent in sentences:
-        padded = ([BOS] if order > 1 else []) + sent + [EOS]
-        for k in range(1, order + 1):
-            for i in range(len(padded) - k + 1):
-                raw[k][tuple(padded[i : i + k])] += 1
-
+    # top-down: order k's raw counts, then its counts in use. The top order
+    # and grams starting with <s> keep raw counts; any other gram's
+    # continuation count is the number of distinct grams above ending in
+    # it; none ends in a gram starting with <s>, which begins sentences only
     adjusted: dict[int, dict[tuple[str, ...], int]] = {}
-    for k in range(1, order + 1):
-        if k == order:
-            adj = {g: c for g, c in raw[k].items()}
-        else:
-            continuation = Counter()
-            for gram in raw[k + 1]:
-                continuation[gram[1:]] += 1
-            adj = {}
-            for gram, c in raw[k].items():
-                adj[gram] = c if gram[0] == BOS else continuation[gram]
-        adj.pop((BOS,), None)
-        adjusted[k] = adj
+    for k in range(order, 0, -1):
+        counts: dict[tuple[str, ...], int] = {}
+        for sent in padded:
+            for gram in zip(*(sent[i:] for i in range(k))):
+                counts[gram] = counts.get(gram, 0) + 1
+        if k < order:
+            for gram in counts:
+                if gram[0] != BOS:
+                    counts[gram] = 0
+            for gram in adjusted[k + 1]:
+                counts[gram[1:]] += 1
+        counts.pop((BOS,), None)
+        adjusted[k] = counts
+    del padded
 
+    # bottom-up: order k's counts become its linear-domain interpolated
+    # probabilities, read from order k-1's, whose table is then written
     discounts: dict[int, float] = {}
     degenerate = []
+    tables: dict[int, NGramTable] = {}
     for k in range(1, order + 1):
-        n1 = sum(1 for c in adjusted[k].values() if c == 1)
-        n2 = sum(1 for c in adjusted[k].values() if c == 2)
+        adj = adjusted.pop(k)
+        n1 = sum(1 for c in adj.values() if c == 1)
+        n2 = sum(1 for c in adj.values() if c == 2)
         if n1 > 0 and n2 > 0:
             discounts[k] = n1 / (n1 + 2 * n2)
         else:
             # count-of-counts give no discount in (0,1) at this order
             discounts[k] = 0.5
             degenerate.append(k)
-
-    # linear-domain interpolated probabilities, built bottom-up
-    prob: dict[tuple[str, ...], float] = {}
-    bows: dict[int, dict[tuple[str, ...], float]] = {}
-
-    d1 = discounts[1]
-    total1 = sum(adjusted[1].values())
-    prob[(UNK,)] = d1 * len(adjusted[1]) / total1
-    for gram, a in adjusted[1].items():
-        prob[gram] = (a - d1) / total1
-
-    for k in range(2, order + 1):
         dk = discounts[k]
-        ctx_total: Counter = Counter()
-        ctx_types: Counter = Counter()
-        for gram, a in adjusted[k].items():
-            ctx_total[gram[:-1]] += a
-            ctx_types[gram[:-1]] += 1
-        bows[k - 1] = {
-            h: dk * ctx_types[h] / ctx_total[h] for h in ctx_total
-        }
-        for gram, a in adjusted[k].items():
-            h = gram[:-1]
-            prob[gram] = (a - dk) / ctx_total[h] + bows[k - 1][h] * prob[gram[1:]]
-
-    tables: dict[int, NGramTable] = {k: {} for k in range(1, order + 1)}
-    for k in range(1, order + 1):
-        kbows = bows.get(k, {})
-        for gram in adjusted[k]:
-            tables[k][gram] = (math.log10(prob[gram]), _log10_bow(kbows.get(gram)))
-    tables[1][(UNK,)] = (math.log10(prob[(UNK,)]), None)
+        if k == 1:
+            total1 = sum(adj.values())
+            unk = dk * len(adj) / total1
+            for gram, a in adj.items():
+                adj[gram] = (a - dk) / total1
+            # a corpus <unk> overwrites the leftover mass
+            unk = adj.get((UNK,), unk)
+        else:
+            ctx_total: dict[tuple[str, ...], int] = {}
+            bows: dict[tuple[str, ...], float] = {}
+            for gram, a in adj.items():
+                h = gram[:-1]
+                ctx_total[h] = ctx_total.get(h, 0) + a
+                bows[h] = bows.get(h, 0) + 1
+            for h, types in bows.items():
+                bows[h] = dk * types / ctx_total[h]
+            for gram, a in adj.items():
+                h = gram[:-1]
+                adj[gram] = (a - dk) / ctx_total[h] + bows[h] * probs[gram[1:]]
+            del ctx_total
+            tables[k - 1] = _table(probs, bows)
+            if k == 2:
+                bos = (-99.0, _log10_bow(bows.get((BOS,))))
+        probs = adj
+    tables[order] = _table(probs, {})
+    tables[1][(UNK,)] = (math.log10(unk), None)
     if order > 1:
-        tables[1][(BOS,)] = (-99.0, _log10_bow(bows.get(1, {}).get((BOS,))))
+        tables[1][(BOS,)] = bos
 
     return NGramModel(order, tables, discounts, tuple(degenerate))
+
+
+def _table(
+    probs: dict[tuple[str, ...], float], bows: dict[tuple[str, ...], float]
+) -> NGramTable:
+    """Table rows of probs, each gram with its weight as a context in bows."""
+    return {gram: (math.log10(p), _log10_bow(bows.get(gram))) for gram, p in probs.items()}
 
 
 def _log10_bow(b: float | None) -> float | None:
@@ -333,10 +357,10 @@ def read_arpa(path) -> NGramModel:
     order = max(declared)
 
     tables: dict[int, NGramTable] = {k: {} for k in range(1, order + 1)}
-    first: dict[tuple[str, ...], int] = {}
     unigram_line = len(lines)
-    # k is the order of the section being read, None after a blank line
-    k, sections, seen_end = None, set(), False
+    # k is the order of the section being read, None after a blank line,
+    # and every line after its header at index head is one of its n-grams
+    k, head, sections, seen_end = None, None, set(), False
     for i, raw in enumerate(lines[i:], i):
         line = raw.strip()
         if not line:
@@ -359,8 +383,11 @@ def read_arpa(path) -> NGramModel:
             if bow is not None and not math.isfinite(bow):
                 fail(i, "non-finite backoff field")
             gram = tuple(fields[1 : k + 1])
-            if first.setdefault(gram, i + 1) != i + 1:
-                fail(i, f"repeated {k}-gram, first at line {first[gram]}")
+            if gram in tables[k]:
+                first = next(
+                    j for j in range(head + 1, i) if tuple(lines[j].split()[1 : k + 1]) == gram
+                )
+                fail(i, f"repeated {k}-gram, first at line {first + 1}")
             tables[k][gram] = (logp, bow)
         elif line == "\\end\\":
             seen_end = True
@@ -368,7 +395,7 @@ def read_arpa(path) -> NGramModel:
             m = re.match(r"^\\(\d+)-grams:$", line)
             if not m:
                 fail(i, f"unexpected line {line!r}")
-            k = int(m.group(1))
+            k, head = int(m.group(1)), i
             if k not in tables:
                 fail(i, f"section order {k} not declared")
             if k in sections:

@@ -1,19 +1,24 @@
-"""Reference oracle: the per-word recursive backoff lookup over full
-contexts that csasr shipped before LM states, kept verbatim (with its
-rolling-context `LmState` and `initial_state`, plus `sentence_log10` and
-`perplexity` on top of it) so test_lm_differential.py can demand exact
-equality with it. It reads the model's tables and nothing of `csasr.lm`
-that it checks.
+"""Reference oracles, each kept verbatim so test_lm_differential.py can
+demand exact equality with it:
+- the per-word recursive backoff lookup over full contexts that csasr
+  shipped before LM states (with its rolling-context `LmState` and
+  `initial_state`, plus `sentence_log10` and `perplexity` on top of it).
+  It reads the model's tables and nothing of `csasr.lm` that it checks;
+- `train_kn` as it was before it streamed its orders: every order's raw
+  counts, adjusted counts, probabilities and backoff weights held at
+  once, then every table written.
 
 Not part of the package.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from csasr.lm import BOS, EOS, UNK, NGramModel
+from csasr.lm import BOS, EOS, UNK, NGramModel, NGramTable
 
 
 @dataclass(frozen=True)
@@ -67,3 +72,90 @@ def perplexity(model: NGramModel, corpus: Iterable[Sequence]) -> float:
     if n_events == 0:
         raise ValueError("empty corpus")
     return 10.0 ** (-total / n_events)
+
+
+def train_kn(corpus: Iterable[Sequence[str]], order: int = 5) -> NGramModel:
+    """Interpolated Kneser-Ney with one discount per order.
+
+    Discounts use the Ney/Essen/Kneser estimate D = n1/(n1+2*n2) over the
+    count-of-counts of the counts actually used at that order; any order
+    where that estimate is undefined or falls outside (0,1) falls back to
+    D = 0.5 and is reported in degenerate_orders.
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    sentences = [list(s) for s in corpus]
+    if not sentences:
+        raise ValueError("empty corpus")
+
+    raw: dict[int, Counter] = {k: Counter() for k in range(1, order + 1)}
+    for sent in sentences:
+        padded = ([BOS] if order > 1 else []) + sent + [EOS]
+        for k in range(1, order + 1):
+            for i in range(len(padded) - k + 1):
+                raw[k][tuple(padded[i : i + k])] += 1
+
+    adjusted: dict[int, dict[tuple[str, ...], int]] = {}
+    for k in range(1, order + 1):
+        if k == order:
+            adj = {g: c for g, c in raw[k].items()}
+        else:
+            continuation = Counter()
+            for gram in raw[k + 1]:
+                continuation[gram[1:]] += 1
+            adj = {}
+            for gram, c in raw[k].items():
+                adj[gram] = c if gram[0] == BOS else continuation[gram]
+        adj.pop((BOS,), None)
+        adjusted[k] = adj
+
+    discounts: dict[int, float] = {}
+    degenerate = []
+    for k in range(1, order + 1):
+        n1 = sum(1 for c in adjusted[k].values() if c == 1)
+        n2 = sum(1 for c in adjusted[k].values() if c == 2)
+        if n1 > 0 and n2 > 0:
+            discounts[k] = n1 / (n1 + 2 * n2)
+        else:
+            # count-of-counts give no discount in (0,1) at this order
+            discounts[k] = 0.5
+            degenerate.append(k)
+
+    # linear-domain interpolated probabilities, built bottom-up
+    prob: dict[tuple[str, ...], float] = {}
+    bows: dict[int, dict[tuple[str, ...], float]] = {}
+
+    d1 = discounts[1]
+    total1 = sum(adjusted[1].values())
+    prob[(UNK,)] = d1 * len(adjusted[1]) / total1
+    for gram, a in adjusted[1].items():
+        prob[gram] = (a - d1) / total1
+
+    for k in range(2, order + 1):
+        dk = discounts[k]
+        ctx_total: Counter = Counter()
+        ctx_types: Counter = Counter()
+        for gram, a in adjusted[k].items():
+            ctx_total[gram[:-1]] += a
+            ctx_types[gram[:-1]] += 1
+        bows[k - 1] = {
+            h: dk * ctx_types[h] / ctx_total[h] for h in ctx_total
+        }
+        for gram, a in adjusted[k].items():
+            h = gram[:-1]
+            prob[gram] = (a - dk) / ctx_total[h] + bows[k - 1][h] * prob[gram[1:]]
+
+    tables: dict[int, NGramTable] = {k: {} for k in range(1, order + 1)}
+    for k in range(1, order + 1):
+        kbows = bows.get(k, {})
+        for gram in adjusted[k]:
+            tables[k][gram] = (math.log10(prob[gram]), _log10_bow(kbows.get(gram)))
+    tables[1][(UNK,)] = (math.log10(prob[(UNK,)]), None)
+    if order > 1:
+        tables[1][(BOS,)] = (-99.0, _log10_bow(bows.get(1, {}).get((BOS,))))
+
+    return NGramModel(order, tables, discounts, tuple(degenerate))
+
+
+def _log10_bow(b: float | None) -> float | None:
+    return None if b is None else math.log10(b)

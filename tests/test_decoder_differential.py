@@ -24,7 +24,7 @@ from csasr.decoder import FusionConfig, _LmCache, beam_decode
 from csasr.vocab import GraphemeVocab
 from conftest import (
     CLOSURE_ARPA, NESTED_RUNS, NESTED_VOCAB, NESTED_WORDS, latin_run_grid, nested_lms,
-    random_lms,
+    random_grid, random_lms,
 )
 
 import reference_decoder
@@ -142,6 +142,29 @@ def test_beam_decode_equals_reference_on_both_paths_of_the_cut(width):
             got = _nbest(beam_decode, grid, cfg, model)
             want = _nbest(reference_decoder.beam_decode, grid, cfg, model)
             assert got == want, (case, width, cfg, model and model.order)
+
+
+@pytest.mark.parametrize("t", (1, 2, 5))
+def test_beam_decode_equals_reference_where_the_cut_drops_one(t):
+    # _nth's boundary, where one score is past the cut: a first frame of
+    # exactly width + 1 candidates (V 5, width 4), and a final beam of
+    # exactly nbest + 1 entries (width 2, nbest 1); a cut that kept them all
+    # once passed every other test
+    rng = np.random.default_rng(7000 + t)
+    for case in range(12):
+        grid = random_grid(rng, t, len(SMALL_VOCAB), float(rng.choice([0.5, 3.0])))
+        alpha, beta = WEIGHTS[case % 4]
+        for model in (None, MODELS[ORDERS[case % len(ORDERS)]]):
+            for width, nbest in ((4, None), (2, 1)):
+                cfg = FusionConfig(alpha, beta, width)
+                got, want = (
+                    [(h.ids, h.text, h.score) for h in decode(grid, SMALL_VOCAB, cfg, model, nbest)]
+                    for decode in (beam_decode, reference_decoder.beam_decode)
+                )
+                assert got == want, (case, cfg, model and model.order)
+            assert len(got) == 1
+            assert len(beam_decode(grid, SMALL_VOCAB, cfg, model)) == 2
+        assert len(beam_decode(grid, SMALL_VOCAB, FusionConfig(alpha, beta, 4))) == 4
 
 
 # transcripts whose Latin runs stay pending over many frames: they cross

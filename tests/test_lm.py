@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -125,6 +128,23 @@ def test_bigram_probability_by_hand():
     assert 2 in model.degenerate_orders and 1 not in model.degenerate_orders
 
 
+def test_training_peak_stays_near_the_model_it_returns():
+    # counting every order before any probability, as train_kn once did,
+    # traced 2.0x the model; streaming the orders traces 1.12x
+    rng = random.Random(0)
+    pool = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "you", "ok"]
+    pool += [chr(0x4E00 + i) for i in range(100)]
+    corpus = [rng.choices(pool, k=rng.randint(1, 15)) for _ in range(400)]
+    tracemalloc.start()
+    try:
+        model = train_kn(corpus, order=5)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.tables[5]) > 2000
+    assert peak < 1.6 * size, (peak, size)
+
+
 def test_degenerate_count_of_counts_falls_back():
     model = train_kn([_tokens("a b")], order=2)
     assert model.degenerate_orders  # singleton corpus has no n2 anywhere
@@ -214,6 +234,21 @@ def test_read_arpa_rejects_a_repeated_ngram_at_its_second_line(tmp_path):
         read_arpa(path)
     assert info.value.line_number == 12
     assert info.value.reason == "repeated 2-gram, first at line 11"
+
+
+def test_read_arpa_names_the_first_line_of_a_gram_repeated_in_a_higher_section(tmp_path):
+    # "a b a" first at line 15, after a 2-gram and a 3-gram that share its
+    # words; the 3-gram section's header follows a 2-gram line directly
+    path = tmp_path / "bad.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=3\nngram 2=2\nngram 3=3\n\n\\1-grams:\n-0.3 <unk>\n-0.3 a\t-0.1\n"
+        "-0.3 b\n\n\\2-grams:\n-0.1 a b\t-0.2\n-0.1 b a\n \\3-grams:\n-0.1 a b a\n"
+        "-0.2\tb a b\n-0.3\ta b a\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedArpa) as info:
+        read_arpa(path)
+    assert (info.value.line_number, info.value.reason) == (17, "repeated 3-gram, first at line 15")
 
 
 @pytest.mark.parametrize(

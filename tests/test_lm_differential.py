@@ -1,7 +1,11 @@
-"""Differential test: the LM state queries (`lm.log10`, `lm.score`)
-and the `sentence_log10` and `perplexity` built on them, against the
-verbatim per-word recursion over full contexts that they replaced
-(tests/reference_lm.py).
+"""Differential tests against the verbatim code that `csasr.lm` replaced
+(tests/reference_lm.py):
+- the LM state queries (`lm.log10`, `lm.score`) and the `sentence_log10`
+  and `perplexity` built on them, against the per-word recursion over
+  full contexts;
+- `train_kn`, which streams its orders, against the one that held every
+  order's counts at once: the same tables, keys, float bits and
+  insertion order, discounts and degenerate orders.
 
 Equality is exact: a score differs from the recursion's at most in the
 sign of a zero, which `==` ignores and no sum keeps, and the state after
@@ -13,10 +17,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from csasr import lm as lm_mod
-from csasr.lm import BOS, UNK, read_arpa, train_kn
+from csasr.lm import BOS, EOS, UNK, read_arpa, train_kn
 from conftest import CLOSURE_ARPA, random_lms
 
 import reference_lm
@@ -201,3 +205,58 @@ def test_random_lm_tables_score_as_the_recursion(model, contexts, sentences):
     _check_log10(model)
     _check_score(model, sorted({()} | set(map(tuple, contexts))))
     _check_sentences(model, sentences + [["你", "好", "a"]])
+
+
+def _kn_rows(model):
+    """Everything `train_kn` returns, floats as their bits, dicts in
+    insertion order."""
+    def bits(x):
+        return None if x is None else x.hex()
+
+    tables = [
+        (k, [(gram, bits(logp), bits(bow)) for gram, (logp, bow) in table.items()])
+        for k, table in model.tables.items()
+    ]
+    discounts = [(k, bits(d)) for k, d in model.discounts.items()]
+    return model.order, tables, discounts, model.degenerate_orders
+
+
+def _assert_kn_equals_reference(corpus, order):
+    assert _kn_rows(train_kn(corpus, order)) == _kn_rows(
+        reference_lm.train_kn(corpus, order)
+    )
+
+
+# a corpus </s> and <unk> mid-sentence: <unk>'s own probability overwrites
+# the leftover mass, and its weight is dropped
+_KN_TOKENS = ("a", "b", "ab", "你", "好", EOS, UNK)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    corpus=st.lists(st.lists(st.sampled_from(_KN_TOKENS), max_size=7), min_size=1, max_size=12),
+    order=st.integers(1, 5),
+)
+@example(corpus=[[UNK, "a", UNK]], order=2)
+def test_kn_tables_equal_the_reference_on_random_corpora(corpus, order):
+    _assert_kn_equals_reference(corpus, order)
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [[[]], [["a"]], [["a", "a", "a"]] * 4, [["a", "b"], ["b", "a"]]],
+    ids=["empty", "single-token", "repeated-token", "no-repeated-bigram"],
+)
+@pytest.mark.parametrize("order", (1, 2, 3, 4, 5))
+def test_kn_tables_equal_the_reference_where_an_order_degenerates(corpus, order):
+    # every one of these has an order whose count-of-counts give no discount
+    assert train_kn(corpus, order).degenerate_orders
+    _assert_kn_equals_reference(corpus, order)
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 5))
+@pytest.mark.parametrize("seed", (0, 1, 7))
+def test_kn_tables_equal_the_reference_on_larger_corpora(order, seed):
+    rng = np.random.default_rng(seed)
+    _assert_kn_equals_reference(_corpus(rng, 400), order)
+

@@ -88,10 +88,11 @@ state at the LM state it leads to; a frame makes the cells it finds
 unfilled in ascending order of the extensions. Neither is a node x unit
 table: the model bounds the states, which decodes share, and a fusion
 state's Latin row holds the Latin units alone. Rows, transitions and
-fusion states (`_LmCache` gives their bounds) are kept in one table per
-model, or none, and vocabulary, shared by every decode with both, so a
-decode builds only what no earlier one reached, and one that reaches
-nothing new calls the LM not at all.
+fusion states (`_LmCache` gives their bounds) are kept by this module,
+not on the model, in one table per model, or none, and vocabulary
+(`_LmCache.of`), shared by every decode with both, so a decode builds
+only what no earlier one reached, and one that reaches nothing new
+calls the LM not at all.
 
 This is bit-identical to scoring each candidate separately in Python
 (tests/reference_decoder.py): numpy adds, multiplies and compares
@@ -109,6 +110,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +121,9 @@ from .vocab import SCRIPT_CJK, SCRIPT_LATIN, GraphemeVocab, decode_ids
 
 LN10 = math.log(10.0)
 NEG_INF = float("-inf")
-# held by `_LmCache.of`, so that threads whose decodes start together share a table
+# each live LM model's tables by id(model), then vocabulary; `_LmCache.of`
+# holds the lock, so that threads whose decodes start together share a table
+_TABLES: dict[int, dict[GraphemeVocab, _LmCache]] = {}
 _TABLES_LOCK = threading.Lock()
 
 
@@ -167,9 +171,9 @@ class _LmCache:
     and the fusion states over them, each by id, and the unit tables that
     `_Fusion` reads, built with the table: per unit, whether it is Latin,
     the run it adds to a pending word, its column of `latin` (the k-th
-    Latin unit's is k), the row of the per-frame log10 and word tables it
-    reads, and its column of `next_fid`. `cjk_words` are its CJK units in
-    order, each one outside the LM vocabulary as `<unk>`.
+    Latin unit's is k), and the row of the per-frame log10 and word tables
+    it reads, also its column of `next_fid`. `cjk_words` are its CJK units
+    in order, each one outside the LM vocabulary as `<unk>`.
 
     `rows[i]` holds `lm.log10` of each CJK word at LM state i, built when
     state i is first reached. Fusion state f is an LM state, `run_state[f]`,
@@ -178,13 +182,14 @@ class _LmCache:
     p(run | state) and `words[f]` the one word it adds. A run outside the
     LM vocabulary scores as `<unk>`. A run that no vocabulary word starts
     with stays `<unk>` as it grows, so all such runs at state i are one
-    fusion state, `unk[i]` (run None, made when first reached, -1 before);
-    a run that only starts words copies its scores.
+    fusion state, its `<unk>` state (run None, made when first reached); a
+    run that only starts words copies its scores.
 
-    Every transition names a fusion state, -1 until asked for.
-    `next_fid[i, 0]` is the empty run at LM state i, made with i, with done
+    Every transition names a fusion state, -1 until asked for. Row i of
+    `next_fid` holds every transition out of LM state i: column 0 is its
+    `<unk>` state, column 1 the empty run at i, made with i, with done
     state i and adding 0.0 and 0.0 (`start` is that of `<s>`'s state), and
-    `next_fid[i, 1 + j]` the empty run at the LM state after CJK word j.
+    column 2 + j the empty run at the LM state after CJK word j.
     `latin[f, k]` is the fusion state after the k-th Latin unit: f itself
     for a `<unk>` state, else the run one unit longer, made once from its
     one parent f, or the `<unk>` state if no word starts with that run.
@@ -192,7 +197,7 @@ class _LmCache:
     The fusion state of a vocabulary word, and each `<unk>` state, makes
     one `lm.score` call, so each (state, word-or-`<unk>`) pair costs one.
     With S LM states, C CJK words, L Latin units and P non-empty prefixes
-    of vocabulary words, the tables hold S x C row entries, S x (1 + C)
+    of vocabulary words, the tables hold S x C row entries, S x (2 + C)
     transitions, at most S x (2 + P) fusion states and L `latin` cells per
     fusion state (one if L is 0): only `rows` and `next_fid` grow with C,
     and a fusion state costs the same at every V.
@@ -219,15 +224,13 @@ class _LmCache:
         self.latin_col = np.where(self.is_latin, np.cumsum(self.is_latin) - 1, 0)
         # row 0 the beam's own fields (the beam itself, or a Latin unit that
         # only grows the pending run), 1 those with the pending word
-        # completed (a separator), 2 + j that plus the j-th CJK unit
+        # completed (a separator), 2 + j that plus the j-th CJK unit; for a
+        # separator or CJK unit, also its column of `next_fid`
         self.log10_row = np.where(self.is_latin, 0, 1)
         self.log10_row[0] = 0
         self.log10_row[cjk_ids] = 2 + np.arange(len(cjk_ids))
-        # 1 + j for the j-th CJK unit, 0 (the state itself) for every other
-        self.next_col = np.where(self.log10_row >= 2, self.log10_row - 1, 0)
         self.words_row = np.minimum(self.log10_row, 2)
-        for table in (self.is_latin, self.latin_col, self.log10_row, self.next_col,
-                      self.words_row):
+        for table in (self.is_latin, self.latin_col, self.log10_row, self.words_row):
             table.flags.writeable = False
         vocabulary = model.vocabulary if model is not None else ()
         self.cjk_words = tuple(u if u in vocabulary else lm_mod.UNK for u in cjk_units)
@@ -238,25 +241,32 @@ class _LmCache:
         self.ids: dict = {}
         self.states: list = []
         self.rows = np.zeros((8, len(self.cjk_words)))
-        self.next_fid = np.full((8, 1 + len(self.cjk_words)), -1)
-        self.unk: list = []
+        self.next_fid = np.full((8, 2 + len(self.cjk_words)), -1)
         self.runs: list = []
         self.run_state, self.done = np.zeros(8, int), np.zeros(8, int)
         self.log10, self.words = np.zeros(8), np.zeros(8)
         # one column even with no Latin unit: `keep` reads one for every unit
         self.latin = np.full((8, max(1, np.count_nonzero(self.is_latin))), -1, dtype=np.int32)
-        self.start = int(self.next_fid[self.id_of(model, (lm_mod.BOS,)), 0])
+        self.start = int(self.next_fid[self.id_of(model, (lm_mod.BOS,)), 1])
 
     @staticmethod
     def of(model, vocab: GraphemeVocab) -> _LmCache:
-        """The one table that decodes with model, or none, and vocab share:
-        the model's own for vocab, or without a model `_no_lm_table`'s."""
+        """The one table that decodes with model, or none, and vocab share;
+        without a model `_no_lm_table`'s. Its values are the model's alone,
+        whatever the order of the decodes. A model's tables are kept in
+        `_TABLES` by id(model), not on the model, which stays plain data that
+        pickles; a finalizer drops them as the model is freed, before its id
+        can be reused, and no table refers to its model."""
         with _TABLES_LOCK:
             if model is None:
                 return _no_lm_table(vocab)
-            cache = model.decoding_tables.get(vocab)
+            tables = _TABLES.get(id(model))
+            if tables is None:
+                tables = _TABLES[id(model)] = {}
+                weakref.finalize(model, _TABLES.pop, id(model))
+            cache = tables.get(vocab)
             if cache is None:
-                cache = model.decoding_tables[vocab] = _LmCache(model, vocab)
+                cache = tables[vocab] = _LmCache(model, vocab)
             return cache
 
     def id_of(self, model, context) -> int:
@@ -268,11 +278,10 @@ class _LmCache:
             row = 0.0 if model is None else [lm_mod.log10(model, state, w) for w in self.cjk_words]
             i = self.ids[state] = len(self.states)
             self.states.append(state)
-            self.unk.append(-1)
             if i == len(self.rows):
                 self.rows, self.next_fid = _doubled(self.rows, 0.0), _doubled(self.next_fid, -1)
             self.rows[i] = row
-            self.next_fid[i, 0] = self._add(i, "", 0.0, i, 0.0)
+            self.next_fid[i, 1] = self._add(i, "", 0.0, i, 0.0)
         return i
 
     def after(self, model, f: int, v: int) -> int:
@@ -286,10 +295,10 @@ class _LmCache:
                 to = f if run is None else self._run(model, i, run + self.latin_unit[v])
                 self.latin[f, col] = to  # _run may reallocate
             return int(self.latin[f, col])
-        i, col = self.done[f], self.next_col[v]
+        i, col = self.done[f], self.log10_row[v]
         if self.next_fid[i, col] < 0:
-            k = self.id_of(model, self.states[i] + (self.cjk_words[col - 1],))
-            self.next_fid[i, col] = self.next_fid[k, 0]  # id_of may reallocate
+            k = self.id_of(model, self.states[i] + (self.cjk_words[col - 2],))
+            self.next_fid[i, col] = self.next_fid[k, 1]  # id_of may reallocate
         return int(self.next_fid[i, col])
 
     def _run(self, model, i: int, run: str) -> int:
@@ -306,13 +315,14 @@ class _LmCache:
 
     def _unk(self, model, i: int) -> int:
         """The fusion state of every run at LM state i that no word starts with."""
-        u = self.unk[i]
+        u = int(self.next_fid[i, 0])
         if u < 0:
             if model is None:
                 lp, state = 0.0, self.states[i]
             else:
                 lp, state = lm_mod.score(model, self.states[i], lm_mod.UNK)
-            u = self.unk[i] = self._add(i, None, lp, self.id_of(model, state), 1.0)
+            u = self._add(i, None, lp, self.id_of(model, state), 1.0)
+            self.next_fid[i, 0] = u  # id_of may reallocate
         return u
 
     def _add(self, i: int, run, log10: float, done: int, words: float) -> int:
@@ -423,7 +433,7 @@ class _Fusion:
         to = np.where(
             cache.is_latin[v_ext],
             cache.latin[f, cache.latin_col[v_ext]],
-            cache.next_fid[cache.done[f], cache.next_col[v_ext]],
+            cache.next_fid[cache.done[f], cache.log10_row[v_ext]],
         )
         missed = (to < 0).nonzero()[0].tolist()
         if missed:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -87,26 +87,13 @@ def tokenize_lm(text: str) -> list[str]:
 
 @dataclass
 class NGramModel:
-    """Immutable after construction; score concurrently at will.
-
-    Its decoding tables fill lazily and deterministically: each decode
-    with the model adds the rows and transitions of the LM states it
-    reaches, every one a function of the model alone, so the order of
-    the decodes changes no value, and decodes in several threads may
-    share the model.
-    """
+    """Immutable after construction; score concurrently at will."""
 
     order: int
     tables: dict[int, NGramTable]
     discounts: dict[int, float] | None = None
     # orders whose count-of-counts gave no discount in (0,1); D=0.5 was used
     degenerate_orders: tuple[int, ...] = ()
-    # decoder tables, one table per model and vocabulary, keyed by the
-    # vocabulary; none of them refers to the model, so a model is freed as
-    # soon as its last reference goes
-    decoding_tables: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     @cached_property
     def vocabulary(self) -> frozenset[str]:
@@ -253,16 +240,14 @@ def initial_state(model: NGramModel) -> tuple[str, ...]:
 def log10(model: NGramModel, state: tuple[str, ...], w: str) -> float:
     """log10 p(w | state) under ARPA backoff semantics.
 
-    w must be in the vocabulary or be `UNK`. A stored n-gram state + (w,)
-    gives its probability, and `()` falls back to the `UNK` unigram; any
-    other state gives its backoff weight (0.0 when it has none) plus w's
-    value at `state_of(model, state[1:])`.
+    w must be in the vocabulary or be `UNK`, so at `()` it is a stored
+    unigram. A stored n-gram state + (w,) gives its probability; any other
+    state gives its backoff weight (0.0 when it has none) plus w's value at
+    `state_of(model, state[1:])`.
     """
     entry = model.tables[len(state) + 1].get(state + (w,))
     if entry is not None:
         return entry[0]
-    if not state:
-        return model.tables[1][(UNK,)][0]
     bow = model.tables[len(state)].get(state, (0.0, None))[1]
     if bow is None:
         bow = 0.0

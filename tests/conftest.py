@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from csasr import decoder
 from csasr import lm as lm_mod
 from csasr.ctc import PosteriorGrid
 from csasr.vocab import GraphemeVocab
@@ -31,6 +32,12 @@ def latin_run_grid(rng, transcript: str, vocab: GraphemeVocab) -> PosteriorGrid:
         logits = rng.normal(0.0, 1.0, size=(len(frames), len(vocab)))
     logits[np.arange(len(frames)), frames] += 3.0
     return PosteriorGrid(logits - np.logaddexp.reduce(logits, axis=1, keepdims=True))
+
+
+def tables_of(model) -> dict:
+    """The decoder's tables of an LM model, by vocabulary; empty until a
+    fused decode with the model."""
+    return decoder._TABLES.get(id(model), {})
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +13,10 @@ import pytest
 
 import csasr
 from csasr import decoder, training
+from csasr import model as model_mod
 from csasr.cli import build_parser, main
 from csasr.ctc import PosteriorGrid
+from csasr.features import SAMPLE_RATE
 from csasr.lm import read_arpa
 from csasr.training import load_manifest
 from csasr.vocab import GraphemeVocab, load_vocab, save_vocab
@@ -99,6 +104,18 @@ def test_trained_lm_is_valid_arpa(pipeline):
     assert model.order == 3
 
 
+def test_train_lm_warns_of_the_orders_whose_discount_fell_back(tmp_path, caplog):
+    # one sentence of two words has no count of 2 at any order
+    corpus, arpa = tmp_path / "one.txt", tmp_path / "one.arpa"
+    corpus.write_text("a b\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="csasr"):
+        assert main(["train-lm", "--corpus", str(corpus), "--order", "3", "--out", str(arpa)]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "discount fell back to 0.5 at orders [1, 2, 3]"
+    ]
+    assert read_arpa(arpa).order == 3
+
+
 def test_perplexity_command_prints_value(pipeline, capsys):
     text = pipeline["root"] / "ppl_input.txt"
     text.write_text("a 你\n", encoding="utf-8")
@@ -153,6 +170,13 @@ def _evaluate(tmp_path, refs: str, hyps: str) -> int:
     ref.write_text(refs, encoding="utf-8")
     hyp.write_text(hyps, encoding="utf-8")
     return main(["evaluate", "--ref", str(ref), "--hyp", str(hyp)])
+
+
+def test_evaluate_files_of_different_line_counts_exit_2(tmp_path, capsys):
+    assert _evaluate(tmp_path, "ab 你\nba\nab\n", "ab\nba\n") == 2
+    assert capsys.readouterr().err == (
+        "error: line counts differ: 3 references vs 2 hypotheses\n"
+    )
 
 
 def test_evaluate_empty_files_exit_2(tmp_path, capsys):
@@ -480,6 +504,31 @@ def test_train_on_an_empty_manifest_exits_2_naming_it(pipeline, tmp_path, capsys
     assert not ckpt.exists()
 
 
+def test_train_on_one_manifest_writes_the_model_that_train_epochs_makes(pipeline, tmp_path):
+    # a single set trains through `training.train_epochs` alone: the
+    # checkpoint holds the parameters that loop gives here, on the same
+    # examples and config, bit for bit
+    manifest, vocab = pipeline["data"] / "cs_manifest.csv", load_vocab(pipeline["vocab"])
+    ckpt = tmp_path / "one.ckpt"
+    assert main([
+        "--seed", "3", "train", "--vocab", str(pipeline["vocab"]), "--manifest", str(manifest),
+        "--hidden", "8", "--epochs", "2", "--lr", "0.01", "--batch-size", "4",
+        "--out", str(ckpt),
+    ]) == 0
+    examples = [
+        training.make_example(e, training.load_frames(e, manifest.parent), vocab)
+        for e in load_manifest(manifest, vocab)
+    ]
+    want = model_mod.init_model(examples[0].frames.shape[1], len(vocab), 8, 3)
+    start = want.copy()
+    cfg = training.TrainConfig(learning_rate=0.01, batch_size=4, epochs=2, seed=3)
+    training.train_epochs(want, examples, cfg)
+    got = model_mod.load_checkpoint(ckpt, vocab)
+    for name in model_mod.PARAM_NAMES:
+        assert got.params[name].tobytes() == want.params[name].tobytes(), name
+    assert not np.array_equal(want.params["w_hy"], start.params["w_hy"])
+
+
 def test_decode_on_an_empty_manifest_exits_2_naming_it(pipeline, tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("path,transcript,language,duration_ms\n", encoding="utf-8")
@@ -597,6 +646,42 @@ def test_arpa_with_a_repeated_ngram_exits_2_naming_both_lines(pipeline, tmp_path
     assert main(["perplexity", "--lm", str(arpa), "--corpus", str(text)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {arpa}: line {n + 2}: repeated 2-gram, first at line {n + 1}\n"
+
+
+def _fields_short(lines):
+    n = lines.index("\\2-grams:") + 1
+    lines[n] = lines[n].split("\t")[0]
+    return n + 1, "expected 3 or 4 fields, got 1"
+
+
+def _stray_line(lines):
+    # after the blank line that ends the 1-grams, outside any section
+    n = lines.index("\\2-grams:")
+    lines.insert(n, "stray")
+    return n + 1, "unexpected line 'stray'"
+
+
+def _undeclared_section(lines):
+    n = lines.index("\\end\\")
+    lines[n:n] = ["\\4-grams:", "-0.1\ta b c d", ""]
+    return n + 1, "section order 4 not declared"
+
+
+@pytest.mark.parametrize(
+    "edit", [_fields_short, _stray_line, _undeclared_section],
+    ids=["fields", "unexpected-line", "undeclared-section"],
+)
+def test_arpa_with_a_malformed_line_exits_2_naming_file_and_line(
+    pipeline, tmp_path, capsys, edit
+):
+    arpa = tmp_path / "bad.arpa"
+    lines = pipeline["arpa"].read_text(encoding="utf-8").splitlines()
+    line, reason = edit(lines)
+    arpa.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = tmp_path / "ppl.txt"
+    text.write_text("a\n", encoding="utf-8")
+    assert main(["perplexity", "--lm", str(arpa), "--corpus", str(text)]) == 2
+    assert capsys.readouterr().err == f"error: {arpa}: line {line}: {reason}\n"
 
 
 @pytest.mark.parametrize("column", ["probability", "backoff"])
@@ -918,6 +1003,48 @@ def _one_entry_command(pipeline, tmp_path, command, audio):
     code = main(argv)
     assert not out.exists()
     return code
+
+
+def _wav_bytes(channels: int, width: int, rate: int) -> bytes:
+    out = io.BytesIO()
+    with wave.open(out, "wb") as f:
+        f.setnchannels(channels)
+        f.setsampwidth(width)
+        f.setframerate(rate)
+        f.writeframes(bytes(channels * width * 400))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", ["decode", "train"])
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (_wav_bytes(2, 2, SAMPLE_RATE), "expected mono, got 2 channels"),
+        (_wav_bytes(1, 1, SAMPLE_RATE), "expected 16-bit samples"),
+        (_wav_bytes(1, 2, 16000), f"expected {SAMPLE_RATE} Hz, got 16000"),
+    ],
+    ids=["stereo", "8-bit", "16-kHz"],
+)
+def test_wav_entry_in_another_format_exits_2_naming_it(
+    pipeline, tmp_path, capsys, command, data, reason
+):
+    wav = tmp_path / "u0.wav"
+    wav.write_bytes(data)
+    assert _one_entry_command(pipeline, tmp_path, command, wav) == 2
+    assert capsys.readouterr().err == f"error: {wav}: line 1: {reason}\n"
+
+
+@pytest.mark.parametrize("command", ["decode", "train"])
+def test_manifest_with_a_field_over_the_csv_limit_exits_2_naming_its_line(
+    pipeline, tmp_path, capsys, command
+):
+    limit = csv.field_size_limit()
+    long_name = tmp_path / ("u" * (limit + 1))
+    assert _one_entry_command(pipeline, tmp_path, command, long_name) == 2
+    manifest = tmp_path / "m.csv"
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: line 2: field larger than field limit ({limit})\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["decode", "train"])

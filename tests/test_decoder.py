@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import re
 import weakref
 from collections import Counter
@@ -12,7 +14,9 @@ from csasr import lm as lm_mod
 from csasr.ctc import PosteriorGrid, ctc_loss
 from csasr.decoder import FusionConfig, beam_decode, fused_score, greedy_decode
 from csasr.vocab import SCRIPT_LATIN, GraphemeVocab
-from conftest import NESTED_RUNS, NESTED_VOCAB, latin_run_grid, nested_lms, random_grid
+from conftest import (
+    NESTED_RUNS, NESTED_VOCAB, latin_run_grid, nested_lms, random_grid, tables_of,
+)
 from reference_decoder import beam_decode as reference_beam_decode, exhaustive_best
 
 EXHAUSTIVE = FusionConfig(alpha=0.2, beta=1.0, beam_width=100_000)
@@ -207,7 +211,7 @@ def test_lm_cache_scores_each_context_token_pair_once(monkeypatch):
     assert not {token for _, _, token in calls} & {"你", "好", "他"}
     # each model has one table, and no state's row is built twice in it,
     # however many decodes reach that state
-    assert len(model.decoding_tables) == len(other.decoding_tables) == 1
+    assert len(tables_of(model)) == len(tables_of(other)) == 1
     assert {m for m, _, _ in rows} == {id(model), id(other)}
     built = [(state, w) for m, state, w in rows if m == id(model)]
     assert len(built) == len(set(built))
@@ -237,8 +241,8 @@ def test_equal_models_never_share_a_table(monkeypatch):
     built_by_a = len(rows)
     beam_decode(grid, CACHE_VOCAB, CACHE_CFG, b)
     assert built_by_a and len(rows) == 2 * built_by_a
-    (table_a,) = a.decoding_tables.values()
-    (table_b,) = b.decoding_tables.values()
+    (table_a,) = tables_of(a).values()
+    (table_b,) = tables_of(b).values()
     assert table_a is not table_b
 
 
@@ -261,7 +265,7 @@ def test_lm_work_is_one_score_per_state_and_word_or_unk(monkeypatch, tmp_path):
             for grid in grids:
                 beam_decode(grid, NESTED_VOCAB, FusionConfig(0.2, 1.0, width), model)
         assert len(calls) == len(set(calls)) == pinned
-        (cache,) = model.decoding_tables.values()
+        (cache,) = tables_of(model).values()
         states = cache.run_state[: len(cache.runs)].tolist()
         unk_runs = Counter(
             i for i, run in zip(states, cache.runs) if run != "" and run not in model.vocabulary
@@ -295,9 +299,10 @@ def _missed_per_frame(monkeypatch):
 
 def test_every_filled_transition_names_the_fusion_state_it_leads_to(monkeypatch, tmp_path):
     # after cold fused decodes over runs in the vocabulary, runs that only
-    # start words and runs that start none: a CJK or separator cell names
-    # the empty run at the LM state it leads to, and a Latin cell the run
-    # one unit longer at the same LM state, or that state's <unk> state.
+    # start words and runs that start none: an LM state's <unk> cell names
+    # its <unk> state, a CJK or separator cell the empty run at the LM
+    # state it leads to, and a Latin cell the run one unit longer at the
+    # same LM state, or that state's <unk> state.
     # The first decode has a frame past its first whose survivors miss a
     # Latin and a CJK cell together, both made in the one miss loop
     vocab = NESTED_VOCAB
@@ -311,19 +316,23 @@ def test_every_filled_transition_names_the_fusion_state_it_leads_to(monkeypatch,
         for width in (10, 100):
             for grid in _nested_grids(19):
                 beam_decode(grid, vocab, FusionConfig(0.2, 1.0, width), model)
-        (cache,) = model.decoding_tables.values()
+        (cache,) = tables_of(model).values()
         made = len(cache.runs)
         assert len(cache.latin) >= made
-        after = [(i, 0, i) for i in range(len(cache.states))] + [
-            (i, 1 + j, cache.ids[lm_mod.state_of(model, state + (word,))])
+        after = [(i, 1, i) for i in range(len(cache.states))] + [
+            (i, 2 + j, cache.ids[lm_mod.state_of(model, state + (word,))])
             for i, state in enumerate(cache.states)
             for j, word in enumerate(cache.cjk_words)
-            if cache.next_fid[i, 1 + j] >= 0
+            if cache.next_fid[i, 2 + j] >= 0
         ]
         assert len(after) > len(cache.states)
         for i, col, to in after:
             f = cache.next_fid[i, col]
             assert (cache.runs[f], cache.run_state[f]) == ("", to), (i, col)
+        unk = [(i, f) for i, f in enumerate(cache.next_fid[: len(cache.states), 0]) if f >= 0]
+        assert unk
+        for i, f in unk:
+            assert (cache.runs[f], cache.run_state[f]) == (None, i), i
         filled = 0
         for f in range(made):
             run, i = cache.runs[f], cache.run_state[f]
@@ -336,7 +345,7 @@ def test_every_filled_transition_names_the_fusion_state_it_leads_to(monkeypatch,
                     assert to == f
                 else:
                     assert cache.run_state[to] == i
-                    assert cache.runs[to] == run + unit or to == cache.unk[i], (run, unit)
+                    assert cache.runs[to] == run + unit or to == cache.next_fid[i, 0], (run, unit)
         assert filled > made // 2
         assert (cache.latin[made:] == -1).all()
 
@@ -385,8 +394,8 @@ def test_one_table_per_vocabulary_that_differs_in_latin_units(monkeypatch):
     for (vocab, grid, cfg), hyps in zip(cases, want):
         assert beam_decode(grid, vocab, cfg, model) == hyps, (vocab, cfg)
         latin = sum(vocab.script_of_id(v) == SCRIPT_LATIN for v in range(len(vocab)))
-        assert model.decoding_tables[vocab].latin.shape[1] == latin
-    assert calls and list(model.decoding_tables) == list(LATIN_VOCABS)
+        assert tables_of(model)[vocab].latin.shape[1] == latin
+    assert calls and list(tables_of(model)) == list(LATIN_VOCABS)
     calls.clear()
     for (vocab, grid, cfg), hyps in zip(cases, want):
         assert beam_decode(grid, vocab, cfg, model) == hyps, (vocab, cfg)
@@ -432,6 +441,10 @@ def test_word_bonus_decodes_without_an_lm_share_one_table_per_vocabulary(monkeyp
     grid = latin_run_grid(rng, "ab ba 你 a", vocab)
     beam_decode(grid, vocab, cfg)
     assert made and tables[0].runs == ["", None]
+    # the one LM state's row: its <unk> state, its empty run, and after
+    # each CJK unit reached the empty run again
+    row = tables[0].next_fid[0].tolist()
+    assert row[:2] == [1, 0] and set(row[2:]) <= {-1, 0}
     made.clear()
     beam_decode(grid, equal, cfg)
     assert made == [] and tables[1] is tables[0]
@@ -440,8 +453,8 @@ def test_word_bonus_decodes_without_an_lm_share_one_table_per_vocabulary(monkeyp
     for table, v in zip(tables, (vocab, equal, other)):
         latin = sum(v.script_of_id(u) == SCRIPT_LATIN for u in range(len(v)))
         assert table.latin.shape[1] == latin
-        for units in (table.is_latin, table.latin_col, table.log10_row, table.words_row,
-                      table.next_col):
+        assert table.next_fid.shape[1] == 2 + len(table.cjk_words)
+        for units in (table.is_latin, table.latin_col, table.log10_row, table.words_row):
             assert not units.flags.writeable
             with pytest.raises(ValueError):
                 units[0] = 0
@@ -468,7 +481,7 @@ def test_zero_weight_decode_with_a_model_does_no_fusion_work(monkeypatch, alpha,
     cfg = FusionConfig(alpha, beta, 100)
     hyps = beam_decode(grid, CACHE_VOCAB, cfg, model)
     assert calls == [] and rows == [] and built == []
-    assert model.decoding_tables == {}
+    assert tables_of(model) == {}
     assert hyps == beam_decode(grid, CACHE_VOCAB, FusionConfig(0.0, 0.0, 100))
     # a prefix scores its total mass: unpruned, that is its CTC marginal
     grid = random_grid(np.random.default_rng(15), 4, len(CACHE_VOCAB))
@@ -493,23 +506,47 @@ def test_word_bonus_without_lm_weight_decodes_as_without_the_model(monkeypatch, 
                 fused_score(hyp.text, ctc_logp, None, cfg), abs=1e-9
             )
     assert calls == [] and rows == []
-    assert model.decoding_tables == {}
+    assert tables_of(model) == {}
 
 
 def test_decoded_model_is_freed_without_a_garbage_collection():
-    # the tables on a model hold no reference back to it, so its last
-    # reference going frees it and its tables, with no cycle to collect
+    # the decoder's tables of a model hold no reference back to it, so its
+    # last reference going frees it, its registry entry and its tables,
+    # with no cycle to collect
     gc.disable()
     try:
         model = _cache_model()
         grid = random_grid(np.random.default_rng(11), 12, len(CACHE_VOCAB))
         beam_decode(grid, CACHE_VOCAB, CACHE_CFG, model)
-        (table,) = model.decoding_tables.values()
-        refs = [weakref.ref(model), weakref.ref(table)]
+        (table,) = tables_of(model).values()
+        key, refs = id(model), [weakref.ref(model), weakref.ref(table)]
+        assert key in decoder_mod._TABLES
         del model, table
         assert [ref() for ref in refs] == [None, None]
+        assert key not in decoder_mod._TABLES
     finally:
         gc.enable()
+
+
+def _nbest_bits(hyps):
+    return [(h.ids, h.text, h.score.hex()) for h in hyps]
+
+
+@pytest.mark.parametrize("duplicate", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_decoded_model_pickles_and_deep_copies_and_its_copy_decodes_alike(duplicate):
+    # the decoder keeps a model's tables off the model, so one that has
+    # decoded still pickles and deep-copies: the copy is equal, has no
+    # tables, and decodes the same n-best cold, to the bit
+    model = _cache_model()
+    grid = random_grid(np.random.default_rng(12), 12, len(CACHE_VOCAB))
+    want = _nbest_bits(beam_decode(grid, CACHE_VOCAB, CACHE_CFG, model, nbest=5))
+    assert tables_of(model)
+    dup = duplicate(model)
+    assert dup == model and dup is not model and tables_of(dup) == {}
+    assert _nbest_bits(beam_decode(grid, CACHE_VOCAB, CACHE_CFG, dup, nbest=5)) == want
+    (table,) = tables_of(dup).values()
+    assert table is not tables_of(model)[CACHE_VOCAB]
 
 
 @settings(max_examples=25, deadline=None)

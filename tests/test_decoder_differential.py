@@ -24,7 +24,7 @@ from csasr.decoder import FusionConfig, _LmCache, beam_decode
 from csasr.vocab import GraphemeVocab
 from conftest import (
     CLOSURE_ARPA, NESTED_RUNS, NESTED_VOCAB, NESTED_WORDS, latin_run_grid, nested_lms,
-    random_grid, random_lms,
+    random_grid, random_lms, tables_of,
 )
 
 import reference_decoder
@@ -191,7 +191,7 @@ def test_beam_decode_equals_reference_on_long_latin_runs(width):
         alpha, beta = WEIGHTS[2 + case % 2]
         cfg = FusionConfig(alpha, beta, width)
         model = dataclasses.replace(MODELS[ORDERS[case % len(ORDERS)]])
-        assert not model.decoding_tables
+        assert not tables_of(model)
         cold = _nbest(beam_decode, grid, cfg, model)
         warm = _nbest(beam_decode, grid, cfg, model)
         want = _nbest(reference_decoder.beam_decode, grid, cfg, model)
@@ -223,7 +223,7 @@ def test_beam_decode_equals_reference_on_out_of_vocabulary_runs(width, tmp_path)
             fresh = _nested_nbests(beam_decode, grids, cfg, dataclasses.replace(model))
             assert cold == warm == backwards == fresh == want, (width, cfg, model.order)
             if width > 1:
-                (cache,) = used.decoding_tables.values()
+                (cache,) = tables_of(used).values()
                 assert {"a", "abc", "b'"} <= set(cache.runs), cache.runs
                 assert {"ab", "b"} <= set(cache.runs) and None in cache.runs
     # the word bonus alone, without an LM
@@ -534,7 +534,7 @@ def test_two_threads_growing_one_model_table_decode_as_one_thread(tmp_path):
     def table_of(model):
         if model is None:
             return _LmCache.of(None, NESTED_VOCAB)
-        (cache,) = model.decoding_tables.values()
+        (cache,) = tables_of(model).values()
         return cache
 
     interval = sys.getswitchinterval()
@@ -652,7 +652,7 @@ def test_shared_tables_decode_as_a_fresh_model_does():
     cold = [_nbest(beam_decode, g, cfg, model) for g in grids]
     warm = [_nbest(beam_decode, g, cfg, model) for g in reversed(grids)][::-1]
     fresh = dataclasses.replace(model)
-    assert fresh == model and not fresh.decoding_tables
+    assert fresh == model and not tables_of(fresh)
     assert [_nbest(beam_decode, g, cfg, fresh) for g in grids] == cold == warm
 
 
@@ -680,7 +680,7 @@ def test_rows_of_states_reached_before_their_suffix_states(tmp_path):
     logits[[0, 1], [5, 6]] = 5.0
     grid = PosteriorGrid(logits - np.logaddexp.reduce(logits, axis=1, keepdims=True))
     assert beam_decode(grid, VOCAB, FusionConfig(0.2, 1.0, 1), model)[0].text == "你好"
-    (cache,) = model.decoding_tables.values()
+    (cache,) = tables_of(model).values()
     assert cache.states == [("<s>",), ("<s>", "你"), ("你", "好")]
     _check_rows(model, cache)
     rng = np.random.default_rng(5000)
@@ -701,8 +701,26 @@ def test_rows_built_at_the_deepest_state_first_on_random_lm_tables(model, seed):
     rng = np.random.default_rng(seed)
     for width in (1, 10):
         beam_decode(_grid(rng), VOCAB, FusionConfig(0.2, 1.0, width), model)
-    (cache,) = model.decoding_tables.values()
+    (cache,) = tables_of(model).values()
     _check_rows(model, cache)
+
+
+def test_unk_cell_made_while_the_lm_state_table_doubles():
+    # `_unk` makes the LM state after <unk> through `id_of`, which may double
+    # `next_fid`; the <unk> cell must land in the doubled table. Here that
+    # state is `()`, made ninth, so its `id_of` doubles the eight rows a
+    # table starts with
+    model = MODELS[3]
+    cache = _LmCache(model, VOCAB)
+    others = sorted(model.states - {(), cache.states[0]})
+    for state in others[:7]:
+        cache.id_of(model, state)
+    assert len(cache.states) == len(cache.next_fid) == 8
+    u = cache._unk(model, 0)
+    assert cache.states[cache.done[u]] == () and len(cache.next_fid) == 16
+    assert cache.next_fid[0, 0] == u
+    made = len(cache.runs)
+    assert cache._unk(model, 0) == u and len(cache.runs) == made
 
 
 # -0.0 is left out: the decoder never holds it, since every mass is a sum

@@ -57,13 +57,16 @@ def _contexts(model, rng):
 
 def _check_log10(model):
     """`log10` of every word at each state against the recursion over the
-    state; where the n-gram is not stored, it is to the bit the state's
-    backoff weight plus the word's value at the suffix state."""
+    state; at `()` it is to the bit the word's stored unigram, and where
+    another state's n-gram is not stored, the state's backoff weight plus
+    the word's value at the suffix state."""
     words = tuple(sorted(model.vocabulary)) + (UNK,)
     for state, w in itertools.product(sorted(model.states), words):
         got = lm_mod.log10(model, state, w)
         assert got == reference_lm._cond_log10(model, state, w), (state, w)
-        if state and state + (w,) not in model.tables[len(state) + 1]:
+        if not state:
+            assert got.hex() == model.tables[1][(w,)][0].hex(), w
+        elif state + (w,) not in model.tables[len(state) + 1]:
             bow = model.tables[len(state)].get(state, (0.0, None))[1]
             lower = lm_mod.log10(model, lm_mod.state_of(model, state[1:]), w)
             assert got.hex() == ((0.0 if bow is None else bow) + lower).hex(), (state, w)
